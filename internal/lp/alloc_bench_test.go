@@ -5,14 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkLPResolve measures the warm re-solve path: bounds flip
-// between iterations the way branch and bound toggles them, and the
-// solver re-solves from the previous basis. Per-iteration simplex
-// scratch (alpha rows, ftran/btran work vectors, pricing arrays) is
-// what the hotalloc fixes hoist into reusable solver buffers.
-func BenchmarkLPResolve(b *testing.B) {
+// resolveProblem is the small dense-ish LP behind the allocation pins.
+func resolveProblem() (p *Problem, n int) {
 	rng := rand.New(rand.NewSource(7))
-	p := NewProblem()
+	p = NewProblem()
 	n, m := 30, 20
 	for j := 0; j < n; j++ {
 		p.AddVar(0, 10, rng.Float64()*2-1)
@@ -26,6 +22,16 @@ func BenchmarkLPResolve(b *testing.B) {
 		}
 		p.AddRow(LE, 5+rng.Float64()*10, coefs)
 	}
+	return p, n
+}
+
+// BenchmarkLPResolve measures the warm re-solve path: bounds flip
+// between iterations the way branch and bound toggles them, and the
+// solver re-solves from the previous basis. Per-iteration simplex
+// scratch (alpha rows, ftran/btran work vectors, pricing arrays) is
+// what the hotalloc fixes hoist into reusable solver buffers.
+func BenchmarkLPResolve(b *testing.B) {
+	p, n := resolveProblem()
 	s := NewSolver(p)
 	if sol := s.Solve(); sol.Status != Optimal {
 		b.Fatalf("cold solve status = %v", sol.Status)
@@ -40,5 +46,47 @@ func BenchmarkLPResolve(b *testing.B) {
 			s.SetBound(j, 0, 10)
 		}
 		s.Solve()
+	}
+}
+
+// The factor's three per-pivot operations run on arenas that persist
+// across refactors: once those have grown to their working size, a
+// solve or an eta update allocates nothing.
+func TestFactorHotOpsDoNotAllocate(t *testing.T) {
+	p, n := resolveProblem()
+	s := NewSolver(p)
+	if sol := s.Solve(); sol.Status != Optimal {
+		t.Fatalf("cold solve status = %v", sol.Status)
+	}
+	f := &s.fac
+	a, x := make([]float64, s.m), make([]float64, s.m)
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = float64(i%7) - 3
+		}
+	}
+	stack := func() { // a full eta file, as deep as the refactor trigger lets it get
+		f.dropEtas()
+		for k := 0; k < refactorEtas; k++ {
+			j := k % n
+			if s.state[j] == stBasic {
+				continue
+			}
+			w := s.ftran(j)
+			f.update(largest(w), w)
+		}
+	}
+	stack() // grow the arenas once
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"ftran", func() { fill(a); f.ftran(a, x) }},
+		{"btran", func() { fill(x); f.btran(x, a) }},
+		{"eta update", stack},
+	} {
+		if allocs := testing.AllocsPerRun(50, op.run); allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", op.name, allocs)
+		}
 	}
 }

@@ -1,0 +1,161 @@
+package lp_test
+
+import (
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/lp"
+	"repro/internal/maxflow"
+	"repro/internal/misdp"
+	"repro/internal/misdp/testsets"
+	"repro/internal/steiner"
+	"repro/internal/steiner/puc"
+)
+
+// The two cut loops the solver stack actually drives this package with,
+// rebuilt here from the public pieces so that the factorization tests
+// and the ledger benchmarks run on real row shapes: sparse directed
+// Steiner cuts found by max-flow, and dense eigenvector cuts of an
+// LP-relaxed MISDP.
+
+// steinerLP is the directed-cut LP of g before any cut is separated.
+func steinerLP(g *steiner.SPG) (*steiner.SAP, *lp.Problem) {
+	sap := steiner.FromSPG(g)
+	prob := (&steiner.SAPDef{}).BuildModel(sap)
+	p := lp.NewProblem()
+	for _, v := range prob.Vars {
+		p.AddVar(v.Lo, v.Up, v.Obj)
+	}
+	for _, r := range prob.Rows {
+		p.AddRow(r.Sense, r.RHS, r.Coefs)
+	}
+	return sap, p
+}
+
+// steinerCuts returns up to limit directed cuts x violates, one per
+// terminal the root cannot reach with a unit of flow.
+func steinerCuts(sap *steiner.SAP, x []float64, limit int) [][]lp.Nonzero {
+	var cuts [][]lp.Nonzero
+	for _, t := range sap.Terminals() {
+		if t == sap.Root || len(cuts) >= limit {
+			continue
+		}
+		nw := maxflow.New(sap.N)
+		for a, arc := range sap.Arcs {
+			if x[a] > 1e-9 {
+				nw.AddArc(arc.Tail, arc.Head, x[a])
+			}
+		}
+		if nw.MaxFlow(sap.Root, t) > 1-1e-6 {
+			continue
+		}
+		src := nw.MinCutSource(sap.Root)
+		var coefs []lp.Nonzero
+		for a, arc := range sap.Arcs {
+			if src[arc.Tail] && !src[arc.Head] {
+				coefs = append(coefs, lp.Nonzero{Col: a, Val: 1})
+			}
+		}
+		cuts = append(cuts, coefs)
+	}
+	return cuts
+}
+
+// eigenLP is the LP relaxation of p with every semidefinite block
+// dropped: variables and bounds only.
+func eigenLP(p *misdp.MISDP) *lp.Problem {
+	q := lp.NewProblem()
+	for i := 0; i < p.M; i++ {
+		q.AddVar(p.Lo[i], p.Up[i], -p.B[i])
+	}
+	return q
+}
+
+// eigenCuts returns one row vᵀ(Σ A_i y_i)v ≤ vᵀCv per block whose
+// matrix C − Σ A_i x_i has a negative eigenvalue with eigenvector v.
+func eigenCuts(p *misdp.MISDP, x []float64) (rows [][]lp.Nonzero, rhs []float64) {
+	for _, blk := range p.Blocks {
+		lam, v := linalg.MinEigen(blk.Z(x))
+		if lam > -1e-6 {
+			continue
+		}
+		var coefs []lp.Nonzero
+		for i, a := range blk.A {
+			if a == nil {
+				continue
+			}
+			if c := linalg.Dot(v, a.MulVec(v)); c != 0 {
+				coefs = append(coefs, lp.Nonzero{Col: i, Val: c})
+			}
+		}
+		rows = append(rows, coefs)
+		rhs = append(rhs, linalg.Dot(v, blk.C.MulVec(v)))
+	}
+	return rows, rhs
+}
+
+// BenchmarkLPSteinerCutLoop is one whole root cut loop of a PUC analogue:
+// cold solve of the flow-balance LP, then separation rounds (AddRow per
+// violated cut, one warm Solve per round) until 300 cut rows sit on top
+// of the model's own. The max-flow separation is inside the timed region
+// but is a few percent of it. iters/op is the deterministic counter
+// beside the wall clock.
+func BenchmarkLPSteinerCutLoop(b *testing.B) {
+	sap, p := steinerLP(puc.HypercubeSpread(6, 12, 100, 200, 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var iters, rows int
+	for i := 0; i < b.N; i++ {
+		s := lp.NewSolver(p)
+		sol := s.Solve()
+		iters += sol.Iters
+		for s.NumRows() < p.NumRows()+300 && sol.Status == lp.Optimal {
+			cuts := steinerCuts(sap, sol.X, len(sap.Arcs))
+			if len(cuts) == 0 {
+				break
+			}
+			for _, c := range cuts {
+				s.AddRow(lp.GE, 1, c)
+			}
+			sol = s.Solve()
+			iters += sol.Iters
+		}
+		rows = s.NumRows()
+	}
+	if rows < p.NumRows()+300 {
+		b.Fatalf("cut loop stopped at %d cut rows, want ≥ 300", rows-p.NumRows())
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}
+
+// BenchmarkLPDenseCutResolve is the eigenvector-cut loop on the LP
+// relaxation of a min-k-partition root until the LP has 100 rows, every
+// one dense in all variables: the opposite row shape to the Steiner cuts.
+func BenchmarkLPDenseCutResolve(b *testing.B) {
+	inst := testsets.MkP(10, 4, 7)
+	p := eigenLP(inst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var iters, rows int
+	for i := 0; i < b.N; i++ {
+		s := lp.NewSolver(p)
+		sol := s.Solve()
+		iters += sol.Iters
+		for s.NumRows() < 100 && sol.Status == lp.Optimal {
+			cuts, rhs := eigenCuts(inst, sol.X)
+			if len(cuts) == 0 {
+				break
+			}
+			for k, c := range cuts {
+				s.AddRow(lp.LE, rhs[k], c)
+			}
+			sol = s.Solve()
+			iters += sol.Iters
+		}
+		rows = s.NumRows()
+	}
+	if rows < 100 {
+		b.Fatalf("cut loop stopped at %d rows, want 100", rows)
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}

@@ -7,19 +7,18 @@ import "math"
 // bounds are tightened during branch-and-bound: both operations keep the
 // previous optimal basis dual feasible while possibly making it primal
 // infeasible. Reduced costs are maintained incrementally (refreshed
-// after refactorizations) so an iteration costs O(Σnnz + m) plus the
-// O(m²) ftran/pivot work.
+// after refactorizations) so an iteration costs O(Σnnz + m) plus one
+// sparse btran and one sparse ftran against the basis factor.
 //
 //ugo:hotpath driver
 func (s *Solver) dualSimplex() Status {
 	limit := s.maxIters()
-	s.refreshPricing()
 	for {
 		if s.iters >= limit {
 			return IterLimit
 		}
 		s.iters++
-		if !s.dValid {
+		if s.pricing == priceStale {
 			s.refreshPricing()
 		}
 		// Leaving variable: most violated basic.
@@ -116,9 +115,8 @@ func (s *Solver) dualSimplex() Status {
 		leave := s.basis[r]
 		s.applyStep(enter, dir, t, w)
 		newVal := s.nonbasicValue(enter) + dir*t
-		s.pivot(r, enter, w, leaveState)
 		s.xb[r] = newVal
-		if s.pivots == 0 {
+		if s.pivot(r, enter, w, leaveState) {
 			s.computeXB()
 		} else {
 			s.updatePricing(enter, leave, alpha)

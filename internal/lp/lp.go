@@ -10,6 +10,18 @@
 //
 // with ±Inf bounds allowed. Internally every row receives a slack
 // variable, turning the system into equalities with bounded variables.
+//
+// The basis matrix is kept as a sparse factorization (factor.go), never
+// as an inverse. A refactor peels column singletons — all slack columns,
+// and the structural columns left with one row once those are gone —
+// into the triangular factor without arithmetic, and LU-factors only the
+// remaining nucleus, with threshold partial pivoting that prefers sparse
+// rows. Each pivot stacks one product-form eta column on the factor;
+// after refactorEtas of them the factor is rebuilt, and the basic values
+// and reduced costs are recomputed from it. AddRow only records the row:
+// its slack is basic, and the next Solve rebuilds the factor once for
+// all rows added since the last one. A basis the factor finds singular
+// is abandoned for the all-slack basis, from which the phases restart.
 package lp
 
 import (

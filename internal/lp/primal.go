@@ -99,14 +99,12 @@ func (s *Solver) applyStep(enter int, dir, t float64, w []float64) {
 func (s *Solver) primalPhase2() Status {
 	limit := s.maxIters()
 	noProgress := 0
-	justRefreshed := false
-	s.refreshPricing()
 	for {
 		if s.iters >= limit {
 			return IterLimit
 		}
 		s.iters++
-		if !s.dValid {
+		if s.pricing == priceStale {
 			s.refreshPricing()
 		}
 		bland := noProgress > 2*(s.n+s.m)+200
@@ -132,16 +130,14 @@ func (s *Solver) primalPhase2() Status {
 			}
 		}
 		if enter < 0 {
-			// Guard against drift in the incremental pricing: confirm
-			// optimality with freshly computed reduced costs once.
-			if justRefreshed {
+			// Guard against drift in the incremental pricing: optimality
+			// counts only on freshly computed reduced costs.
+			if s.pricing == priceFresh {
 				return Optimal
 			}
 			s.refreshPricing()
-			justRefreshed = true
 			continue
 		}
-		justRefreshed = false
 		w := s.ftran(enter)
 		t, r, leaveState := s.primalRatioTest(enter, dir, w)
 		switch r {
@@ -159,9 +155,8 @@ func (s *Solver) primalPhase2() Status {
 			leave := s.basis[r]
 			s.applyStep(enter, dir, t, w)
 			newVal := s.nonbasicValue(enter) + dir*t
-			s.pivot(r, enter, w, leaveState)
 			s.xb[r] = newVal
-			if s.pivots == 0 { // refactorized inside pivot
+			if s.pivot(r, enter, w, leaveState) {
 				s.computeXB()
 			} else {
 				s.updatePricing(enter, leave, alpha)
@@ -196,8 +191,8 @@ func (s *Solver) primalPhase1() Status {
 		}
 		// Phase-1 cost on basics (reused buffer; zero it first because
 		// only violated rows get a nonzero cost).
-		s.cbBuf = grow(s.cbBuf, s.m)
-		cb := s.cbBuf
+		s.posBuf = grow(s.posBuf, s.m)
+		cb := s.posBuf
 		clear(cb)
 		for i, j := range s.basis {
 			if s.xb[i] > s.up[j]+feasTol {
@@ -206,7 +201,9 @@ func (s *Solver) primalPhase1() Status {
 				cb[i] = -1
 			}
 		}
-		y := s.btran(cb)
+		s.btranBuf = grow(s.btranBuf, s.m)
+		y := s.btranBuf
+		s.fac.btran(cb, y)
 		bland := noProgress > 2*(s.n+s.m)+200
 		// Price nonbasic columns: d_j = −yᵀA_j (phase-1 costs of nonbasics
 		// are zero).
@@ -260,9 +257,9 @@ func (s *Solver) primalPhase1() Status {
 		} else {
 			s.applyStep(enter, dir, t, w)
 			newVal := s.nonbasicValue(enter) + dir*t
-			s.pivot(r, enter, w, leaveState)
 			s.xb[r] = newVal
-			if s.pivots == 0 {
+			s.pricing = priceStale // phase 1 prices its own costs, not s.d
+			if s.pivot(r, enter, w, leaveState) {
 				s.computeXB()
 			}
 		}

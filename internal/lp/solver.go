@@ -35,42 +35,53 @@ type Solver struct {
 	up    []float64
 	sense []Sense
 
-	basis    []int // basis[i] = column basic in row i
+	basis    []int // basis[i] = column basic at position i
 	state    []int8
-	binv     [][]float64 // dense basis inverse, m×m
-	xb       []float64   // basic variable values
+	fac      factor    // sparse factorization of the basis matrix
+	xb       []float64 // basic variable values
 	hasBasis bool
 
 	// MaxIters bounds a single Solve call; 0 means the default.
 	MaxIters int
 
-	pivots int // pivots since last refactorization
-	iters  int
+	iters int
 
-	// d caches reduced costs for incremental pricing; dValid marks it
-	// current (invalidated by refactorization and structural changes).
-	d      []float64
-	dValid bool
+	// d caches the reduced costs and y the row duals they were priced
+	// with; pricing says how current they are.
+	d, y    []float64
+	pricing priceState
 
 	// Per-iteration simplex scratch, reused across pivots and re-solves.
 	// Every user fully overwrites its buffer before reading it; alphaBuf,
 	// ftranBuf and btranBuf are distinct because an iteration holds an
 	// alpha row and an ftran column (and, in phase 1, a btran result)
-	// live at the same time.
+	// live at the same time. posBuf (indexed by basis position) and
+	// rowBuf (indexed by row) are the right-hand sides the factor's
+	// solves consume.
 	alphaBuf []float64
 	ftranBuf []float64
 	btranBuf []float64
-	cbBuf    []float64
-	rcBuf    []float64
-	rhsBuf   []float64
+	posBuf   []float64
+	rowBuf   []float64
+	rowAcc   []float64 // AddRow's per-column accumulator, all zero between calls
 }
 
+// priceState says how far the cached reduced costs can be trusted.
+type priceState int8
+
+const (
+	priceStale   priceState = iota // basis or costs changed: recompute before use
+	priceUpdated                   // maintained by updatePricing since the last recompute
+	priceFresh                     // recomputed for the current basis, no pivot since
+)
+
 // grow returns buf resized to n, reallocating only when capacity is
-// short. Contents are unspecified: callers must overwrite every entry
-// they read.
-func grow(buf []float64, n int) []float64 {
+// short, and then with headroom: a cut loop asks for a slightly larger
+// size at every re-solve. Contents are unspecified: callers must
+// overwrite every entry they read.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		buf = make([]float64, n)
+		buf = make([]T, n, n+n/4+16)
 	}
 	return buf[:n]
 }
@@ -79,7 +90,12 @@ func grow(buf []float64, n int) []float64 {
 // of the full tableau), in O(Σnnz + m) using the sparse columns. The
 // result aliases s.alphaBuf and is valid until the next call.
 func (s *Solver) alphaRow(r int) []float64 {
-	er := s.binv[r]
+	s.posBuf = grow(s.posBuf, s.m)
+	clear(s.posBuf)
+	s.posBuf[r] = 1
+	s.btranBuf = grow(s.btranBuf, s.m)
+	er := s.btranBuf
+	s.fac.btran(s.posBuf, er)
 	total := s.n + s.m
 	s.alphaBuf = grow(s.alphaBuf, total)
 	alpha := s.alphaBuf
@@ -100,9 +116,10 @@ func (s *Solver) alphaRow(r int) []float64 {
 // d'_j = d_j − θ·α_j with θ = d_enter/α_enter. Must be called with the
 // pre-pivot alpha row.
 func (s *Solver) updatePricing(enter, leave int, alpha []float64) {
-	if !s.dValid {
+	if s.pricing == priceStale {
 		return
 	}
+	s.pricing = priceUpdated
 	theta := s.d[enter] / alpha[enter]
 	if num.Nonzero(theta) {
 		for j := range s.d {
@@ -113,15 +130,35 @@ func (s *Solver) updatePricing(enter, leave int, alpha []float64) {
 	s.d[leave] = -theta
 }
 
-// refreshPricing (re)computes the cached reduced costs from scratch.
-// The result is copied into the persistent s.d: reducedCosts returns
-// solver scratch, and s.d must survive later scratch reuse because
-// updatePricing maintains it incrementally across pivots.
+// refreshPricing recomputes the row duals y = c_Bᵀ B⁻¹ and the reduced
+// costs d_j = c_j − yᵀA_j of every column from scratch.
 func (s *Solver) refreshPricing() {
-	d, _ := s.reducedCosts()
-	s.d = grow(s.d, len(d))
-	copy(s.d, d)
-	s.dValid = true
+	s.posBuf = grow(s.posBuf, s.m)
+	for i, j := range s.basis {
+		s.posBuf[i] = s.c[j]
+	}
+	s.y = grow(s.y, s.m)
+	y := s.y
+	s.fac.btran(s.posBuf, y)
+	total := s.n + s.m
+	s.d = grow(s.d, total)
+	d := s.d
+	for j := 0; j < total; j++ {
+		if s.state[j] == stBasic {
+			d[j] = 0
+			continue
+		}
+		var yaj float64
+		if j < s.n {
+			for _, e := range s.cols[j] {
+				yaj += y[e.row] * e.val
+			}
+		} else {
+			yaj = y[j-s.n]
+		}
+		d[j] = s.c[j] - yaj
+	}
+	s.pricing = priceFresh
 }
 
 // NewSolver snapshots prob into a solver.
@@ -133,6 +170,7 @@ func NewSolver(prob *Problem) *Solver {
 	s.lo = append([]float64(nil), prob.Lo...)
 	s.up = append([]float64(nil), prob.Up...)
 	s.cols = make([][]colEntry, n)
+	s.rowAcc = make([]float64, n)
 	for i := 0; i < m; i++ {
 		r := prob.Rows[i]
 		s.AddRow(r.Sense, r.RHS, r.Coefs)
@@ -167,15 +205,16 @@ func (s *Solver) AddRow(sense Sense, rhs float64, coefs []Nonzero) int {
 	s.m++
 	s.b = append(s.b, rhs)
 	s.sense = append(s.sense, sense)
-	// Extend structural columns with the new row's coefficients
-	// (accumulating duplicates).
-	touched := map[int]float64{}
+	// Extend structural columns with the new row's coefficients, summing
+	// duplicates in rowAcc; the second pass takes each sum at the column's
+	// first occurrence and zeroes it, which skips the later ones.
 	for _, nz := range coefs {
-		touched[nz.Col] += nz.Val
+		s.rowAcc[nz.Col] += nz.Val
 	}
-	for j, v := range touched {
-		if num.Nonzero(v) {
-			s.cols[j] = append(s.cols[j], colEntry{row: row, val: v})
+	for _, nz := range coefs {
+		if v := s.rowAcc[nz.Col]; num.Nonzero(v) {
+			s.cols[nz.Col] = append(s.cols[nz.Col], colEntry{row: row, val: v})
+			s.rowAcc[nz.Col] = 0
 		}
 	}
 	// Slack column: previous slacks gain a zero entry implicitly because
@@ -186,30 +225,12 @@ func (s *Solver) AddRow(sense Sense, rhs float64, coefs []Nonzero) int {
 	s.up = append(s.up, sup)
 	s.c = append(s.c, 0)
 	s.state = append(s.state, stBasic)
-	s.dValid = false
+	s.pricing = priceStale
 	if s.hasBasis {
-		// Grow the basis with the new slack and extend B⁻¹: new basis is
-		// [[B,0],[eᵣ?,1]] — since the slack column is a unit vector in the
-		// new row only, B⁻¹ extends by computing the new bottom row.
+		// The new slack is basic. The factor is now one row short, which
+		// the next Solve notices and answers with one rebuild for however
+		// many rows were added.
 		s.basis = append(s.basis, s.n+s.m-1)
-		for i := range s.binv {
-			s.binv[i] = append(s.binv[i], 0)
-		}
-		newRow := make([]float64, s.m)
-		// New row of B is [a_{B(0)},...,a_{B(m-2)}, 1] restricted to the new
-		// constraint row; eliminate using existing B⁻¹:
-		// B⁻¹_new bottom row = e_new - Σ_k a_k · (B⁻¹ rows).
-		for i := 0; i < s.m-1; i++ {
-			aj := s.entryAt(s.basis[i], s.m-1)
-			if num.ExactZero(aj) {
-				continue
-			}
-			for k := 0; k < s.m-1; k++ {
-				newRow[k] -= aj * s.binv[i][k]
-			}
-		}
-		newRow[s.m-1] = 1
-		s.binv = append(s.binv, newRow)
 		s.xb = append(s.xb, 0)
 	}
 	return row
@@ -288,7 +309,7 @@ func (s *Solver) RowEnabled(i int) bool {
 // feasible, so the next Solve runs primal phase 2 from it.
 func (s *Solver) SetObj(j int, c float64) {
 	s.c[j] = c
-	s.dValid = false
+	s.pricing = priceStale
 }
 
 // colEntry is one nonzero of a sparse structural column.
@@ -297,61 +318,22 @@ type colEntry struct {
 	val float64
 }
 
-// entryAt returns entry (row) of column j, synthesizing slack unit
-// columns (column n+i is the unit vector eᵢ).
-func (s *Solver) entryAt(j, row int) float64 {
-	if j < s.n {
-		for _, e := range s.cols[j] {
-			if e.row == row {
-				return e.val
-			}
-		}
-		return 0
-	}
-	if j-s.n == row {
-		return 1
-	}
-	return 0
-}
-
 // ftran computes w = B⁻¹ A_j. The result aliases s.ftranBuf and is
 // valid until the next call.
 func (s *Solver) ftran(j int) []float64 {
-	s.ftranBuf = grow(s.ftranBuf, s.m)
-	w := s.ftranBuf
-	if j >= s.n {
-		r := j - s.n
-		for i := 0; i < s.m; i++ {
-			w[i] = s.binv[i][r]
-		}
-		return w
-	}
-	for i := 0; i < s.m; i++ {
-		var acc float64
-		bi := s.binv[i]
+	s.rowBuf = grow(s.rowBuf, s.m)
+	a := s.rowBuf
+	clear(a)
+	if j < s.n {
 		for _, e := range s.cols[j] {
-			acc += bi[e.row] * e.val
+			a[e.row] = e.val
 		}
-		w[i] = acc
+	} else {
+		a[j-s.n] = 1
 	}
-	return w
-}
-
-// btran computes yᵀ = vᵀ B⁻¹ for a length-m vector v. The result
-// aliases s.btranBuf and is valid until the next call.
-func (s *Solver) btran(v []float64) []float64 {
-	s.btranBuf = grow(s.btranBuf, s.m)
-	y := s.btranBuf
-	for k := 0; k < s.m; k++ {
-		var acc float64
-		for i := 0; i < s.m; i++ {
-			if num.Nonzero(v[i]) {
-				acc += v[i] * s.binv[i][k]
-			}
-		}
-		y[k] = acc
-	}
-	return y
+	s.ftranBuf = grow(s.ftranBuf, s.m)
+	s.fac.ftran(a, s.ftranBuf)
+	return s.ftranBuf
 }
 
 // nonbasicValue returns the current value of nonbasic column j.
@@ -375,8 +357,8 @@ func (s *Solver) nonbasicValue(j int) float64 {
 // computeXB recomputes the basic variable values from scratch:
 // x_B = B⁻¹ (b − N x_N).
 func (s *Solver) computeXB() {
-	s.rhsBuf = grow(s.rhsBuf, len(s.b))
-	rhs := s.rhsBuf
+	s.rowBuf = grow(s.rowBuf, s.m)
+	rhs := s.rowBuf
 	copy(rhs, s.b)
 	total := s.n + s.m
 	for j := 0; j < total; j++ {
@@ -395,16 +377,7 @@ func (s *Solver) computeXB() {
 			rhs[j-s.n] -= v
 		}
 	}
-	for i := 0; i < s.m; i++ {
-		var acc float64
-		bi := s.binv[i]
-		for k, r := range rhs {
-			if num.Nonzero(r) {
-				acc += bi[k] * r
-			}
-		}
-		s.xb[i] = acc
-	}
+	s.fac.ftran(rhs, s.xb)
 }
 
 // resetSlackBasis installs the all-slack basis.
@@ -412,7 +385,6 @@ func (s *Solver) computeXB() {
 //ugo:coldpath first-solve basis install and numerical recovery, not steady state
 func (s *Solver) resetSlackBasis() {
 	s.basis = make([]int, s.m)
-	s.binv = make([][]float64, s.m)
 	s.xb = make([]float64, s.m)
 	total := s.n + s.m
 	if len(s.state) < total {
@@ -432,138 +404,38 @@ func (s *Solver) resetSlackBasis() {
 	}
 	for i := 0; i < s.m; i++ {
 		s.basis[i] = s.n + i
-		s.binv[i] = make([]float64, s.m)
-		s.binv[i][i] = 1
 	}
 	s.hasBasis = true
-	s.pivots = 0
-	s.dValid = false
-	s.computeXB()
+	s.pricing = priceStale
+	s.fac.refactor(s.basis, s.n, s.cols) // the identity: every column peels
 }
 
-// refactorize rebuilds B⁻¹ from the basis columns with Gauss–Jordan
-// elimination; returns false if the basis matrix is singular.
-//
-//ugo:coldpath amortized: rebuilds the basis inverse once per 400 pivots
-func (s *Solver) refactorize() bool {
-	m := s.m
-	// Build [B | I] and reduce.
-	a := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		a[i] = make([]float64, 2*m)
-		a[i][m+i] = 1
+// refactor rebuilds the factor from the basis columns, dropping the eta
+// file. A singular basis cannot be factored: the solver then falls back
+// to the all-slack basis, from which Solve's phases recover. Either way
+// the caller recomputes the basic values.
+func (s *Solver) refactor() {
+	s.pricing = priceStale
+	if !s.fac.refactor(s.basis, s.n, s.cols) {
+		s.resetSlackBasis()
 	}
-	for p, j := range s.basis {
-		if j < s.n {
-			for _, e := range s.cols[j] {
-				a[e.row][p] = e.val
-			}
-		} else {
-			a[j-s.n][p] = 1
-		}
-	}
-	for col := 0; col < m; col++ {
-		p := -1
-		best := 1e-11
-		for r := col; r < m; r++ {
-			if v := math.Abs(a[r][col]); v > best {
-				best = v
-				p = r
-			}
-		}
-		if p < 0 {
-			return false
-		}
-		a[col], a[p] = a[p], a[col]
-		piv := a[col][col]
-		for k := col; k < 2*m; k++ {
-			a[col][k] /= piv
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			if num.ExactZero(f) {
-				continue
-			}
-			for k := col; k < 2*m; k++ {
-				a[r][k] -= f * a[col][k]
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		copy(s.binv[i], a[i][m:])
-	}
-	s.pivots = 0
-	return true
 }
 
-// pivot updates the basis: column enter replaces the basic variable of
-// row r; w must be B⁻¹ A_enter. leaveState is the state the leaving
-// variable assumes.
-func (s *Solver) pivot(r, enter int, w []float64, leaveState int8) {
+// pivot updates the basis: column enter replaces the basic variable at
+// position r; w must be B⁻¹ A_enter. leaveState is the state the leaving
+// variable assumes. It reports whether the factor was rebuilt, in which
+// case the basic values and reduced costs must be recomputed.
+func (s *Solver) pivot(r, enter int, w []float64, leaveState int8) bool {
 	leave := s.basis[r]
 	s.state[leave] = leaveState
 	s.state[enter] = stBasic
 	s.basis[r] = enter
-	piv := w[r]
-	// Elementary transformation of B⁻¹.
-	br := s.binv[r]
-	for k := 0; k < s.m; k++ {
-		br[k] /= piv
+	s.fac.update(r, w)
+	if len(s.fac.epos) < refactorEtas {
+		return false
 	}
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		f := w[i]
-		if num.ExactZero(f) {
-			continue
-		}
-		bi := s.binv[i]
-		for k := 0; k < s.m; k++ {
-			bi[k] -= f * br[k]
-		}
-	}
-	s.pivots++
-	if s.pivots >= 400 {
-		if !s.refactorize() {
-			s.resetSlackBasis()
-		}
-		s.dValid = false
-	}
-}
-
-// reducedCosts returns d_j = c_j − yᵀA_j for every column, with
-// y = c_Bᵀ B⁻¹ (also returned). Both results alias solver scratch
-// (s.rcBuf / s.btranBuf): callers that keep them must copy.
-func (s *Solver) reducedCosts() (d, y []float64) {
-	s.cbBuf = grow(s.cbBuf, s.m)
-	cb := s.cbBuf
-	for i, j := range s.basis {
-		cb[i] = s.c[j]
-	}
-	y = s.btran(cb)
-	total := s.n + s.m
-	s.rcBuf = grow(s.rcBuf, total)
-	d = s.rcBuf
-	for j := 0; j < total; j++ {
-		if s.state[j] == stBasic {
-			d[j] = 0 // reused buffer: stale entries must be cleared
-			continue
-		}
-		var yaj float64
-		if j < s.n {
-			for _, e := range s.cols[j] {
-				yaj += y[e.row] * e.val
-			}
-		} else {
-			yaj = y[j-s.n]
-		}
-		d[j] = s.c[j] - yaj
-	}
-	return d, y
+	s.refactor()
+	return true
 }
 
 // primalInfeasibility returns the total bound violation of the basic
@@ -616,12 +488,16 @@ func (s *Solver) maxIters() int {
 func (s *Solver) Solve() *Solution {
 	if !s.hasBasis || len(s.basis) != s.m {
 		s.resetSlackBasis()
+	} else if s.fac.m != s.m {
+		s.refactor()
 	}
 	s.iters = 0
 	s.computeXB()
 	if s.primalInfeasibility() > feasTol {
-		d, _ := s.reducedCosts()
-		if !s.dualInfeasible(d) {
+		if s.pricing == priceStale {
+			s.refreshPricing()
+		}
+		if !s.dualInfeasible(s.d) {
 			if st := s.dualSimplex(); st != Optimal {
 				// Either proven infeasible or numerical trouble; phase 1
 				// confirms from scratch.
@@ -650,24 +526,30 @@ func (s *Solver) finish(st Status) *Solution {
 	if st != Optimal {
 		return sol
 	}
-	x := make([]float64, s.n+s.m)
+	// Optimal comes only from primalPhase2, which returns on fresh pricing:
+	// s.d and s.y are those of the final basis. One backing array serves
+	// the three result vectors; the capacity limits keep them apart.
+	buf := make([]float64, 2*s.n+s.m)
+	x := buf[:s.n:s.n]
 	for j := range x {
 		if s.state[j] != stBasic {
 			x[j] = s.nonbasicValue(j)
 		}
 	}
 	for i, j := range s.basis {
-		x[j] = s.xb[i]
+		if j < s.n {
+			x[j] = s.xb[i]
+		}
 	}
-	sol.X = x[:s.n:s.n]
+	sol.X = x
 	var obj float64
 	for j := 0; j < s.n; j++ {
 		obj += s.c[j] * x[j]
 	}
 	sol.Obj = obj
-	// reducedCosts returns solver scratch; the Solution gets copies.
-	d, y := s.reducedCosts()
-	sol.Duals = append([]float64(nil), y...)
-	sol.RedCosts = append([]float64(nil), d[:s.n]...)
+	sol.Duals = buf[s.n : s.n+s.m : s.n+s.m]
+	copy(sol.Duals, s.y)
+	sol.RedCosts = buf[s.n+s.m:]
+	copy(sol.RedCosts, s.d)
 	return sol
 }

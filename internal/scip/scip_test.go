@@ -468,3 +468,33 @@ func TestSubprobGobRoundTripQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// lpReader is a heuristic that, like the Steiner and MISDP ones, reads
+// the LP point whenever the context offers one.
+type lpReader struct{ seen int }
+
+func (*lpReader) Name() string { return "lpreader" }
+
+func (h *lpReader) Search(ctx *Ctx) Result {
+	if ctx.LPSol != nil {
+		_ = ctx.LPSol.X[0]
+		h.seen++
+	}
+	return DidNothing
+}
+
+// An LP that stops at its iteration limit has no point to offer: the
+// context must not hand plugins a solution without one.
+func TestLPIterLimitOffersNoPoint(t *testing.T) {
+	values := []float64{10, 13, 7, 8, 2, 9, 4, 6, 11, 3}
+	weights := []float64{5, 6, 3, 4, 1, 5, 2, 3, 6, 2}
+	set := DefaultSettings()
+	set.MaxLPIterations = 1
+	set.NodeLimit = 20
+	h := &lpReader{}
+	s := NewSolver(knapsackProb(values, weights, 17), set, &Plugins{Heuristics: []Heuristic{h}})
+	s.Solve() // must not panic in the heuristic
+	if h.seen != 0 {
+		t.Fatalf("heuristic was offered an LP point %d times although no LP finished", h.seen)
+	}
+}

@@ -564,7 +564,7 @@ func (s *Solver) loop() Status {
 			s.curBound = Infinity
 			return StatusNodeLimit
 		}
-		if s.Set.TimeLimit > 0 && time.Since(s.start).Seconds() > s.Set.TimeLimit {
+		if s.timeUp() {
 			s.curBound = Infinity
 			return StatusTimeLimit
 		}
@@ -588,6 +588,11 @@ func (s *Solver) loop() Status {
 		s.finishNode(n)
 		s.curBound = Infinity
 	}
+}
+
+// timeUp reports whether the solve has run past Settings.TimeLimit.
+func (s *Solver) timeUp() bool {
+	return s.Set.TimeLimit > 0 && time.Since(s.start).Seconds() > s.Set.TimeLimit
 }
 
 // processNode runs propagation, relaxation, enforcement, heuristics and
@@ -712,7 +717,7 @@ func (s *Solver) processNode(n *Node) {
 			finishRoot()
 			return
 		}
-		if relaxCut && enforceRounds < maxEnforce {
+		if relaxCut && enforceRounds < maxEnforce && !s.timeUp() {
 			enforceRounds++
 			continue
 		}
@@ -744,6 +749,9 @@ func (s *Solver) processNode(n *Node) {
 		}
 		switch res {
 		case Separated:
+			if s.timeUp() {
+				break // stop cutting: branch, so the node stays open for loop to report the limit
+			}
 			enforceRounds++
 			if enforceRounds >= maxEnforce {
 				s.Stats.DeadEnds++
@@ -841,7 +849,8 @@ func (s *Solver) solveLPWithSeparation(ctx *Ctx, n *Node) lpStatus {
 			// Relaxation unbounded: no usable LP information.
 			return lpLimit
 		case lp.IterLimit:
-			ctx.LPSol = sol
+			// sol carries no point: ctx.LPSol stays what the last
+			// completed round left, or nil.
 			return lpLimit
 		}
 		ctx.LPSol = sol
@@ -853,6 +862,12 @@ func (s *Solver) solveLPWithSeparation(ctx *Ctx, n *Node) lpStatus {
 		}
 		if round >= maxRounds {
 			return lpOK
+		}
+		if s.timeUp() {
+			// Out of time between separation rounds: the node keeps the
+			// bound reached so far and goes on to branching, so its
+			// children hold the tree's dual bound when loop stops.
+			return lpLimit
 		}
 		before := ctx.ncuts
 		infeasible := func() bool {

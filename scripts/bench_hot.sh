@@ -3,15 +3,20 @@
 # ledger that pairs with the hotalloc analyzer (ugolint -hot).
 #
 # Runs the allocation benchmarks (internal/scip, internal/lp,
-# internal/ug/comm/net, internal/obs) twice — once in a detached git worktree at a
+# internal/ug/comm/net, internal/obs) twice — once in an exported copy of a
 # baseline ref (default HEAD~1, override with $1) and once in the
-# current tree — and writes the ns/op, B/op and allocs/op pairs side by
-# side. A benchmark missing at the baseline (or an unresolvable
-# baseline ref, e.g. a root commit) records "baseline": null.
+# current tree — and writes the ns/op, B/op and allocs/op pairs (and
+# iters/op where a benchmark reports it) side by side. A benchmark
+# missing at the baseline (or an unresolvable baseline ref, e.g. a root
+# commit) records "baseline": null, unless BASE_OVERLAY names its file:
+# those files are copied from the current tree into the baseline copy,
+# so a benchmark written against API the baseline already has still
+# gets its "before".
 #
 #   scripts/bench_hot.sh            # compare working tree vs HEAD~1
 #   scripts/bench_hot.sh v1.2.0     # compare vs a tag
 #   BENCHTIME=5000x scripts/bench_hot.sh
+#   BASE_OVERLAY=internal/lp/cutloop_test.go scripts/bench_hot.sh
 #
 # The committed BENCH_hotpath.json is the record of what the hotalloc
 # fixes bought; CI regenerates it as a build artifact. allocs/op is the
@@ -24,16 +29,24 @@ BASE_REF="${1:-HEAD~1}"
 BENCHTIME="${BENCHTIME:-2000x}"
 PKGS="./internal/scip ./internal/lp ./internal/ug/comm/net ./internal/obs"
 BENCHES='^(BenchmarkProcessNode|BenchmarkSolveKnapsack|BenchmarkNodeHeap|BenchmarkLPResolve|BenchmarkFrameRoundTrip|BenchmarkRecorderEmit)$'
+# Whole cut loops, a tenth of a second to seconds per op: a few
+# iterations each, not BENCHTIME.
+LOOP_BENCHES='^(BenchmarkLPSteinerCutLoop|BenchmarkLPDenseCutResolve)$'
+LOOP_BENCHTIME="${LOOP_BENCHTIME:-5x}"
 OUT="BENCH_hotpath.json"
 
-# run_bench <dir> — emit "pkg name ns/op B/op allocs/op" per benchmark.
+# run_bench <dir> — emit "pkg name ns/op B/op allocs/op iters/op" per
+# benchmark, "-" for a benchmark that reports no iters/op.
 run_bench() {
-    (cd "$1" && go test -run '^$' -bench "$BENCHES" -benchmem \
-        -benchtime "$BENCHTIME" $PKGS 2>/dev/null) |
+    (cd "$1" &&
+        go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" $PKGS 2>/dev/null &&
+        go test -run '^$' -bench "$LOOP_BENCHES" -benchmem -benchtime "$LOOP_BENCHTIME" ./internal/lp 2>/dev/null) |
         awk '/^pkg:/ { pkg = $2 }
              $1 ~ /^Benchmark/ && $NF == "allocs/op" {
                  name = $1; sub(/-[0-9]+$/, "", name)
-                 print pkg, name, $3, $5, $7
+                 v["iters/op"] = "-"
+                 for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
+                 print pkg, name, v["ns/op"], v["B/op"], v["allocs/op"], v["iters/op"]
              }'
 }
 
@@ -42,8 +55,11 @@ base_out=""
 if git rev-parse --quiet --verify "${BASE_REF}^{commit}" >/dev/null; then
     base_commit=$(git rev-parse "${BASE_REF}^{commit}")
     worktree=$(mktemp -d)
-    trap 'git worktree remove --force "$worktree" 2>/dev/null || true' EXIT
-    git worktree add --quiet --detach "$worktree" "$base_commit"
+    trap 'rm -rf "$worktree"' EXIT
+    git archive "$base_commit" | tar -x -C "$worktree"
+    for f in ${BASE_OVERLAY:-}; do
+        cp "$f" "$worktree/$f"
+    done
     echo "== baseline: $BASE_REF ($base_commit)" >&2
     base_out=$(run_bench "$worktree")
 else
@@ -57,10 +73,16 @@ if [ -z "$cur_out" ]; then
     exit 1
 fi
 
+cur_commit=$(git rev-parse HEAD)
+git diff --quiet HEAD || cur_commit="$cur_commit+uncommitted"
 awk -v baseref="$BASE_REF" -v basecommit="$base_commit" \
-    -v curcommit="$(git rev-parse HEAD)" '
-NR == FNR { if (NF == 5) base[$1 " " $2] = $3 " " $4 " " $5; next }
-NF == 5 { cur[++n] = $0 }
+    -v curcommit="$cur_commit" '
+function record(ns, bytes, allocs, iters) {
+    return sprintf("{\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}", ns, bytes, allocs,
+        (iters == "-" ? "" : ", \"iters_per_op\": " iters))
+}
+NR == FNR { if (NF == 6) base[$1 " " $2] = record($3, $4, $5, $6); next }
+NF == 6 { cur[++n] = $0 }
 END {
     printf "{\n"
     printf "  \"baseline_ref\": \"%s\",\n", baseref
@@ -71,13 +93,8 @@ END {
         split(cur[i], f, " ")
         key = f[1] " " f[2]
         printf "    {\"package\": \"%s\", \"name\": \"%s\",\n", f[1], f[2]
-        if (key in base) {
-            split(base[key], b, " ")
-            printf "     \"baseline\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s},\n", b[1], b[2], b[3]
-        } else {
-            printf "     \"baseline\": null,\n"
-        }
-        printf "     \"current\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}}%s\n", f[3], f[4], f[5], (i < n ? "," : "")
+        printf "     \"baseline\": %s,\n", (key in base ? base[key] : "null")
+        printf "     \"current\": %s}%s\n", record(f[3], f[4], f[5], f[6]), (i < n ? "," : "")
     }
     printf "  ]\n}\n"
 }' <(printf '%s\n' "$base_out") <(printf '%s\n' "$cur_out") >"$OUT"

@@ -58,6 +58,12 @@ go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./inter
 step "go test ./..."
 go test ./... || fail=1
 
+step "cd bench && go test ./..."
+# The benchmark's self-tests solve real instances through the decorated
+# plugin stack, so they catch a solver change that breaks what the
+# benchmark measures (decorated and bare counters must stay equal).
+(cd bench && go test ./...) || fail=1
+
 if [ "$fail" -ne 0 ]; then
     echo "check: FAILED"
     exit 1
