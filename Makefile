@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the full verification gate.
 
-.PHONY: build test lint lint-json lint-fix-list race fmt check bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
+.PHONY: build test lint lint-json lint-fix-list race flake fmt check bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
 
 build:
 	go build ./...
@@ -20,7 +20,7 @@ lint-json:
 	go run ./cmd/ugolint -json ./...
 
 # bench-hot regenerates BENCH_hotpath.json, the hot-path allocation
-# ledger: the scip/lp/comm-net allocation benchmarks at HEAD~1 vs the
+# ledger: the scip/lp/sdp/comm-net allocation benchmarks at HEAD~1 vs the
 # working tree, side by side (see scripts/bench_hot.sh and ugolint -hot).
 bench-hot:
 	./scripts/bench_hot.sh
@@ -33,6 +33,12 @@ lint-fix-list:
 
 race:
 	go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/...
+
+# flake is the nightly flake gate: -race -count=20 -cpu=1,2,4 over the
+# packages whose tests are timing-clean (see scripts/flake.sh for the set
+# and for what is still excluded).
+flake:
+	./scripts/flake.sh
 
 fmt:
 	gofmt -w .

@@ -17,15 +17,34 @@ type Chol struct {
 	L []float64 // row-major lower triangle (full storage, upper part zero)
 }
 
+// NewChol returns an empty factor of order n for CholeskyInto to fill.
+func NewChol(n int) *Chol {
+	return &Chol{N: n, L: make([]float64, n*n)}
+}
+
 // Cholesky factorizes a symmetric positive definite matrix. It returns
 // ErrNotPositiveDefinite if a pivot falls below tol (a relative floor
 // derived from the matrix scale).
 func Cholesky(s *Sym) (*Chol, error) {
+	c := NewChol(s.N)
+	if err := CholeskyInto(c, s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CholeskyInto is Cholesky writing the factor into dst, whose storage
+// it reuses; it allocates nothing. On error dst holds a partial factor
+// and must not be used. Panics if dst's order differs from s's.
+func CholeskyInto(dst *Chol, s *Sym) error {
 	n := s.N
-	l := make([]float64, n*n)
+	if dst.N != n || len(dst.L) != n*n {
+		panic("linalg: CholeskyInto order mismatch")
+	}
+	l := dst.L
 	scale := s.MaxAbs()
 	if num.ExactZero(scale) { // all-zero matrix: no positive pivot exists
-		return nil, ErrNotPositiveDefinite
+		return ErrNotPositiveDefinite
 	}
 	tol := 1e-13 * scale
 	for j := 0; j < n; j++ {
@@ -34,7 +53,7 @@ func Cholesky(s *Sym) (*Chol, error) {
 			d -= l[j*n+k] * l[j*n+k]
 		}
 		if d <= tol {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
 		l[j*n+j] = ljj
@@ -46,31 +65,39 @@ func Cholesky(s *Sym) (*Chol, error) {
 			l[i*n+j] = v / ljj
 		}
 	}
-	return &Chol{N: n, L: l}, nil
+	return nil
 }
 
 // Solve solves S x = b given the factorization of S.
 func (c *Chol) Solve(b []float64) []float64 {
+	x := make([]float64, c.N)
+	c.SolveInto(x, b)
+	return x
+}
+
+// SolveInto is Solve writing the solution into x, which may be b
+// itself; it allocates nothing. Panics if x or b is not of length N.
+func (c *Chol) SolveInto(x, b []float64) {
 	n := c.N
-	// Forward: L z = b.
-	z := make([]float64, n)
+	if len(x) != n || len(b) != n {
+		panic("linalg: SolveInto length mismatch")
+	}
+	// Forward: L z = b, z stored in x.
 	for i := 0; i < n; i++ {
 		v := b[i]
 		for k := 0; k < i; k++ {
-			v -= c.L[i*n+k] * z[k]
+			v -= c.L[i*n+k] * x[k]
 		}
-		z[i] = v / c.L[i*n+i]
+		x[i] = v / c.L[i*n+i]
 	}
-	// Backward: Lᵀ x = z.
-	x := make([]float64, n)
+	// Backward: Lᵀ x = z, in place (x[i] is still z[i] when it is read).
 	for i := n - 1; i >= 0; i-- {
-		v := z[i]
+		v := x[i]
 		for k := i + 1; k < n; k++ {
 			v -= c.L[k*n+i] * x[k]
 		}
 		x[i] = v / c.L[i*n+i]
 	}
-	return x
 }
 
 // LogDet returns log det S = 2 Σ log L_ii.
@@ -85,16 +112,27 @@ func (c *Chol) LogDet() float64 {
 // Inverse returns S⁻¹ as a symmetric matrix by solving against unit
 // vectors. O(n³) but adequate for the matrix orders in this study.
 func (c *Chol) Inverse() *Sym {
+	inv := NewSym(c.N)
+	c.InverseInto(inv)
+	return inv
+}
+
+// InverseInto is Inverse writing S⁻¹ into inv; it allocates nothing.
+// Panics if inv's order differs from the factor's.
+func (c *Chol) InverseInto(inv *Sym) {
 	n := c.N
-	inv := NewSym(n)
-	e := make([]float64, n)
+	if inv.N != n || len(inv.A) != n*n {
+		panic("linalg: InverseInto order mismatch")
+	}
+	// Column j of S⁻¹ is solved in place in row j (the matrix is
+	// symmetric, and the symmetrization below makes the layout moot).
 	for j := 0; j < n; j++ {
-		e[j] = 1
-		col := c.Solve(e)
-		e[j] = 0
-		for i := 0; i < n; i++ {
-			inv.A[i*n+j] = col[i]
+		row := inv.A[j*n : (j+1)*n]
+		for i := range row {
+			row[i] = 0
 		}
+		row[j] = 1
+		c.SolveInto(row, row)
 	}
 	// Symmetrize to wash out round-off asymmetry.
 	for i := 0; i < n; i++ {
@@ -104,7 +142,6 @@ func (c *Chol) Inverse() *Sym {
 			inv.A[j*n+i] = v
 		}
 	}
-	return inv
 }
 
 // IsPSD reports whether S + shift*I is positive semidefinite, tested via

@@ -4,6 +4,12 @@
 // solves. It replaces the LAPACK/Mosek dependency of the original
 // SCIP-SDP stack with a small, self-contained implementation sufficient
 // for the instance sizes exercised in this study.
+//
+// The Cholesky kernels come in two forms with one implementation each:
+// CholeskyInto, Chol.SolveInto and Chol.InverseInto write into storage
+// the caller owns and allocate nothing (the SDP barrier's Newton step
+// runs on them), and Cholesky, Solve and Inverse allocate the result and
+// call those.
 package linalg
 
 import (

@@ -1,0 +1,652 @@
+package sdp
+
+import (
+	"math"
+
+	"repro/internal/linalg"
+	"repro/internal/num"
+)
+
+// rankOneTol is the relative tolerance of the rank-one test: A counts
+// as σ·v·vᵀ when every entry of A − σ·v·vᵀ is at most rankOneTol times
+// the largest entry of A. It sits well above the rounding of one
+// product and one square root and six orders below any perturbation a
+// model would introduce on purpose.
+const rankOneTol = 1e-12
+
+// entry is one upper-triangle nonzero A[r][c] = v, r ≤ c. kr and kc are
+// the positions of r and c in the owning coef's cols.
+type entry struct {
+	r, c   int
+	kr, kc int
+	v      float64
+}
+
+// upperEntries appends the nonzeros of a's upper triangle to dst in
+// row-major order (kr, kc left zero).
+func upperEntries(dst []entry, a *linalg.Sym) []entry {
+	n := a.N
+	for r := 0; r < n; r++ {
+		for c := r; c < n; c++ {
+			if v := a.A[r*n+c]; num.Nonzero(v) {
+				dst = append(dst, entry{r: r, c: c, v: v})
+			}
+		}
+	}
+	return dst
+}
+
+// subScaled subtracts y·A from z, A given by its upper-triangle entries.
+func subScaled(z *linalg.Sym, y float64, ents []entry) {
+	n := z.N
+	for _, e := range ents {
+		t := -y * e.v
+		z.A[e.r*n+e.c] += t
+		if e.r != e.c {
+			z.A[e.c*n+e.r] += t
+		}
+	}
+}
+
+// coef is the compiled form of one coefficient matrix A_i of a block.
+type coef struct {
+	ents []entry // upper-triangle nonzeros, row-major
+	cols []int   // columns (= rows) holding a nonzero, ascending
+	// A = sigma·v·vᵀ (sigma = ±1, v of the block's order, zero off
+	// cols) when rankOne.
+	rankOne bool
+	sigma   float64
+	v       []float64
+	// w is this coefficient's scratch, filled per Newton step: u = Z⁻¹v
+	// (n floats) for a rank-one coefficient, otherwise the len(cols)
+	// nonzero columns of W = Z⁻¹A, n floats each, in cols order.
+	w []float64
+}
+
+// rankOneFactor tests A = σ·v·vᵀ to rankOneTol. The factor is read off
+// the row of the largest diagonal entry, which a rank-one matrix cannot
+// have zero.
+func rankOneFactor(a *linalg.Sym) (sigma float64, v []float64, ok bool) {
+	n := a.N
+	p, app := 0, 0.0
+	for i := 0; i < n; i++ {
+		if d := math.Abs(a.A[i*n+i]); d > app {
+			p, app = i, d
+		}
+	}
+	if num.ExactZero(app) {
+		return 0, nil, false
+	}
+	sigma = 1
+	if a.A[p*n+p] < 0 {
+		sigma = -1
+	}
+	vp := sigma * math.Sqrt(app)
+	v = make([]float64, n)
+	for j := 0; j < n; j++ {
+		v[j] = a.A[p*n+j] / vp
+	}
+	tol := rankOneTol * a.MaxAbs()
+	for r := 0; r < n; r++ {
+		for c := r; c < n; c++ {
+			if math.Abs(a.A[r*n+c]-sigma*v[r]*v[c]) > tol {
+				return 0, nil, false
+			}
+		}
+	}
+	return sigma, v, true
+}
+
+// compileCoef compiles a; pos is scratch of a's order.
+func compileCoef(a *linalg.Sym, pos []int) coef {
+	cf := coef{ents: upperEntries(nil, a)}
+	if len(cf.ents) == 0 {
+		return cf
+	}
+	for j := range pos {
+		pos[j] = -1
+	}
+	for _, e := range cf.ents {
+		pos[e.r], pos[e.c] = 0, 0
+	}
+	for j, at := range pos {
+		if at == 0 {
+			pos[j] = len(cf.cols)
+			cf.cols = append(cf.cols, j)
+		}
+	}
+	for j := range cf.ents {
+		e := &cf.ents[j]
+		e.kr, e.kc = pos[e.r], pos[e.c]
+	}
+	cf.sigma, cf.v, cf.rankOne = rankOneFactor(a)
+	return cf
+}
+
+// scratchLen is the length of cf.w in a block of order n.
+func (cf *coef) scratchLen(n int) int {
+	if cf.rankOne {
+		return n
+	}
+	return n * len(cf.cols)
+}
+
+// blockWork is one block's compiled coefficients and the scratch its
+// barrier terms are evaluated in.
+type blockWork struct {
+	n     int
+	c     *linalg.Sym
+	coefs []coef // by variable; no entries for a nil or all-zero A_i
+	live  []int  // variables with entries, ascending
+
+	z, zinv *linalg.Sym
+	chol    *linalg.Chol
+}
+
+// rowWork is a linear row's nonzero support. The last slot is the
+// penalty slack (index m, coefficient −1); it is part of the row only
+// while the slack is alive.
+type rowWork struct {
+	idx []int
+	val []float64
+	rhs float64
+}
+
+// workspace is everything a solve evaluates the barrier in: the
+// coefficient matrices and rows compiled to their nonzero structure,
+// and every matrix and vector a Newton step writes. It is built once per
+// Solve — the scan is O(m·n²) against some eighty Newton steps — and
+// shared by the phase-1 rescue runs, which see the same blocks and rows.
+type workspace struct {
+	blocks []blockWork
+	rows   []rowWork
+
+	grad, delta, cand, resid []float64
+	hessBuf, cholBuf         []float64
+	hess                     linalg.Sym  // order ext, backed by hessBuf
+	hchol                    linalg.Chol // order ext, backed by cholBuf
+}
+
+// newWorkspace compiles p's blocks and rows and allocates the scratch.
+//
+//ugo:coldpath the per-solve compile: one O(m·n²) scan and every allocation of the solve, so that the Newton steps under it make none
+func newWorkspace(p *Problem) *workspace {
+	m := p.M
+	ws := &workspace{
+		blocks:  make([]blockWork, len(p.Blocks)),
+		rows:    make([]rowWork, len(p.Rows)),
+		grad:    make([]float64, m+1),
+		delta:   make([]float64, m+1),
+		cand:    make([]float64, m+1),
+		resid:   make([]float64, m),
+		hessBuf: make([]float64, (m+1)*(m+1)),
+		cholBuf: make([]float64, (m+1)*(m+1)),
+	}
+	for k, blk := range p.Blocks {
+		n := blk.N
+		bw := &ws.blocks[k]
+		*bw = blockWork{
+			n: n, c: blk.C,
+			coefs: make([]coef, m),
+			z:     linalg.NewSym(n),
+			zinv:  linalg.NewSym(n),
+			chol:  linalg.NewChol(n),
+		}
+		pos := make([]int, n)
+		wlen := 0
+		for i, a := range blk.A[:m] {
+			if a == nil {
+				continue
+			}
+			cf := &bw.coefs[i]
+			if *cf = compileCoef(a, pos); len(cf.ents) > 0 {
+				bw.live = append(bw.live, i)
+				wlen += cf.scratchLen(n)
+			}
+		}
+		w := make([]float64, wlen)
+		for _, i := range bw.live {
+			cf := &bw.coefs[i]
+			k := cf.scratchLen(n)
+			cf.w, w = w[:k:k], w[k:]
+		}
+	}
+	for k, r := range p.Rows {
+		rw := &ws.rows[k]
+		rw.rhs = r.RHS
+		for i, a := range r.Coef {
+			if num.Nonzero(a) {
+				rw.idx = append(rw.idx, i)
+				rw.val = append(rw.val, a)
+			}
+		}
+		rw.idx = append(rw.idx, m)
+		rw.val = append(rw.val, -1)
+	}
+	return ws
+}
+
+// Z evaluates C − Σ A_i y_i.
+func (b *Block) Z(y []float64) *linalg.Sym {
+	z := b.C.Clone()
+	var ents []entry
+	for i, a := range b.A {
+		if a != nil && num.Nonzero(y[i]) {
+			ents = upperEntries(ents[:0], a)
+			subScaled(z, y[i], ents)
+		}
+	}
+	return z
+}
+
+// evalZ sets bw.z = C − Σ A_i y_i + s·I.
+func (bw *blockWork) evalZ(y []float64, s float64) {
+	copy(bw.z.A, bw.c.A)
+	for _, i := range bw.live {
+		if num.Nonzero(y[i]) {
+			subScaled(bw.z, y[i], bw.coefs[i].ents)
+		}
+	}
+	n := bw.n
+	for i := 0; i < n; i++ {
+		bw.z.A[i*n+i] += s
+	}
+}
+
+// factor evaluates Z(y) + s·I and its Cholesky factor; false when it is
+// not positive definite.
+func (bw *blockWork) factor(y []float64, s float64) bool {
+	bw.evalZ(y, s)
+	return linalg.CholeskyInto(bw.chol, bw.z) == nil
+}
+
+// dot returns aᵀy over the structural variables.
+func (rw *rowWork) dot(y []float64) float64 {
+	var acc float64
+	for k, i := range rw.idx[:len(rw.idx)-1] {
+		acc += rw.val[k] * y[i]
+	}
+	return acc
+}
+
+// slack returns rhs − aᵀy + s.
+func (rw *rowWork) slack(y []float64, s float64) float64 {
+	return rw.rhs - rw.dot(y) + s
+}
+
+// innerEntries returns ⟨A, X⟩ for symmetric X, A given by its entries.
+func innerEntries(ents []entry, x *linalg.Sym) float64 {
+	n := x.N
+	var acc float64
+	for _, e := range ents {
+		t := e.v * x.A[e.r*n+e.c]
+		if e.r != e.c {
+			t += t
+		}
+		acc += t
+	}
+	return acc
+}
+
+// quadEntries returns uᵀA u, A given by its entries.
+func quadEntries(ents []entry, u []float64) float64 {
+	var acc float64
+	for _, e := range ents {
+		t := e.v * u[e.r] * u[e.c]
+		if e.r != e.c {
+			t += t
+		}
+		acc += t
+	}
+	return acc
+}
+
+// dotCols returns Σ_{k∈cols} a[k]·b[k].
+func dotCols(cols []int, a, b []float64) float64 {
+	var acc float64
+	for _, k := range cols {
+		acc += a[k] * b[k]
+	}
+	return acc
+}
+
+// fill computes every live coefficient's scratch from bw.zinv: u = Z⁻¹v
+// for a rank-one coefficient, the nonzero columns of W = Z⁻¹A otherwise.
+func (bw *blockWork) fill() {
+	n := bw.n
+	zi := bw.zinv.A
+	for _, i := range bw.live {
+		cf := &bw.coefs[i]
+		w := cf.w
+		if cf.rankOne {
+			for a := range w {
+				w[a] = dotCols(cf.cols, zi[a*n:(a+1)*n], cf.v)
+			}
+			continue
+		}
+		for a := range w {
+			w[a] = 0
+		}
+		// Column c of W gains A[r][c]·Z⁻¹[:,r], and column r its mirror.
+		for _, e := range cf.ents {
+			linalg.Axpy(e.v, zi[e.r*n:(e.r+1)*n], w[e.kc*n:(e.kc+1)*n])
+			if e.r != e.c {
+				linalg.Axpy(e.v, zi[e.c*n:(e.c+1)*n], w[e.kr*n:(e.kr+1)*n])
+			}
+		}
+	}
+}
+
+// traceInv returns tr(Z⁻¹A) from the filled scratch.
+func (bw *blockWork) traceInv(cf *coef) float64 {
+	if cf.rankOne {
+		return cf.sigma * dotCols(cf.cols, cf.v, cf.w)
+	}
+	var acc float64
+	for kb, b := range cf.cols {
+		acc += cf.w[kb*bw.n+b]
+	}
+	return acc
+}
+
+// tracePair returns tr(Z⁻¹A_i Z⁻¹A_j) from the filled scratch, by the
+// formula the pair's structure allows.
+func (bw *blockWork) tracePair(ci, cj *coef) float64 {
+	wi, wj := ci.w, cj.w
+	switch {
+	case ci.rankOne && cj.rankOne:
+		t := dotCols(cj.cols, cj.v, wi)
+		return ci.sigma * cj.sigma * t * t
+	case ci.rankOne:
+		return ci.sigma * quadEntries(cj.ents, wi)
+	case cj.rankOne:
+		return cj.sigma * quadEntries(ci.ents, wj)
+	}
+	n := bw.n
+	var acc float64
+	for kb, b := range ci.cols {
+		col := wi[kb*n : (kb+1)*n]
+		for ka, a := range cj.cols {
+			acc += col[a] * wj[ka*n+b]
+		}
+	}
+	return acc
+}
+
+// traceInvSq returns tr(Z⁻¹A Z⁻¹) from the filled scratch.
+func (bw *blockWork) traceInvSq(cf *coef) float64 {
+	w := cf.w
+	if cf.rankOne {
+		return cf.sigma * linalg.Dot(w, w)
+	}
+	n := bw.n
+	var acc float64
+	for kb, b := range cf.cols {
+		acc += linalg.Dot(w[kb*n:(kb+1)*n], bw.zinv.A[b*n:(b+1)*n])
+	}
+	return acc
+}
+
+// setExt points grad, delta, hess and hchol at order ext.
+func (ws *workspace) setExt(ext int) {
+	ws.grad, ws.delta = ws.grad[:ext], ws.delta[:ext]
+	ws.hess.N, ws.hess.A = ext, ws.hessBuf[:ext*ext]
+	ws.hchol.N, ws.hchol.L = ext, ws.cholBuf[:ext*ext]
+}
+
+// gradHess evaluates, at a strictly feasible (y,s), the barrier
+// objective f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + box/row/s barriers]
+// (returned), its gradient (ws.grad) and −Hessian (ws.hess, SPD for
+// Cholesky); ok=false when (y,s) is not strictly feasible.
+func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS bool) (f float64, ok bool) {
+	m := p.M
+	ext := m
+	if useS {
+		ext = m + 1
+	}
+	ws.setExt(ext)
+	grad, hess := ws.grad, ws.hess.A
+	for i := range hess {
+		hess[i] = 0
+	}
+	for i := 0; i < m; i++ {
+		grad[i] = p.B[i]
+		f += p.B[i] * y[i]
+	}
+	s := 0.0
+	logs := 0.0
+	if useS {
+		// s ≥ 0 barrier and penalty.
+		s = y[m]
+		if s < 1e-300 {
+			return 0, false
+		}
+		f -= gamma * s
+		logs = math.Log(s)
+		grad[m] = -gamma + mu/s
+		hess[m*ext+m] += mu / (s * s)
+	}
+
+	// Box barriers.
+	for i := 0; i < m; i++ {
+		if !math.IsInf(p.Lo[i], -1) {
+			d := y[i] - p.Lo[i]
+			if d <= 0 {
+				return 0, false
+			}
+			logs += math.Log(d)
+			grad[i] += mu / d
+			hess[i*ext+i] += mu / (d * d)
+		}
+		if !math.IsInf(p.Up[i], 1) {
+			d := p.Up[i] - y[i]
+			if d <= 0 {
+				return 0, false
+			}
+			logs += math.Log(d)
+			grad[i] -= mu / d
+			hess[i*ext+i] += mu / (d * d)
+		}
+	}
+	// Linear row barriers: log(rhs − aᵀy + s); the gradient/Hessian thus
+	// also carry s-components (coefficient −1 on s).
+	for k := range ws.rows {
+		rw := &ws.rows[k]
+		slack := rw.slack(y, s)
+		if slack <= 0 {
+			return 0, false
+		}
+		logs += math.Log(slack)
+		nz := len(rw.idx)
+		if !useS {
+			nz--
+		}
+		for ka := 0; ka < nz; ka++ {
+			i, ai := rw.idx[ka], rw.val[ka]
+			grad[i] -= mu * ai / slack
+			for kb := 0; kb <= ka; kb++ {
+				j := rw.idx[kb]
+				v := mu * ai * rw.val[kb] / (slack * slack)
+				hess[i*ext+j] += v
+				if i != j {
+					hess[j*ext+i] += v
+				}
+			}
+		}
+	}
+	// Block barriers: d/dy_i logdet(Z+sI) = −tr(Zinv A_i); d/ds = tr(Zinv);
+	// H_ij = −μ tr(Zinv A_i Zinv A_j), so −H is PSD.
+	for k := range ws.blocks {
+		bw := &ws.blocks[k]
+		if !bw.factor(y, s) {
+			return 0, false
+		}
+		logs += bw.chol.LogDet()
+		bw.chol.InverseInto(bw.zinv)
+		bw.fill()
+		for ki, i := range bw.live {
+			ci := &bw.coefs[i]
+			grad[i] -= mu * bw.traceInv(ci)
+			for _, j := range bw.live[ki:] {
+				v := mu * bw.tracePair(ci, &bw.coefs[j])
+				hess[i*ext+j] += v
+				if i != j {
+					hess[j*ext+i] += v
+				}
+			}
+			if useS {
+				// Cross terms with s: the slack's coefficient matrix is
+				// A_s = −I, so H_is = +μ tr(Zinv A_i Zinv) and the negated
+				// Hessian entry is −μ tr(Zinv A_i Zinv).
+				v := mu * bw.traceInvSq(ci)
+				hess[i*ext+m] -= v
+				hess[m*ext+i] -= v
+			}
+		}
+		if useS {
+			grad[m] += mu * bw.zinv.Trace()
+			// s-s entry: tr(Zinv Zinv).
+			hess[m*ext+m] += mu * bw.zinv.InnerProd(bw.zinv)
+		}
+	}
+	return f + mu*logs, true
+}
+
+// barrierValue evaluates the penalty-barrier objective
+// f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + log s + box/row logs];
+// ok=false when (y,s) is not strictly feasible.
+func (ws *workspace) barrierValue(p *Problem, y []float64, mu, gamma float64, useS bool) (float64, bool) {
+	m := p.M
+	s := 0.0
+	logs := 0.0
+	var f float64
+	for i := 0; i < m; i++ {
+		f += p.B[i] * y[i]
+	}
+	if useS {
+		s = y[m]
+		if s < 1e-300 {
+			return 0, false
+		}
+		f -= gamma * s
+		logs = math.Log(s)
+	}
+	for i := 0; i < m; i++ {
+		if !math.IsInf(p.Lo[i], -1) {
+			d := y[i] - p.Lo[i]
+			if d <= 0 {
+				return 0, false
+			}
+			logs += math.Log(d)
+		}
+		if !math.IsInf(p.Up[i], 1) {
+			d := p.Up[i] - y[i]
+			if d <= 0 {
+				return 0, false
+			}
+			logs += math.Log(d)
+		}
+	}
+	for k := range ws.rows {
+		slack := ws.rows[k].slack(y, s)
+		if slack <= 0 {
+			return 0, false
+		}
+		logs += math.Log(slack)
+	}
+	for k := range ws.blocks {
+		bw := &ws.blocks[k]
+		if !bw.factor(y, s) {
+			return 0, false
+		}
+		logs += bw.chol.LogDet()
+	}
+	return f + mu*logs, true
+}
+
+// newtonStep performs one damped Newton iteration on y at the given mu,
+// with an Armijo condition on the barrier value so the iterate tracks
+// the central path. Returns the Newton decrement (−1 on failure).
+//
+//ugo:hotpath
+func (ws *workspace) newtonStep(p *Problem, y []float64, mu, gamma float64, useS bool) float64 {
+	f0, dec, ok := ws.direction(p, y, mu, gamma, useS)
+	if !ok {
+		return -1
+	}
+	ext := len(ws.delta)
+	cand := ws.cand
+	copy(cand, y)
+	for t := 1.0; t > 1e-13; t *= 0.5 {
+		for i := 0; i < ext; i++ {
+			cand[i] = y[i] + t*ws.delta[i]
+		}
+		fv, ok := ws.barrierValue(p, cand, mu, gamma, useS)
+		if ok && fv >= f0+0.1*t*dec {
+			copy(y, cand)
+			return dec
+		}
+	}
+	return -1
+}
+
+// direction assembles the Newton system at y and solves it: ws.delta is
+// the step, dec the Newton decrement and f0 the barrier value at y.
+func (ws *workspace) direction(p *Problem, y []float64, mu, gamma float64, useS bool) (f0, dec float64, ok bool) {
+	f0, ok = ws.gradHess(p, y, mu, gamma, useS)
+	if !ok {
+		return 0, 0, false
+	}
+	// Newton: maximize ⇒ solve (−H) Δ = grad with −H SPD.
+	hess := &ws.hess
+	if linalg.CholeskyInto(&ws.hchol, hess) != nil {
+		shift := 1e-10 * (1 + hess.MaxAbs())
+		for i := 0; i < hess.N; i++ {
+			hess.A[i*hess.N+i] += shift
+		}
+		if linalg.CholeskyInto(&ws.hchol, hess) != nil {
+			return 0, 0, false
+		}
+	}
+	ws.hchol.SolveInto(ws.delta, ws.grad)
+	for i, d := range ws.delta {
+		dec += d * ws.grad[i]
+	}
+	if dec < 0 {
+		return 0, 0, false
+	}
+	return f0, dec, true
+}
+
+// strictlyFeasible checks Z_k(y) + s·I ≻ 0, box interiority and row
+// slack; useS=false checks the original system (s treated as 0, y has
+// length m).
+func (ws *workspace) strictlyFeasible(p *Problem, y []float64, useS bool) bool {
+	m := p.M
+	s := 0.0
+	if useS {
+		s = y[m]
+		if s < 1e-12 {
+			return false
+		}
+	}
+	for i := 0; i < m; i++ {
+		if !math.IsInf(p.Lo[i], -1) && y[i] <= p.Lo[i] {
+			return false
+		}
+		if !math.IsInf(p.Up[i], 1) && y[i] >= p.Up[i] {
+			return false
+		}
+	}
+	for k := range ws.rows {
+		if rw := &ws.rows[k]; rw.dot(y)-s >= rw.rhs {
+			return false
+		}
+	}
+	for k := range ws.blocks {
+		if !ws.blocks[k].factor(y, s) {
+			return false
+		}
+	}
+	return true
+}

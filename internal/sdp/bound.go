@@ -28,43 +28,39 @@ import (
 // central path every r_i vanishes; off-path iterates still yield a valid
 // — just weaker — bound. If some variable with a nonzero residual has an
 // infinite bound the certificate degenerates to +Inf (no pruning).
-func rigorousUpperBound(p *Problem, y []float64, s, mu float64) float64 {
+func (ws *workspace) rigorousUpperBound(p *Problem, y []float64, s, mu float64) float64 {
 	m := p.M
-	resid := make([]float64, m)
+	resid := ws.resid
 	copy(resid, p.B)
 	var bound float64
 
 	// Block duals.
-	for _, blk := range p.Blocks {
-		z := blk.Z(y)
-		for i := 0; i < blk.N; i++ {
-			z.A[i*blk.N+i] += s
-		}
-		ch, err := linalg.Cholesky(z)
-		if err != nil {
+	for k := range ws.blocks {
+		bw := &ws.blocks[k]
+		if !bw.factor(y, s) {
 			return math.Inf(1)
 		}
-		x := ch.Inverse()
+		x := bw.zinv
+		bw.chol.InverseInto(x)
 		x.Scale(mu)
-		bound += blk.C.InnerProd(x)
-		for i := 0; i < m; i++ {
-			if blk.A[i] != nil {
-				resid[i] -= blk.A[i].InnerProd(x)
-			}
+		bound += bw.c.InnerProd(x)
+		for _, i := range bw.live {
+			resid[i] -= innerEntries(bw.coefs[i].ents, x)
 		}
 	}
 	// Row duals (rows are relaxed by s in the penalty formulation, so
 	// the iterate's slack includes +s; the multiplier remains valid for
 	// the s = 0 slice with the original right-hand side).
-	for _, r := range p.Rows {
-		slack := r.RHS - dotDense(r.Coef, y) + s
+	for k := range ws.rows {
+		rw := &ws.rows[k]
+		slack := rw.slack(y, s)
 		if slack <= 0 {
 			return math.Inf(1)
 		}
 		lam := mu / slack
-		bound += lam * r.RHS
-		for i, a := range r.Coef {
-			resid[i] -= lam * a
+		bound += lam * rw.rhs
+		for k, i := range rw.idx[:len(rw.idx)-1] {
+			resid[i] -= lam * rw.val[k]
 		}
 	}
 	// Box duals.

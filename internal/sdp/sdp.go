@@ -12,6 +12,31 @@
 // built in: a slack multiple of the identity is added to every block and
 // driven to zero by a large penalty, so the barrier always has a
 // strictly feasible starting point.
+//
+// The Newton system is assembled from the structure of the coefficient
+// matrices, the way the production engines build their Schur complement
+// (assemble.go). Solve compiles every A_i once into its upper-triangle
+// nonzero entries and the columns they touch, and — when A_i = σ·v·vᵀ
+// holds to rankOneTol (1e-12, relative to the largest entry; σ = ±1 and
+// v are read off the row of the largest diagonal entry) — into the
+// factor (σ, v); every linear row into its nonzero support. With
+// u_i = Z⁻¹v_i and W_i = Z⁻¹A_i, of which only the nonzero columns are
+// ever formed, the Hessian entry tr(Z⁻¹A_iZ⁻¹A_j) is
+//
+//	σ_iσ_j (v_jᵀu_i)²                          two rank-one matrices,
+//	σ_i · u_iᵀA_ju_i over A_j's entries         one rank-one, one general,
+//	Σ_{a∈cols_j, b∈cols_i} W_i[a,b]·W_j[b,a]   two general matrices,
+//
+// the last being the plain tr(W_iW_j) when every column is nonzero. There
+// is no separate dense path. Everything a Newton step writes — Z, its
+// Cholesky factor and inverse, the u and W arrays, gradient, Hessian and
+// its factor, the direction and the line-search candidate — lives in one
+// workspace allocated with the compiled form, so a step allocates
+// nothing; the factor of Z that the gradient needs also yields the
+// barrier value the line search starts from. The form is rebuilt per
+// Solve rather than cached on the Problem: the scan is O(m·n²) once
+// against some eighty Newton steps, branch and bound hands every node a
+// different reduced problem, and ParaSolvers share the Blocks.
 package sdp
 
 import (
@@ -27,17 +52,6 @@ type Block struct {
 	C *linalg.Sym
 	// A[i] is variable i's coefficient matrix (nil = zero matrix).
 	A []*linalg.Sym
-}
-
-// Z evaluates C − Σ A_i y_i.
-func (b *Block) Z(y []float64) *linalg.Sym {
-	z := b.C.Clone()
-	for i, a := range b.A {
-		if a != nil && num.Nonzero(y[i]) {
-			z.AddScaled(-y[i], a)
-		}
-	}
-	return z
 }
 
 // Row is a linear inequality aᵀy ≤ rhs.
@@ -114,7 +128,7 @@ func Solve(p *Problem, opt Options) *Result {
 		if p.M == 0 {
 			return evalFixed(p)
 		}
-		return solveFull(p, opt)
+		return solveFull(p, opt, newWorkspace(p))
 	}
 	// Build the reduced problem over the free variables.
 	var keep []int
@@ -179,7 +193,7 @@ func Solve(p *Problem, opt Options) *Result {
 	if red.M == 0 {
 		r = evalFixed(red)
 	} else {
-		r = solveFull(red, opt)
+		r = solveFull(red, opt, newWorkspace(red))
 	}
 	// Expand back.
 	y := make([]float64, p.M)
@@ -201,8 +215,9 @@ func Solve(p *Problem, opt Options) *Result {
 	return r
 }
 
-// solveFull runs the barrier method without preprocessing.
-func solveFull(p *Problem, opt Options) *Result {
+// solveFull runs the barrier method without preprocessing, in the
+// workspace compiled from p's blocks and rows.
+func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	m := p.M
 	scale := 1.0
 	for _, bi := range p.B {
@@ -225,34 +240,9 @@ func solveFull(p *Problem, opt Options) *Result {
 
 	// Extended variable vector: [y; s] with s the identity slack.
 	y := make([]float64, m+1)
-	for i := 0; i < m; i++ {
-		switch {
-		case !math.IsInf(p.Lo[i], -1) && !math.IsInf(p.Up[i], 1):
-			y[i] = 0.5 * (p.Lo[i] + p.Up[i])
-		case !math.IsInf(p.Lo[i], -1):
-			y[i] = p.Lo[i] + 1
-		case !math.IsInf(p.Up[i], 1):
-			y[i] = p.Up[i] - 1
-		}
-	}
-	// Initial slack: enough to make every block strictly positive and
-	// every linear row strictly slack (the slack also relaxes rows:
-	// aᵀy − s ≤ rhs).
-	s0 := 1.0
-	for _, blk := range p.Blocks {
-		lam, _ := linalg.MinEigen(blk.Z(y))
-		if need := -lam + 1; need > s0 {
-			s0 = need
-		}
-	}
-	for _, r := range p.Rows {
-		if need := dotDense(r.Coef, y[:m]) - r.RHS + 1; need > s0 {
-			s0 = need
-		}
-	}
-	y[m] = s0
+	ws.startPoint(p, y)
 	warmStarted := false
-	if opt.startY != nil && strictlyFeasible(p, opt.startY, false) {
+	if opt.startY != nil && ws.strictlyFeasible(p, opt.startY, false) {
 		copy(y[:m], opt.startY)
 		y[m] = 0
 		warmStarted = true
@@ -263,54 +253,8 @@ func solveFull(p *Problem, opt Options) *Result {
 	iters := 0
 	converged := true
 	useS := !warmStarted
-	// newtonStep performs one damped Newton iteration at the given mu,
-	// with an Armijo condition on the barrier value so the iterate tracks
-	// the central path. Returns the Newton decrement (−1 on failure).
 	newtonStep := func(mu float64) float64 {
-		ext := m
-		if useS {
-			ext = m + 1
-		}
-		grad, hess, ok := gradHess(p, y, mu, opt.Gamma, useS)
-		if !ok {
-			return -1
-		}
-		f0, ok := barrierValue(p, y, mu, opt.Gamma, useS)
-		if !ok {
-			return -1
-		}
-		// Newton: maximize ⇒ solve (−H) Δ = grad with −H SPD.
-		ch, err := linalg.Cholesky(hess)
-		if err != nil {
-			for i := 0; i < ext; i++ {
-				hess.A[i*ext+i] += 1e-10 * (1 + hess.MaxAbs())
-			}
-			ch, err = linalg.Cholesky(hess)
-			if err != nil {
-				return -1
-			}
-		}
-		delta := ch.Solve(grad)
-		var dec float64
-		for i := range delta {
-			dec += delta[i] * grad[i]
-		}
-		if dec < 0 {
-			return -1
-		}
-		cand := make([]float64, m+1)
-		copy(cand, y)
-		for t := 1.0; t > 1e-13; t *= 0.5 {
-			for i := 0; i < ext; i++ {
-				cand[i] = y[i] + t*delta[i]
-			}
-			fv, ok := barrierValue(p, cand, mu, opt.Gamma, useS)
-			if ok && fv >= f0+0.1*t*dec {
-				copy(y, cand)
-				return dec
-			}
-		}
-		return -1
+		return ws.newtonStep(p, y, mu, opt.Gamma, useS)
 	}
 	runLevel := func(mu float64, cap int) {
 		for step := 0; step < cap; step++ {
@@ -338,7 +282,7 @@ func solveFull(p *Problem, opt Options) *Result {
 		switchAt := math.Max(opt.MuFinal, 1e-4*opt.MuInit)
 		for ; mu >= switchAt && iters <= opt.MaxIter; mu *= 0.2 {
 			runLevel(mu, 400)
-			if strictlyFeasible(p, y, false) {
+			if ws.strictlyFeasible(p, y, false) {
 				useS = false
 				y[m] = 0
 				mu *= 0.2
@@ -361,14 +305,14 @@ func solveFull(p *Problem, opt Options) *Result {
 			}
 		}
 		res.Iters = iters
-		finishAt(p, res, y, muF)
+		finishAt(p, ws, res, y, muF)
 		res.Penalty = 0
 		res.Status = Solved
 		return res
 	}
 	// The slack could not be dropped within phase P.
 	res.Iters = iters
-	finishAt(p, res, y, mu/0.2)
+	finishAt(p, ws, res, y, mu/0.2)
 	res.Status = Solved
 	if res.Penalty > 1e-4*(1+math.Abs(res.Obj)/math.Max(1, scale)) && !opt.phase1 {
 		// The identity slack would not go to zero: either the problem is
@@ -378,13 +322,13 @@ func solveFull(p *Problem, opt Options) *Result {
 		// from there; if its certified upper bound on sup 0 is negative,
 		// no feasible point exists.
 		q := &Problem{M: p.M, B: make([]float64, p.M), Lo: p.Lo, Up: p.Up, Blocks: p.Blocks, Rows: p.Rows}
-		ph := solveFull(q, Options{Gamma: opt.Gamma, MaxIter: opt.MaxIter, phase1: true})
+		ph := solveFull(q, Options{Gamma: opt.Gamma, MaxIter: opt.MaxIter, phase1: true}, ws)
 		switch {
-		case ph.Penalty < 1e-8*(1+scale) && strictlyFeasible(p, ph.Y, false):
+		case ph.Penalty < 1e-8*(1+scale) && ws.strictlyFeasible(p, ph.Y, false):
 			o2 := opt
 			o2.phase1 = true // prevent further rescues
 			o2.startY = ph.Y
-			r2 := solveFull(p, o2)
+			r2 := solveFull(p, o2, ws)
 			r2.Iters += res.Iters + ph.Iters
 			return r2
 		case ph.UpperBound < -1e-7:
@@ -398,11 +342,47 @@ func solveFull(p *Problem, opt Options) *Result {
 	return res
 }
 
+// startPoint sets the extended iterate [y; s] the barrier starts from:
+// the middle of every box and a slack large enough to make every block
+// strictly positive and every linear row strictly slack (the slack also
+// relaxes rows: aᵀy − s ≤ rhs).
+func (ws *workspace) startPoint(p *Problem, y []float64) {
+	m := p.M
+	for i := 0; i < m; i++ {
+		switch {
+		case !math.IsInf(p.Lo[i], -1) && !math.IsInf(p.Up[i], 1):
+			y[i] = 0.5 * (p.Lo[i] + p.Up[i])
+		case !math.IsInf(p.Lo[i], -1):
+			y[i] = p.Lo[i] + 1
+		case !math.IsInf(p.Up[i], 1):
+			y[i] = p.Up[i] - 1
+		default:
+			y[i] = 0
+		}
+	}
+	s0 := 1.0
+	for k := range ws.blocks {
+		bw := &ws.blocks[k]
+		bw.evalZ(y, 0)
+		lam, _ := linalg.MinEigen(bw.z)
+		if need := -lam + 1; need > s0 {
+			s0 = need
+		}
+	}
+	for k := range ws.rows {
+		rw := &ws.rows[k]
+		if need := rw.dot(y) - rw.rhs + 1; need > s0 {
+			s0 = need
+		}
+	}
+	y[m] = s0
+}
+
 // finishAt fills the result from the current iterate. When the barrier
 // did not converge to the central path, the duality-gap estimate is not
 // a trustworthy bound and +Inf is reported instead (the branch-and-bound
 // layer then branches rather than prunes — safe, just slower).
-func finishAt(p *Problem, res *Result, y []float64, mu float64) {
+func finishAt(p *Problem, ws *workspace, res *Result, y []float64, mu float64) {
 	m := p.M
 	res.Y = append([]float64(nil), y[:m]...)
 	res.Penalty = y[m]
@@ -413,260 +393,5 @@ func finishAt(p *Problem, res *Result, y []float64, mu float64) {
 	res.Obj = obj
 	// Certified bound from the barrier's dual multipliers: valid at any
 	// iterate (convergence only affects its tightness), see bound.go.
-	res.UpperBound = rigorousUpperBound(p, y[:m], y[m], mu)
-}
-
-// strictlyFeasible checks Z_k(y) + s·I ≻ 0, box interiority and row
-// slack; useS=false checks the original system (s treated as 0, y has
-// length m).
-func strictlyFeasible(p *Problem, y []float64, useS bool) bool {
-	m := p.M
-	s := 0.0
-	if useS {
-		s = y[m]
-		if s < 1e-12 {
-			return false
-		}
-	}
-	for i := 0; i < m; i++ {
-		if !math.IsInf(p.Lo[i], -1) && y[i] <= p.Lo[i] {
-			return false
-		}
-		if !math.IsInf(p.Up[i], 1) && y[i] >= p.Up[i] {
-			return false
-		}
-	}
-	for _, r := range p.Rows {
-		if dotDense(r.Coef, y[:m])-s >= r.RHS {
-			return false
-		}
-	}
-	for _, blk := range p.Blocks {
-		z := blk.Z(y[:m])
-		for i := 0; i < blk.N; i++ {
-			z.A[i*blk.N+i] += s
-		}
-		if _, err := linalg.Cholesky(z); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-func dotDense(a, y []float64) float64 {
-	var acc float64
-	for i, v := range a {
-		if num.Nonzero(v) {
-			acc += v * y[i]
-		}
-	}
-	return acc
-}
-
-// gradHess evaluates the gradient of the barrier objective
-// f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + box/row/s barriers]
-// and −Hessian (returned SPD for Cholesky).
-func gradHess(p *Problem, y []float64, mu, gamma float64, useS bool) (grad []float64, negHess *linalg.Sym, ok bool) {
-	m := p.M
-	ext := m
-	if useS {
-		ext = m + 1
-	}
-	grad = make([]float64, ext)
-	negHess = linalg.NewSym(ext)
-	for i := 0; i < m; i++ {
-		grad[i] = p.B[i]
-	}
-	s := 0.0
-	if useS {
-		// s ≥ 0 barrier and penalty.
-		s = y[m]
-		grad[m] = -gamma + mu/s
-		negHess.A[m*ext+m] += mu / (s * s)
-	}
-
-	// Box barriers.
-	for i := 0; i < m; i++ {
-		if !math.IsInf(p.Lo[i], -1) {
-			d := y[i] - p.Lo[i]
-			grad[i] += mu / d
-			negHess.A[i*ext+i] += mu / (d * d)
-		}
-		if !math.IsInf(p.Up[i], 1) {
-			d := p.Up[i] - y[i]
-			grad[i] -= mu / d
-			negHess.A[i*ext+i] += mu / (d * d)
-		}
-	}
-	// Linear row barriers: log(rhs − aᵀy + s); the gradient/Hessian thus
-	// also carry s-components (coefficient −1 on s).
-	for _, r := range p.Rows {
-		slack := r.RHS - dotDense(r.Coef, y[:m]) + s
-		if slack <= 0 {
-			return nil, nil, false
-		}
-		coefExt := func(i int) float64 {
-			if i == m {
-				return -1
-			}
-			return r.Coef[i]
-		}
-		for i := 0; i < ext; i++ {
-			ai := coefExt(i)
-			if num.ExactZero(ai) {
-				continue
-			}
-			grad[i] -= mu * ai / slack
-			for j := 0; j < ext; j++ {
-				aj := coefExt(j)
-				if num.Nonzero(aj) {
-					negHess.A[i*ext+j] += mu * ai * aj / (slack * slack)
-				}
-			}
-		}
-	}
-	// Block barriers: d/dy_i logdet(Z+sI) = −tr(Zinv A_i); d/ds = tr(Zinv).
-	for _, blk := range p.Blocks {
-		z := blk.Z(y[:m])
-		for i := 0; i < blk.N; i++ {
-			z.A[i*blk.N+i] += s
-		}
-		ch, err := linalg.Cholesky(z)
-		if err != nil {
-			return nil, nil, false
-		}
-		zinv := ch.Inverse()
-		// Precompute W_i = Zinv·A_i (as full product for trace forms).
-		prods := make([]*linalg.Sym, m)
-		for i := 0; i < m; i++ {
-			if blk.A[i] == nil {
-				continue
-			}
-			prods[i] = symProduct(zinv, blk.A[i])
-		}
-		for i := 0; i < m; i++ {
-			if prods[i] == nil {
-				continue
-			}
-			grad[i] -= mu * prods[i].Trace()
-		}
-		// Hessian entries: H_ij = −μ tr(Zinv A_i Zinv A_j); −H is PSD.
-		for i := 0; i < m; i++ {
-			if prods[i] == nil {
-				continue
-			}
-			for j := i; j < m; j++ {
-				if prods[j] == nil {
-					continue
-				}
-				v := mu * traceProduct(prods[i], prods[j])
-				negHess.A[i*ext+j] += v
-				if i != j {
-					negHess.A[j*ext+i] += v
-				}
-			}
-			if useS {
-				// Cross terms with s: the slack's coefficient matrix is
-				// A_s = −I, so H_is = +μ tr(Zinv A_i Zinv) and the negated
-				// Hessian entry is −μ tr(Zinv A_i Zinv).
-				v := mu * traceProduct(prods[i], zinv)
-				negHess.A[i*ext+m] -= v
-				negHess.A[m*ext+i] -= v
-			}
-		}
-		if useS {
-			grad[m] += mu * zinv.Trace()
-			// s-s entry: tr(Zinv Zinv).
-			negHess.A[m*ext+m] += mu * zinv.InnerProd(zinv)
-		}
-	}
-	return grad, negHess, true
-}
-
-// symProduct computes P = X·Y for symmetric X, Y (P generally not
-// symmetric; stored densely in a Sym container for convenience).
-func symProduct(x, y *linalg.Sym) *linalg.Sym {
-	n := x.N
-	p := linalg.NewSym(n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			xik := x.A[i*n+k]
-			if num.ExactZero(xik) {
-				continue
-			}
-			row := y.A[k*n:]
-			for j := 0; j < n; j++ {
-				p.A[i*n+j] += xik * row[j]
-			}
-		}
-	}
-	return p
-}
-
-// traceProduct computes tr(P·Q) for dense square P, Q.
-func traceProduct(p, q *linalg.Sym) float64 {
-	n := p.N
-	var acc float64
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			acc += p.A[i*n+k] * q.A[k*n+i]
-		}
-	}
-	return acc
-}
-
-// barrierValue evaluates the penalty-barrier objective
-// f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + log s + box/row logs];
-// ok=false when (y,s) is not strictly feasible.
-func barrierValue(p *Problem, y []float64, mu, gamma float64, useS bool) (float64, bool) {
-	m := p.M
-	s := 0.0
-	logs := 0.0
-	var f float64
-	for i := 0; i < m; i++ {
-		f += p.B[i] * y[i]
-	}
-	if useS {
-		s = y[m]
-		if s < 1e-300 {
-			return 0, false
-		}
-		f -= gamma * s
-		logs = math.Log(s)
-	}
-	for i := 0; i < m; i++ {
-		if !math.IsInf(p.Lo[i], -1) {
-			d := y[i] - p.Lo[i]
-			if d <= 0 {
-				return 0, false
-			}
-			logs += math.Log(d)
-		}
-		if !math.IsInf(p.Up[i], 1) {
-			d := p.Up[i] - y[i]
-			if d <= 0 {
-				return 0, false
-			}
-			logs += math.Log(d)
-		}
-	}
-	for _, r := range p.Rows {
-		slack := r.RHS - dotDense(r.Coef, y[:m]) + s
-		if slack <= 0 {
-			return 0, false
-		}
-		logs += math.Log(slack)
-	}
-	for _, blk := range p.Blocks {
-		z := blk.Z(y[:m])
-		for i := 0; i < blk.N; i++ {
-			z.A[i*blk.N+i] += s
-		}
-		ch, err := linalg.Cholesky(z)
-		if err != nil {
-			return 0, false
-		}
-		logs += ch.LogDet()
-	}
-	return f + mu*logs, true
+	res.UpperBound = ws.rigorousUpperBound(p, y[:m], y[m], mu)
 }

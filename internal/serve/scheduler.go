@@ -128,9 +128,9 @@ func (s *scheduler) runJob(j *Job) {
 	default:
 	}
 	if dl, ok := j.Deadline(); ok && !time.Now().Before(dl) {
+		s.captureJobBundle(j, StateDeadline)
 		if j.transition(StateDeadline) {
 			s.countTerminal(StateDeadline)
-			s.captureJobBundle(j, StateDeadline)
 		}
 		return
 	}
@@ -173,10 +173,14 @@ func (s *scheduler) runJob(j *Job) {
 		}
 	}()
 
+	// The bundle is written and attached before the terminal edge is
+	// published: transition closes done, and a client that sees a failed
+	// job must also see its debug pointer. Should the edge lose to
+	// another terminal one, the bundle just stays on disk.
 	finish := func(st State) {
+		s.captureJobBundle(j, st)
 		if j.transition(st) {
 			s.countTerminal(st)
-			s.captureJobBundle(j, st)
 		}
 	}
 
@@ -273,7 +277,8 @@ func (s *scheduler) runJob(j *Job) {
 // its deadline: the job's flight-recorder tail plus process profiles,
 // in a per-job directory under debugDir. The bundle location is
 // attached to the job record, which surfaces it in the job JSON and
-// makes GET /v1/jobs/{id}/debug serve it.
+// makes GET /v1/jobs/{id}/debug serve it. st is the terminal state the
+// caller is about to publish.
 func (s *scheduler) captureJobBundle(j *Job, st State) {
 	if s.debugDir == "" || (st != StateFailed && st != StateDeadline) {
 		return

@@ -3,7 +3,7 @@
 # ledger that pairs with the hotalloc analyzer (ugolint -hot).
 #
 # Runs the allocation benchmarks (internal/scip, internal/lp,
-# internal/ug/comm/net, internal/obs) twice — once in an exported copy of a
+# internal/sdp, internal/ug/comm/net, internal/obs) twice — once in an exported copy of a
 # baseline ref (default HEAD~1, override with $1) and once in the
 # current tree — and writes the ns/op, B/op and allocs/op pairs (and
 # iters/op where a benchmark reports it) side by side. A benchmark
@@ -17,6 +17,11 @@
 #   scripts/bench_hot.sh v1.2.0     # compare vs a tag
 #   BENCHTIME=5000x scripts/bench_hot.sh
 #   BASE_OVERLAY=internal/lp/cutloop_test.go scripts/bench_hot.sh
+#   BASE_OVERLAY=internal/sdp/solve_bench_test.go scripts/bench_hot.sh
+#
+# BenchmarkSDPNewtonStep has no baseline before the commit that made the
+# step a function; BenchmarkSDPNewtonStepDenseReference, the same system
+# from the test oracle's dense formulas, is its "before" in the same run.
 #
 # The committed BENCH_hotpath.json is the record of what the hotalloc
 # fixes bought; CI regenerates it as a build artifact. allocs/op is the
@@ -27,12 +32,15 @@ cd "$(dirname "$0")/.."
 
 BASE_REF="${1:-HEAD~1}"
 BENCHTIME="${BENCHTIME:-2000x}"
-PKGS="./internal/scip ./internal/lp ./internal/ug/comm/net ./internal/obs"
-BENCHES='^(BenchmarkProcessNode|BenchmarkSolveKnapsack|BenchmarkNodeHeap|BenchmarkLPResolve|BenchmarkFrameRoundTrip|BenchmarkRecorderEmit)$'
+PKGS="./internal/scip ./internal/lp ./internal/sdp ./internal/ug/comm/net ./internal/obs"
+BENCHES='^(BenchmarkProcessNode|BenchmarkSolveKnapsack|BenchmarkNodeHeap|BenchmarkLPResolve|BenchmarkSDPNewtonStep|BenchmarkSDPNewtonStepDenseReference|BenchmarkFrameRoundTrip|BenchmarkRecorderEmit)$'
 # Whole cut loops, a tenth of a second to seconds per op: a few
 # iterations each, not BENCHTIME.
 LOOP_BENCHES='^(BenchmarkLPSteinerCutLoop|BenchmarkLPDenseCutResolve)$'
 LOOP_BENCHTIME="${LOOP_BENCHTIME:-5x}"
+# Whole root-relaxation SDP solves, a millisecond to tens of them per op.
+SOLVE_BENCHES='^BenchmarkSDPSolveRoot$'
+SOLVE_BENCHTIME="${SOLVE_BENCHTIME:-100x}"
 OUT="BENCH_hotpath.json"
 
 # run_bench <dir> — emit "pkg name ns/op B/op allocs/op iters/op" per
@@ -40,7 +48,8 @@ OUT="BENCH_hotpath.json"
 run_bench() {
     (cd "$1" &&
         go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" $PKGS 2>/dev/null &&
-        go test -run '^$' -bench "$LOOP_BENCHES" -benchmem -benchtime "$LOOP_BENCHTIME" ./internal/lp 2>/dev/null) |
+        go test -run '^$' -bench "$LOOP_BENCHES" -benchmem -benchtime "$LOOP_BENCHTIME" ./internal/lp 2>/dev/null &&
+        go test -run '^$' -bench "$SOLVE_BENCHES" -benchmem -benchtime "$SOLVE_BENCHTIME" ./internal/sdp 2>/dev/null) |
         awk '/^pkg:/ { pkg = $2 }
              $1 ~ /^Benchmark/ && $NF == "allocs/op" {
                  name = $1; sub(/-[0-9]+$/, "", name)
