@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the full verification gate.
 
-.PHONY: build test lint lint-json lint-fix-list race flake fmt check bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
+.PHONY: build test lint lint-json lint-fix-list race flake fmt check loc bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
 
 build:
 	go build ./...
@@ -35,10 +35,16 @@ race:
 	go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/...
 
 # flake is the nightly flake gate: -race -count=20 -cpu=1,2,4 over the
-# packages whose tests are timing-clean (see scripts/flake.sh for the set
-# and for what is still excluded).
+# packages with timing-sensitive tests (see scripts/flake.sh for the set;
+# nothing is skipped).
 flake:
 	./scripts/flake.sh
+
+# loc prints the system's size — non-test Go lines outside bench/ and
+# testdata/, per package and in total: the number ROADMAP item 6 is
+# measured in.
+loc:
+	./scripts/loc.sh
 
 fmt:
 	gofmt -w .
@@ -58,8 +64,9 @@ trace-smoke:
 # loopback TCP (comm/net transport), leaving one Lamport-clocked trace
 # per process. Each per-rank trace must validate on its own, the merged
 # causal timeline must pass the cross-rank validator, and every analytics
-# view must render from it. Needs a built binary: self-spawn re-invokes
-# argv[0].
+# view must render from it. The same checks then run on ugmisdp, which
+# is the same harness (internal/cli) around a different App. Needs built
+# binaries: self-spawn re-invokes argv[0].
 net-smoke:
 	go build -o /tmp/ugsteiner-net ./cmd/ugsteiner
 	go build -o /tmp/ugtrace-net ./cmd/ugtrace
@@ -70,6 +77,12 @@ net-smoke:
 	/tmp/ugtrace-net -merge -validate /tmp/ug-net-smoke.trace /tmp/ug-net-smoke.trace.rank1 /tmp/ug-net-smoke.trace.rank2
 	/tmp/ugtrace-net -merge -o /tmp/ug-net-smoke.merged /tmp/ug-net-smoke.trace /tmp/ug-net-smoke.trace.rank1 /tmp/ug-net-smoke.trace.rank2
 	/tmp/ugtrace-net -gantt -load -critpath -bounds /tmp/ug-net-smoke.merged
+	go build -o /tmp/ugmisdp-net ./cmd/ugmisdp
+	/tmp/ugmisdp-net -family ttd -net-procs 2 -trace /tmp/ug-net-smoke-misdp.trace -stats
+	/tmp/ugtrace-net -validate /tmp/ug-net-smoke-misdp.trace
+	/tmp/ugtrace-net -validate /tmp/ug-net-smoke-misdp.trace.rank1
+	/tmp/ugtrace-net -validate /tmp/ug-net-smoke-misdp.trace.rank2
+	/tmp/ugtrace-net -merge -validate /tmp/ug-net-smoke-misdp.trace /tmp/ug-net-smoke-misdp.trace.rank1 /tmp/ug-net-smoke-misdp.trace.rank2
 
 # telemetry-smoke checks the whole live telemetry plane on a real solve
 # run with -pprof and -watchdog: /statusz, a 1-second CPU profile,

@@ -34,33 +34,18 @@ func main() {
 
 	var s *steiner.SPG
 	if *named != "" {
-		s = puc.Named(*named)
-		if s == nil {
+		if s = puc.Named(*named); s == nil {
 			fmt.Fprintf(os.Stderr, "stpgen: unknown named instance %q\n", *named)
 			os.Exit(2)
 		}
 	} else {
-		switch *family {
-		case "hc":
-			if *terminals > 0 {
-				s = puc.HypercubeT(*d, *terminals, *perturbed, *seed)
-			} else {
-				s = puc.Hypercube(*d, *perturbed, *seed)
-			}
-		case "cc":
-			t := *terminals
-			if t == 0 {
-				t = 8
-			}
-			s = puc.CodeCover(*d, *a, t, *perturbed, *seed)
-		case "bip":
-			t := *terminals
-			if t == 0 {
-				t = 16
-			}
-			s = puc.Bipartite(t, *steinerN, *deg, *perturbed, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "stpgen: unknown family %q\n", *family)
+		var err error
+		s, _, err = puc.Generate(puc.Params{
+			Family: *family, D: *d, A: *a, Terminals: *terminals, Steiner: *steinerN, Deg: *deg,
+			Perturbed: *perturbed, Seed: *seed,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "stpgen:", err)
 			os.Exit(2)
 		}
 	}

@@ -3,7 +3,9 @@
 // CBLIB application families (truss topology design, cardinality-
 // constrained least squares, minimum k-partitioning), then solves it
 // either sequentially (LP or SDP mode) or in parallel with the racing
-// LP/SDP hybrid.
+// LP/SDP hybrid. Everything but the instance flags is the shared run
+// harness, internal/cli, so the distributed, tracing and forensics
+// flags are ugsteiner's.
 //
 // Usage:
 //
@@ -16,343 +18,43 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime/pprof"
-	"syscall"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/misdp"
 	"repro/internal/misdp/testsets"
-	"repro/internal/obs"
-	"repro/internal/ug"
-	"repro/internal/ug/comm"
-	netcomm "repro/internal/ug/comm/net"
 )
 
 func main() {
-	var (
-		family     = flag.String("family", "ttd", "instance family: ttd, cls, mkp")
-		n          = flag.Int("n", 0, "size parameter (bars / features / vertices; 0 = default)")
-		k          = flag.Int("k", 0, "cardinality / partition classes (0 = default)")
-		seed       = flag.Int64("seed", 1, "instance seed")
-		workers    = flag.Int("workers", 4, "number of ParaSolvers")
-		racing     = flag.Bool("racing", true, "use racing ramp-up (the LP/SDP hybrid)")
-		mode       = flag.String("mode", "hybrid", "solution mode: lp, sdp, hybrid (racing)")
-		timeLimit  = flag.Float64("time", 0, "time limit in seconds")
-		seq        = flag.Bool("sequential", false, "run the sequential solver instead of UG")
-		tracePath  = flag.String("trace", "", "write a JSONL event trace to this file (render with ugtrace)")
-		stats      = flag.Bool("stats", false, "print the full run-statistics and metrics tables")
-		profile    = flag.String("profile", "", "write a CPU profile to this file")
-		netListen  = flag.String("net-listen", "", "run as distributed coordinator: rendezvous address to listen on (host:port, :0 = any)")
-		netConnect = flag.String("net-connect", "", "run as distributed worker: coordinator address to dial")
-		rank       = flag.Int("rank", 0, "this worker's rank (with -net-connect; 1-based)")
-		netProcs   = flag.Int("net-procs", 0, "single-machine distributed mode: self-spawn N worker processes")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /statusz, Prometheus /metrics and the /events SSE stream on this address during the solve")
-		watchdog   = flag.Duration("watchdog", 0, "stall watchdog: after this long without progress events, emit watchdog.stall and write a goroutine dump (0 = off)")
-		forensics  = flag.String("forensics", "", "directory for post-mortem forensics bundles (default: <trace>.postmortem when -trace is set, else ug-postmortem)")
-
-		// Fault-injection hooks for the post-mortem smoke tests — they
-		// crash or stall a healthy run on purpose so the forensics
-		// pipeline can be exercised end to end.
-		testPanicRank = flag.Int("test-panic-rank", 0, "fault injection: this in-process worker rank panics on its first subproblem (0 = off)")
-		testDelayTerm = flag.Duration("test-delay-term", 0, "fault injection: a net worker delays its first outgoing terminated frame by this long, stalling the coordinator (0 = off)")
-	)
+	family := flag.String("family", "ttd", "instance family: ttd, cls, mkp")
+	n := flag.Int("n", 0, "size parameter (bars / features / vertices; 0 = default)")
+	k := flag.Int("k", 0, "cardinality / partition classes (0 = default)")
+	mode := flag.String("mode", "hybrid", "solution mode: lp, sdp, hybrid (racing)")
+	run := cli.Register(flag.CommandLine, true)
 	flag.Parse()
 
-	if *profile != "" {
-		pf, err := os.Create(*profile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
-	}
-	extra := map[string]string{
-		"family": *family, "n": fmt.Sprint(*n), "k": fmt.Sprint(*k),
-		"seed": fmt.Sprint(*seed), "workers": fmt.Sprint(*workers),
-	}
-	tele := newTelemetry(*tracePath, *pprofAddr, *forensics, *watchdog, extra)
-	tracer := tele.tracer
-	var fault *netcomm.FaultPlan
-	if *testDelayTerm > 0 {
-		fault = netcomm.NewFaultPlan(netcomm.FaultRule{
-			Tag: comm.TagTerminated, Nth: 1, Action: netcomm.FaultDelay, Delay: *testDelayTerm,
-		})
-	}
-	// The sequential solver has no cooperative stop channel; leaving the
-	// default signal disposition there keeps ^C an immediate exit.
-	var cancel <-chan struct{}
-	if !*seq {
-		cancel = cancelOnSignal("ugmisdp")
-	}
-
-	var inst *misdp.MISDP
-	switch *family {
-	case "ttd":
-		bars, dim := 8, 4
-		if *n > 0 {
-			bars = *n
-		}
-		inst = testsets.TTD(dim, bars, 2, *seed)
-	case "cls":
-		features, kk := 6, 3
-		if *n > 0 {
-			features = *n
-		}
-		if *k > 0 {
-			kk = *k
-		}
-		inst = testsets.CLS(features, features+2, kk, *seed)
-	case "mkp":
-		verts, kk := 7, 3
-		if *n > 0 {
-			verts = *n
-		}
-		if *k > 0 {
-			kk = *k
-		}
-		inst = testsets.MkP(verts, kk, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "ugmisdp: unknown family %q\n", *family)
+	inst, _, err := testsets.ByFamily(*family, *n, *k, run.Seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ugmisdp:", err)
 		os.Exit(2)
 	}
-	mkApp := func() core.App {
-		if *mode == "lp" {
-			return misdp.NewAppLP(inst, 16)
-		}
-		return misdp.NewApp(inst, 16)
+	// Settings[0] — what a sequential solve and every non-racing
+	// ParaSolver use — is the SDP configuration unless -mode lp.
+	app := misdp.NewApp(inst, 16)
+	if *mode == "lp" {
+		app = misdp.NewAppLP(inst, 16)
 	}
-	// A worker process generates the same instance from the same flags,
-	// presolves it locally, and serves subproblems until termination.
-	// With -trace it writes its own per-rank JSONL trace for
-	// `ugtrace -merge`; with -pprof it exposes its own debug server;
-	// with -watchdog it arms its own stall watchdog.
-	if *netConnect != "" {
-		err := core.RunNetWorker(mkApp(), core.NetRun{
-			Connect: *netConnect, Rank: *rank, Seed: *seed,
-			Trace: tracer, Metrics: tele.reg, Cancel: cancel,
-			Bus: tele.bus, Watchdog: *watchdog, StallDumpPath: tele.dump,
-			Capture: tele.capture, Fault: fault,
-		})
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("instance %s: %d variables, %d blocks, %d rows\n",
-		inst.Name, inst.M, len(inst.Blocks), len(inst.Rows))
-
-	if *seq {
-		set := misdp.SDPSettings()
-		if *mode == "lp" {
-			set = misdp.LPSettings()
-		}
-		set.TimeLimit = *timeLimit
-		app := misdp.NewApp(inst, 4)
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Bus: tele.bus, Tracer: tracer, Quiet: *watchdog, DumpPath: tele.dump,
-			Capture: tele.capture,
-		})
-		solver, st, _ := core.SolveSequentialTraced(app, set, tracer)
-		wd.Stop()
-		if err := tracer.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("status   %v\n", st)
-		if solver.Incumbent() != nil {
-			fmt.Printf("objective %.6g (max form)\n", -solver.Incumbent().Obj)
-		}
-		fmt.Printf("nodes    %d\n", solver.Stats.Nodes)
-		if *stats {
-			fmt.Println("\n--- solver statistics ---")
-			ss := solver.Stats
-			for _, row := range []struct {
-				name  string
-				value int64
-			}{
-				{"nodes", ss.Nodes},
-				{"LP iterations", ss.LPIterations},
-				{"cuts added", ss.CutsAdded},
-				{"solutions found", ss.SolsFound},
-				{"max depth", int64(ss.MaxDepth)},
-				{"propagator fixings", ss.PropFixings},
-			} {
-				fmt.Printf("%-18s  %d\n", row.name, row.value)
-			}
-			ph := solver.Stats.Phases
-			fmt.Printf("%-18s  LP %.3f  relax %.3f  sepa %.3f  heur %.3f  prop %.3f\n",
-				"phase times (s)", ph.LP, ph.Relax, ph.Separation, ph.Heuristics, ph.Propagation)
-		}
-		return
-	}
-
-	app := mkApp()
-	cfg := ug.Config{
-		Workers: *workers, TimeLimit: *timeLimit, Trace: tracer, Metrics: tele.reg, Cancel: cancel,
-		Capture: tele.capture, TestPanicRank: *testPanicRank,
-	}
-	if *racing || *mode == "hybrid" {
-		cfg.RampUp = ug.RampUpRacing
-		cfg.RacingTime = 0.3
-	}
-	reg := tele.reg
-	var res *ug.Result
-	var err error
-	if *netListen != "" || *netProcs > 0 {
-		workerArgs := []string{
-			"-family", *family, "-n", fmt.Sprint(*n), "-k", fmt.Sprint(*k),
-			"-seed", fmt.Sprint(*seed), "-mode", *mode,
-		}
-		if *testDelayTerm > 0 {
-			workerArgs = append(workerArgs, "-test-delay-term", testDelayTerm.String())
-		}
-		res, _, err = core.SolveNetParallel(app, cfg, core.NetRun{
-			Listen:             *netListen,
-			Procs:              *netProcs,
-			WorkerArgs:         workerArgs,
-			Seed:               *seed,
-			WorkerTraceBase:    *tracePath,
-			Bus:                tele.bus,
-			Watchdog:           *watchdog,
-			StallDumpPath:      tele.dump,
-			Capture:            tele.capture,
-			WorkerForensicsDir: tele.capture.Dir,
-		})
-	} else {
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Bus: tele.bus, Tracer: tracer, Quiet: *watchdog, DumpPath: tele.dump,
-			Capture: tele.capture,
-		})
-		res, _, err = core.SolveParallel(app, cfg)
-		wd.Stop()
-	}
-	if cerr := tracer.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
+	run.Racing = run.Racing || *mode == "hybrid"
+	err = run.Run(cli.Program{
+		Name:         "ugmisdp",
+		App:          app,
+		InstanceArgs: []string{"-family", *family, "-n", fmt.Sprint(*n), "-k", fmt.Sprint(*k), "-mode", *mode},
+		Banner: fmt.Sprintf("instance %s: %d variables, %d blocks, %d rows",
+			inst.Name, inst.M, len(inst.Blocks), len(inst.Rows)),
+		RacingTime: 0.3,
+		MaxForm:    true,
+	}, os.Stdout, os.Stderr)
 	if err != nil {
-		fatal(err)
-	}
-	st := res.Stats
-	switch {
-	case res.Optimal:
-		fmt.Printf("status   optimal\nobjective %.6g (max form)\n", -res.Obj)
-	case res.Infeasible:
-		fmt.Println("status   infeasible")
-	default:
-		fmt.Printf("status   interrupted (primal %.6g dual %.6g, max form)\n",
-			-st.FinalPrimal, -st.FinalDual)
-	}
-	fmt.Printf("time     %.2fs, nodes %d, transferred %d\n", st.Time, st.TotalNodes, st.Dispatched)
-	if st.RacingWinner >= 0 {
-		fmt.Printf("racing   winner settings %d (%s)\n", st.RacingWinner, st.RacingWinnerName)
-	}
-	if *stats {
-		fmt.Println("\n--- run statistics ---")
-		if err := ug.FormatStats(os.Stdout, st); err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n--- metrics ---")
-		if err := obs.WriteTable(os.Stdout, reg.Snapshot()); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// telemetry bundles one process's observability plumbing: the tracer
-// (over the recorder, the file sink, the live bus, or all three), the
-// bus live subscribers attach to, the always-on flight recorder, the
-// metrics registry, the forensics capturer every failure edge bundles
-// through, and the watchdog's dump path.
-type telemetry struct {
-	tracer  *obs.Tracer
-	bus     *obs.Bus
-	rec     *obs.Recorder
-	reg     *obs.Registry
-	capture *obs.Capturer
-	dump    string
-}
-
-// newTelemetry wires the telemetry plane from the CLI flags. The file
-// sink (when -trace is given) stays the authoritative trace: the flight
-// recorder tees in front of it (forwarding downstream first, so the
-// file bytes are identical either way), and the bus tees in front of
-// the recorder only when something live wants events (-pprof's /events
-// stream or the -watchdog). The recorder and the metrics registry are
-// always on — that is what makes a post-mortem bundle useful on a run
-// that had no -trace — and the capturer is what every failure edge
-// (panic, watchdog stall, run error) writes its bundle through. With
-// -pprof it also starts the debug server (which lives until process
-// exit) serving pprof, /statusz, /metrics and /events.
-func newTelemetry(tracePath, pprofAddr, forensics string, watchdog time.Duration, extra map[string]string) telemetry {
-	var t telemetry
-	t.reg = obs.NewRegistry()
-	var sink obs.Sink
-	if tracePath != "" {
-		fs, err := obs.NewFileSink(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		sink = fs
-	}
-	t.rec = obs.NewRecorder(sink, 0)
-	sink = t.rec
-	if pprofAddr != "" || watchdog > 0 {
-		t.bus = obs.NewBus(sink, t.reg)
-		sink = t.bus
-	}
-	t.tracer = obs.NewTracer(sink)
-	if forensics == "" {
-		forensics = "ug-postmortem"
-		if tracePath != "" {
-			forensics = tracePath + ".postmortem"
-		}
-	}
-	t.capture = &obs.Capturer{Dir: forensics, Recorder: t.rec, Registry: t.reg, Extra: extra}
-	if watchdog > 0 {
-		t.dump = "ug-stall-goroutines.txt"
-		if tracePath != "" {
-			t.dump = tracePath + ".stall-goroutines"
-		}
-	}
-	if pprofAddr != "" {
-		ds, err := obs.StartDebugServer(pprofAddr, t.reg, t.bus)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/debug/pprof/, /statusz, /metrics, /events)\n", ds.Addr())
-	}
-	return t
-}
-
-// cancelOnSignal returns a channel closed on the first SIGINT/SIGTERM.
-// The solve stops cooperatively — the coordinator runs its ordinary stop
-// protocol, a net worker closes its comm after a short grace — so the
-// trace file is complete (run.start … run.end) and validates instead of
-// being truncated mid-write. A second signal force-exits.
-func cancelOnSignal(name string) <-chan struct{} {
-	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		got := <-sig
-		fmt.Fprintf(os.Stderr, "%s: %v — stopping cooperatively (signal again to force quit)\n", name, got)
-		close(cancel)
-		<-sig
+		fmt.Fprintln(os.Stderr, "ugmisdp:", err)
 		os.Exit(1)
-	}()
-	return cancel
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ugmisdp:", err)
-	os.Exit(1)
+	}
 }

@@ -2,7 +2,8 @@
 // ug[SCIP-Jack,*] binary. It reads a SteinLib .stp file (or generates a
 // named PUC-family analogue), runs the UG-parallelized SCIP-Jack
 // pipeline, and reports the solution plus the coordination statistics
-// the paper's tables are built from.
+// the paper's tables are built from. Everything but the instance flags
+// is the shared run harness, internal/cli.
 //
 // Usage:
 //
@@ -22,313 +23,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime/pprof"
-	"syscall"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/steiner"
 	"repro/internal/steiner/puc"
-	"repro/internal/ug"
-	"repro/internal/ug/comm"
-	netcomm "repro/internal/ug/comm/net"
 )
 
 func main() {
-	var (
-		file       = flag.String("file", "", "SteinLib .stp file to solve")
-		instance   = flag.String("instance", "", "named PUC-family analogue (cc3-4p, cc3-5u, cc5-3p, hc6u, hc6p, hc7u, hc7p, hc10p, bip52u)")
-		workers    = flag.Int("workers", 4, "number of ParaSolvers")
-		racing     = flag.Bool("racing", false, "use racing ramp-up")
-		timeLimit  = flag.Float64("time", 0, "time limit in seconds (0 = none)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint file to write")
-		restart    = flag.String("restart", "", "checkpoint file to restore")
-		commKind   = flag.String("comm", "channel", "communicator: channel (shared memory) or gob (serialized, MPI-like)")
-		tracePath  = flag.String("trace", "", "write a JSONL coordination-event trace to this file (render with ugtrace)")
-		stats      = flag.Bool("stats", false, "print the full run-statistics and metrics tables")
-		profile    = flag.String("profile", "", "write a CPU profile to this file")
-		netListen  = flag.String("net-listen", "", "run as distributed coordinator: rendezvous address to listen on (host:port, :0 = any)")
-		netConnect = flag.String("net-connect", "", "run as distributed worker: coordinator address to dial")
-		rank       = flag.Int("rank", 0, "this worker's rank (with -net-connect; 1-based)")
-		netProcs   = flag.Int("net-procs", 0, "single-machine distributed mode: self-spawn N worker processes")
-		seed       = flag.Int64("seed", 1, "seed for the transport's retry jitter")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /statusz, Prometheus /metrics and the /events SSE stream on this address during the solve")
-		watchdog   = flag.Duration("watchdog", 0, "stall watchdog: after this long without progress events, emit watchdog.stall and write a goroutine dump (0 = off)")
-		forensics  = flag.String("forensics", "", "directory for post-mortem forensics bundles (default: <trace>.postmortem when -trace is set, else ug-postmortem)")
-
-		// Fault-injection hooks for the post-mortem smoke tests — they
-		// crash or stall a healthy run on purpose so the forensics
-		// pipeline can be exercised end to end.
-		testPanicRank = flag.Int("test-panic-rank", 0, "fault injection: this in-process worker rank panics on its first subproblem (0 = off)")
-		testDelayTerm = flag.Duration("test-delay-term", 0, "fault injection: a net worker delays its first outgoing terminated frame by this long, stalling the coordinator (0 = off)")
-	)
+	file := flag.String("file", "", "SteinLib .stp file to solve")
+	instance := flag.String("instance", "", "named PUC-family analogue (cc3-4p, cc3-5u, cc5-3p, hc6u, hc6p, hc7u, hc7p, hc10p, bip52u)")
+	run := cli.Register(flag.CommandLine, false)
 	flag.Parse()
 
-	if *profile != "" {
-		pf, err := os.Create(*profile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
-	}
-
-	var spg *steiner.SPG
+	var (
+		spg  *steiner.SPG
+		err  error
+		args = []string{"-instance", *instance} // the flag that names the instance
+	)
 	switch {
 	case *file != "":
-		f, err := os.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		spg, err = steiner.ReadSTP(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		args = []string{"-file", *file}
+		spg, err = readSTP(*file)
 	case *instance != "":
-		spg = puc.Named(*instance)
-		if spg == nil {
-			fatal(fmt.Errorf("unknown instance %q", *instance))
+		if spg = puc.Named(*instance); spg == nil {
+			err = fmt.Errorf("unknown instance %q", *instance)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	extra := map[string]string{"seed": fmt.Sprint(*seed), "workers": fmt.Sprint(*workers)}
-	if *instance != "" {
-		extra["instance"] = *instance
-	}
-	if *file != "" {
-		extra["file"] = *file
-	}
-	tele := newTelemetry(*tracePath, *pprofAddr, *forensics, *watchdog, extra)
-	cancel := cancelOnSignal("ugsteiner")
-
-	var fault *netcomm.FaultPlan
-	if *testDelayTerm > 0 {
-		fault = netcomm.NewFaultPlan(netcomm.FaultRule{
-			Tag: comm.TagTerminated, Nth: 1, Action: netcomm.FaultDelay, Delay: *testDelayTerm,
-		})
-	}
-
-	// A worker process has no output of its own: it presolves its copy of
-	// the instance, serves subproblems, and exits with the coordinator.
-	// With -trace it writes its own per-rank JSONL trace (the self-spawn
-	// coordinator passes `-trace <base>.rank<N>` automatically) for
-	// `ugtrace -merge`; with -pprof it exposes its own debug server; with
-	// -watchdog it arms its own stall watchdog.
-	if *netConnect != "" {
-		err := core.RunNetWorker(steiner.NewApp(spg), core.NetRun{
-			Connect: *netConnect, Rank: *rank, Seed: *seed,
-			Trace: tele.tracer, Metrics: tele.reg, Cancel: cancel,
-			Bus: tele.bus, Watchdog: *watchdog, StallDumpPath: tele.dump,
-			Capture: tele.capture, Fault: fault,
-		})
-		if cerr := tele.tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	cfg := ug.Config{
-		Workers:        *workers,
-		TimeLimit:      *timeLimit,
-		CheckpointPath: *checkpoint,
-		RestartFrom:    *restart,
-		Trace:          tele.tracer,
-		Metrics:        tele.reg,
-		Cancel:         cancel,
-		Capture:        tele.capture,
-		TestPanicRank:  *testPanicRank,
-	}
-	if *racing {
-		cfg.RampUp = ug.RampUpRacing
-		cfg.RacingTime = 0.5
-	}
-	if *commKind == "gob" {
-		cfg.Comm = comm.NewGobComm(*workers + 1)
-	}
-	reg := tele.reg
-
-	fmt.Printf("instance %s: %d vertices, %d edges, %d terminals\n",
-		spg.Name, spg.G.AliveVertices(), spg.G.AliveEdges(), spg.NumTerminals())
-	var res *ug.Result
-	var factory *core.Factory
-	var err error
-	if *netListen != "" || *netProcs > 0 {
-		workerArgs := []string{"-seed", fmt.Sprint(*seed)}
-		if *file != "" {
-			workerArgs = append(workerArgs, "-file", *file)
-		} else {
-			workerArgs = append(workerArgs, "-instance", *instance)
-		}
-		if *testDelayTerm > 0 {
-			workerArgs = append(workerArgs, "-test-delay-term", testDelayTerm.String())
-		}
-		res, factory, err = core.SolveNetParallel(steiner.NewApp(spg), cfg, core.NetRun{
-			Listen:             *netListen,
-			Procs:              *netProcs,
-			WorkerArgs:         workerArgs,
-			Seed:               *seed,
-			WorkerTraceBase:    *tracePath,
-			Bus:                tele.bus,
-			Watchdog:           *watchdog,
-			StallDumpPath:      tele.dump,
-			Capture:            tele.capture,
-			WorkerForensicsDir: tele.capture.Dir,
-		})
-	} else {
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Bus: tele.bus, Tracer: tele.tracer, Quiet: *watchdog, DumpPath: tele.dump,
-			Capture: tele.capture,
-		})
-		res, factory, err = core.SolveParallel(steiner.NewApp(spg), cfg)
-		wd.Stop()
-	}
-	if cerr := cfg.Trace.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	if err != nil {
 		fatal(err)
 	}
-	report(res, factory.ObjOffset())
-	if *stats {
-		fmt.Println("\n--- run statistics ---")
-		if err := ug.FormatStats(os.Stdout, res.Stats); err != nil {
-			fatal(err)
-		}
-		fmt.Println("\n--- metrics ---")
-		if err := obs.WriteTable(os.Stdout, reg.Snapshot()); err != nil {
-			fatal(err)
-		}
+	err = run.Run(cli.Program{
+		Name:         "ugsteiner",
+		App:          steiner.NewApp(spg),
+		InstanceArgs: args,
+		Banner: fmt.Sprintf("instance %s: %d vertices, %d edges, %d terminals",
+			spg.Name, spg.G.AliveVertices(), spg.G.AliveEdges(), spg.NumTerminals()),
+		RacingTime: 0.5,
+	}, os.Stdout, os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
-}
-
-func report(res *ug.Result, offset float64) {
-	st := res.Stats
-	switch {
-	case res.Optimal:
-		fmt.Printf("status   optimal\nobjective %.6g\n", res.Obj+offset)
-	case res.Infeasible:
-		fmt.Println("status   infeasible")
-	default:
-		fmt.Printf("status   interrupted\nprimal   %.6g\ndual     %.6g\n",
-			st.FinalPrimal+offset, st.FinalDual+offset)
-	}
-	fmt.Printf("time     %.2fs (root %.2fs)\n", st.Time, st.RootTime)
-	fmt.Printf("nodes    %d total, %d open at end, %d transferred, %d collected\n",
-		st.TotalNodes, st.OpenAtEnd, st.Dispatched, st.Collected)
-	fmt.Printf("solvers  max active %d (first at %.2fs)\n", st.MaxActive, st.FirstMaxActiveTime)
-	if st.CheckpointErrors > 0 {
-		fmt.Printf("warning  %d checkpoint save(s) failed; the file on disk may be stale\n",
-			st.CheckpointErrors)
-	}
-	if st.RacingWinner >= 0 {
-		fmt.Printf("racing   winner settings %d (%s), solved in racing: %v\n",
-			st.RacingWinner, st.RacingWinnerName, st.SolvedInRacing)
-	}
-	for i, r := range st.IdleRatio {
-		fmt.Printf("idle[%d]  %.1f%%\n", i+1, 100*r)
-	}
-}
-
-// telemetry bundles one process's observability plumbing: the tracer
-// (over the recorder, the file sink, the live bus, or all three), the
-// bus live subscribers attach to, the always-on flight recorder, the
-// metrics registry, the forensics capturer every failure edge bundles
-// through, and the watchdog's dump path.
-type telemetry struct {
-	tracer  *obs.Tracer
-	bus     *obs.Bus
-	rec     *obs.Recorder
-	reg     *obs.Registry
-	capture *obs.Capturer
-	dump    string
-}
-
-// newTelemetry wires the telemetry plane from the CLI flags. The file
-// sink (when -trace is given) stays the authoritative trace: the flight
-// recorder tees in front of it (forwarding downstream first, so the
-// file bytes are identical either way), and the bus tees in front of
-// the recorder only when something live wants events (-pprof's /events
-// stream or the -watchdog). The recorder and the metrics registry are
-// always on — that is what makes a post-mortem bundle useful on a run
-// that had no -trace — and the capturer is what every failure edge
-// (panic, watchdog stall, run error) writes its bundle through. With
-// -pprof it also starts the debug server (which lives until process
-// exit) serving pprof, /statusz, /metrics and /events.
-func newTelemetry(tracePath, pprofAddr, forensics string, watchdog time.Duration, extra map[string]string) telemetry {
-	var t telemetry
-	t.reg = obs.NewRegistry()
-	var sink obs.Sink
-	if tracePath != "" {
-		fs, err := obs.NewFileSink(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		sink = fs
-	}
-	t.rec = obs.NewRecorder(sink, 0)
-	sink = t.rec
-	if pprofAddr != "" || watchdog > 0 {
-		t.bus = obs.NewBus(sink, t.reg)
-		sink = t.bus
-	}
-	t.tracer = obs.NewTracer(sink)
-	if forensics == "" {
-		forensics = "ug-postmortem"
-		if tracePath != "" {
-			forensics = tracePath + ".postmortem"
-		}
-	}
-	t.capture = &obs.Capturer{Dir: forensics, Recorder: t.rec, Registry: t.reg, Extra: extra}
-	if watchdog > 0 {
-		t.dump = "ug-stall-goroutines.txt"
-		if tracePath != "" {
-			t.dump = tracePath + ".stall-goroutines"
-		}
-	}
-	if pprofAddr != "" {
-		ds, err := obs.StartDebugServer(pprofAddr, t.reg, t.bus)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/debug/pprof/, /statusz, /metrics, /events)\n", ds.Addr())
-	}
-	return t
-}
-
-// cancelOnSignal returns a channel closed on the first SIGINT/SIGTERM.
-// The solve stops cooperatively — the coordinator runs its ordinary stop
-// protocol, a net worker closes its comm after a short grace — so the
-// trace file is complete (run.start … run.end) and validates instead of
-// being truncated mid-write. A second signal force-exits.
-func cancelOnSignal(name string) <-chan struct{} {
-	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		got := <-sig
-		fmt.Fprintf(os.Stderr, "%s: %v — stopping cooperatively (signal again to force quit)\n", name, got)
-		close(cancel)
-		<-sig
-		os.Exit(1)
-	}()
-	return cancel
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ugsteiner:", err)
 	os.Exit(1)
+}
+
+func readSTP(path string) (*steiner.SPG, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return steiner.ReadSTP(f)
 }

@@ -1,9 +1,9 @@
 // MIP example: the FiberSCIP analogue. A plain mixed-integer program —
 // a generalized assignment problem — is solved by the scip framework
-// sequentially and then in parallel through UG with both communicators:
-// shared-memory channels (ug[SCIP,C++11]-style) and the gob-serialized
-// layer (ug[SCIP,MPI]-style), demonstrating that the base solver is
-// parallelized without any problem-specific glue.
+// sequentially and then in parallel through UG over the shared-memory
+// communicator (ug[SCIP,C++11]-style), demonstrating that the base solver
+// is parallelized without any problem-specific glue. (The distributed,
+// ug[SCIP,MPI]-style transport is comm/net; see `ugsteiner -net-procs`.)
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/scip"
 	"repro/internal/ug"
-	"repro/internal/ug/comm"
 )
 
 // buildGAP creates a generalized assignment problem: assign jobs to
@@ -62,18 +61,11 @@ func main() {
 	fmt.Printf("sequential:        status=%v cost=%g nodes=%d in %.2fs\n",
 		st, seq.Incumbent().Obj, seq.Stats.Nodes, time.Since(start).Seconds())
 
-	for _, mode := range []string{"channels (FiberSCIP-style)", "gob/MPI (ParaSCIP-style)"} {
-		cfg := ug.Config{Workers: 4}
-		if mode[0] == 'g' {
-			cfg.Comm = comm.NewGobComm(5)
-		}
-		start = time.Now()
-		res, _, err := core.SolveParallel(core.App{Name: "gap", Data: prob}, cfg)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("parallel %-24s optimal=%v cost=%g nodes=%d transferred=%d in %.2fs\n",
-			mode+":", res.Optimal, res.Obj, res.Stats.TotalNodes,
-			res.Stats.Dispatched, time.Since(start).Seconds())
+	start = time.Now()
+	res, _, err := core.SolveParallel(core.App{Name: "gap", Data: prob}, ug.Config{Workers: 4})
+	if err != nil {
+		panic(err)
 	}
+	fmt.Printf("parallel (4 ParaSolvers): optimal=%v cost=%g nodes=%d transferred=%d in %.2fs\n",
+		res.Optimal, res.Obj, res.Stats.TotalNodes, res.Stats.Dispatched, time.Since(start).Seconds())
 }

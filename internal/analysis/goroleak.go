@@ -14,7 +14,7 @@ import (
 // done/quit/stop/cancel channel, a context, a closed flag). In the UG
 // layer every ParaSolver goroutine must unwind when the LoadCoordinator
 // broadcasts termination — a leaked worker keeps the run alive and, in
-// the MPI-style GobComm configuration, wedges rank teardown.
+// a distributed (comm/net) run, wedges rank teardown.
 //
 // The check is deliberately evidence-based rather than a reachability
 // proof: a loop that listens on anything termination-named, or that can

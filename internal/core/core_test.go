@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/obs"
 	"repro/internal/scip"
 	"repro/internal/ug"
 	"repro/internal/ug/comm"
+	"repro/internal/ug/comm/net/nettest"
 )
 
 func knapsackProb(values, weights []float64, capacity float64) *scip.Prob {
@@ -66,22 +68,47 @@ func mipApp(values, weights []float64, capacity float64) App {
 	}
 }
 
+// SolveDistributed is SolveParallel over a loopback comm/net roster
+// (nettest.Run): every payload — subproblems with their branching
+// decisions, solutions, status reports — crosses the real transport's
+// frame codec, and every rank builds and presolves its own App (mkApp
+// is called once per rank: a ProblemDef may keep presolve state), as
+// each process of a distributed run does. Exported for the external
+// tests in this directory that put a full application through the wire.
+func SolveDistributed(t testing.TB, mkApp func() App, workers int, cfg ug.Config) (res *ug.Result, f *Factory, err error) {
+	t.Helper()
+	f = NewFactory(mkApp())
+	nettest.Run(t, workers, nil, nil,
+		func(rank int, wc comm.Comm, _ *obs.Tracer) {
+			wf := NewFactory(mkApp())
+			if _, _, err := wf.GlobalPresolve(); err != nil {
+				t.Errorf("worker %d presolve: %v", rank, err)
+				return
+			}
+			ug.RunWorker(rank, wc, wf, nil)
+		},
+		func(c comm.Comm) {
+			cfg.Workers, cfg.Comm, cfg.RemoteWorkers = workers, c, true
+			res, err = ug.Run(f, cfg)
+		})
+	return res, f, err
+}
+
 // Parallel solve must match brute force for 1, 2 and 4 workers on both
-// communicators — the FiberSCIP (channels) and ParaSCIP (gob "MPI")
-// configurations of the same code.
+// communicators — the FiberSCIP (shared-memory channels) and ParaSCIP
+// (distributed: the comm/net transport on 127.0.0.1) configurations of
+// the same code.
 func TestParallelKnapsackMatchesBruteForce(t *testing.T) {
 	for trial := int64(0); trial < 6; trial++ {
 		values, weights, capacity := randomInstance(100+trial, 14)
 		want := bruteKnapsack(values, weights, capacity)
+		app := func() App { return mipApp(values, weights, capacity) }
 		for _, workers := range []int{1, 2, 4} {
-			for _, mkComm := range []func(int) comm.Comm{
-				func(n int) comm.Comm { return comm.NewChannelComm(n) },
-				func(n int) comm.Comm { return comm.NewGobComm(n) },
+			for _, solve := range []func() (*ug.Result, *Factory, error){
+				func() (*ug.Result, *Factory, error) { return SolveParallel(app(), ug.Config{Workers: workers}) },
+				func() (*ug.Result, *Factory, error) { return SolveDistributed(t, app, workers, ug.Config{}) },
 			} {
-				res, _, err := SolveParallel(mipApp(values, weights, capacity), ug.Config{
-					Workers: workers,
-					Comm:    mkComm(workers + 1),
-				})
+				res, _, err := solve()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -189,3 +189,45 @@ func MkPWeights(vertices int, seed int64) [][]float64 {
 	}
 	return w
 }
+
+// maxSize bounds ByFamily's n: Mk-P carries n(n−1)/2 coefficient
+// matrices of order n, so memory grows with n⁴; the paper-scale
+// analogues stay below 20.
+const maxSize = 32
+
+// ByFamily is the one place a family name and the (n, k) size pair
+// become an instance — ugmisdp's flags and ugserve's misdp jobs both
+// end here. n is bars (ttd), features (cls) or vertices (mkp), k the
+// cardinality (cls) or class count (mkp); zero selects the family
+// default. It returns the instance with a canonical description of the
+// request, a pure function of the arguments, which ugserve hashes into
+// its presolve-cache key.
+func ByFamily(family string, n, k int, seed int64) (*misdp.MISDP, string, error) {
+	canonical := fmt.Sprintf("%s n=%d k=%d seed=%d", family, n, k, seed)
+	if n < 0 || n > maxSize || k < 0 {
+		return nil, "", fmt.Errorf("testsets: %s: need 0 <= n <= %d and k >= 0", canonical, maxSize)
+	}
+	or := func(v, def int) int {
+		if v == 0 {
+			return def
+		}
+		return v
+	}
+	switch family {
+	case "ttd":
+		return TTD(4, or(n, 8), 2, seed), canonical, nil
+	case "cls":
+		features, card := or(n, 6), or(k, 3)
+		if card > features {
+			return nil, "", fmt.Errorf("testsets: cls cardinality %d exceeds the %d features", card, features)
+		}
+		return CLS(features, features+2, card, seed), canonical, nil
+	case "mkp":
+		verts, classes := or(n, 7), or(k, 3)
+		if classes < 2 || classes > verts {
+			return nil, "", fmt.Errorf("testsets: mkp needs 2 <= k <= n (got k=%d, n=%d)", classes, verts)
+		}
+		return MkP(verts, classes, seed), canonical, nil
+	}
+	return nil, "", fmt.Errorf("testsets: unknown family %q (want ttd, cls, mkp)", family)
+}

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"os"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -31,17 +29,12 @@ type WatchdogConfig struct {
 	// Quiet is the window without any progress event after which the
 	// watchdog fires. Required (> 0).
 	Quiet time.Duration
-	// DumpPath, when non-empty, is the file the watchdog writes a full
-	// goroutine dump to when it fires (conventionally next to the trace
-	// file: <trace>.stall-goroutines). Overwritten on each firing, so the
-	// file always holds the most recent stall's stacks.
-	DumpPath string
 	// OnStall, when non-nil, is called after each firing with the emitted
-	// event — a test and ugserve hook.
+	// event — a test hook.
 	OnStall func(Event)
-	// Capture, when armed, upgrades the first firing of each stall
-	// episode from a bare goroutine dump into a full forensics bundle
-	// (reason "stall", detail naming the stalest rank). Re-fires of a
+	// Capture, when armed, writes a forensics bundle — goroutine dump
+	// included — on the first firing of each stall episode (reason
+	// "stall", detail naming the stalest rank). Re-fires of a
 	// persisting stall keep the periodic event trail but write no
 	// further bundles — a long hang must not fill the disk — until
 	// progress resumes and a new episode begins. The stall event is
@@ -58,7 +51,7 @@ type WatchdogConfig struct {
 // explicitly started (-watchdog), so deterministic-replay runs are
 // untouched. Stalls do not stop the run — the watchdog's job is to make
 // a wedged or straggling distributed solve *visible* (trace event, SSE
-// frame, goroutine dump) while it is still running.
+// frame, forensics bundle) while it is still running.
 type Watchdog struct {
 	cfg    WatchdogConfig
 	cancel func()
@@ -111,7 +104,10 @@ type rankActivity struct {
 // watch is the watchdog loop: fold progress events into per-rank
 // last-activity state, and on every poll tick check whether the global
 // quiet window has elapsed. The poll period is a quarter of the window
-// so a stall is detected within ~1.25 windows in the worst case.
+// so a stall is detected within ~1.25 windows in the worst case. The
+// window opens at the first observed progress event, not at start:
+// presolve and rendezvous emit none, and a stall report that names no
+// rank diagnoses nothing.
 func (w *Watchdog) watch() {
 	defer close(w.done)
 	poll := w.cfg.Quiet / 4
@@ -122,8 +118,7 @@ func (w *Watchdog) watch() {
 	defer ticker.Stop()
 
 	last := map[int]rankActivity{}
-	lastAny := time.Now() // arm from start: a run that never progresses still fires
-	var lastFire time.Time
+	var lastAny, lastFire time.Time
 	captured := false // one forensics bundle per stall episode
 	for {
 		select {
@@ -136,7 +131,7 @@ func (w *Watchdog) watch() {
 			captured = false // progress resumed: next stall is a new episode
 		case <-ticker.C:
 			now := time.Now()
-			if now.Sub(lastAny) < w.cfg.Quiet {
+			if lastAny.IsZero() || now.Sub(lastAny) < w.cfg.Quiet {
 				continue
 			}
 			// Re-fire at most once per quiet window while the stall
@@ -152,8 +147,8 @@ func (w *Watchdog) watch() {
 	}
 }
 
-// fire emits one watchdog.stall event and writes the goroutine dump;
-// firstOfEpisode gates the (heavier) forensics bundle.
+// fire emits one watchdog.stall event; firstOfEpisode gates the
+// forensics bundle.
 func (w *Watchdog) fire(last map[int]rankActivity, now time.Time, firstOfEpisode bool) {
 	ranks := make([]int, 0, len(last))
 	for r := range last {
@@ -172,20 +167,11 @@ func (w *Watchdog) fire(last map[int]rankActivity, now time.Time, firstOfEpisode
 		}
 	}
 	summary := b.String()
-	if summary == "" {
-		summary = "no progress events observed"
-	}
 	ev := Event{Kind: KindWatchdogStall, Rank: staleRank, Open: len(ranks), Str: summary}
 	if w.cfg.Tracer != nil {
 		w.cfg.Tracer.Emit(ev)
 	} else {
 		w.cfg.Bus.Publish(ev)
-	}
-	if w.cfg.DumpPath != "" {
-		if f, err := os.Create(w.cfg.DumpPath); err == nil {
-			_ = pprof.Lookup("goroutine").WriteTo(f, 2)
-			_ = f.Close()
-		}
 	}
 	if firstOfEpisode && w.cfg.Capture.Armed() {
 		_, _ = w.cfg.Capture.WriteBundle("stall",

@@ -22,28 +22,38 @@ func TestWatchdogNilSafety(t *testing.T) {
 	}
 }
 
-// TestWatchdogFiresOnStallAndWritesDump drives the full loop: progress
+// TestWatchdogFiresOnStallAndWritesBundle drives the full loop: progress
 // holds the watchdog off, silence makes it fire, the stall event lands
 // in the trace with per-rank last-activity in the payload, and the
-// goroutine dump appears on disk.
-func TestWatchdogFiresOnStallAndWritesDump(t *testing.T) {
+// stall bundle with its goroutine dump appears on disk.
+func TestWatchdogFiresOnStallAndWritesBundle(t *testing.T) {
 	sink := &MemSink{}
-	bus := NewBus(sink, nil)
+	rec := NewRecorder(sink, 0)
+	bus := NewBus(rec, nil)
 	tracer := NewTracer(bus)
-	dump := filepath.Join(t.TempDir(), "trace.jsonl.stall-goroutines")
+	capture := &Capturer{Dir: t.TempDir(), Recorder: rec}
 
 	stalled := make(chan Event, 8)
 	wd := StartWatchdog(WatchdogConfig{
-		Bus: bus, Tracer: tracer, Quiet: 150 * time.Millisecond, DumpPath: dump,
+		Bus: bus, Tracer: tracer, Quiet: 200 * time.Millisecond, Capture: capture,
 		OnStall: func(ev Event) { stalled <- ev },
 	})
 	defer wd.Stop()
 
-	// Keep emitting progress for a full quiet window: must not fire.
-	for i := 0; i < 6; i++ {
+	// Before any progress event the window is not open: silence alone
+	// must not fire (there is no rank to blame yet).
+	time.Sleep(300 * time.Millisecond)
+	if n := wd.Fires(); n != 0 {
+		t.Fatalf("watchdog fired %d time(s) before any progress was observed", n)
+	}
+
+	// Keep emitting progress for more than a quiet window: must not
+	// fire. The gaps are a tenth of the window, so a loaded -race run
+	// that oversleeps several-fold still stays inside it.
+	for i := 0; i < 12; i++ {
 		tracer.SetTick(int64(10 + i))
 		tracer.Emit(Event{Kind: KindStatus, Rank: 1 + i%2})
-		time.Sleep(30 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond)
 	}
 	if n := wd.Fires(); n != 0 {
 		t.Fatalf("watchdog fired %d time(s) during steady progress", n)
@@ -80,11 +90,15 @@ func TestWatchdogFiresOnStallAndWritesDump(t *testing.T) {
 		t.Fatal("watchdog.stall not in the trace sink")
 	}
 
-	// Goroutine dump written next to the trace, containing this test's
-	// own stack (proof it is a real full dump, not an empty file).
-	data, err := os.ReadFile(dump)
+	// The stall bundle holds the goroutine dump (real stacks, not an
+	// empty file). OnStall runs after the bundle is written.
+	dumps, _ := filepath.Glob(filepath.Join(capture.Dir, "stall-*", "goroutines.txt"))
+	if len(dumps) != 1 {
+		t.Fatalf("stall bundles with a goroutine dump: %v, want exactly one", dumps)
+	}
+	data, err := os.ReadFile(dumps[0])
 	if err != nil {
-		t.Fatalf("goroutine dump not written: %v", err)
+		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "goroutine") {
 		t.Fatalf("dump does not look like a goroutine profile (%d bytes)", len(data))
@@ -100,10 +114,11 @@ func TestWatchdogTracerlessPublishes(t *testing.T) {
 	defer cancel()
 	wd := StartWatchdog(WatchdogConfig{Bus: bus, Quiet: 60 * time.Millisecond})
 	defer wd.Stop()
+	bus.Publish(Event{Kind: KindStatus, Rank: 1, Tick: 5}) // opens the quiet window
 
 	select {
 	case ev := <-ch:
-		if ev.Kind != KindWatchdogStall || ev.Str != "no progress events observed" {
+		if ev.Kind != KindWatchdogStall || ev.Str != "rank1@5" {
 			t.Fatalf("unexpected stall event %+v", ev)
 		}
 	case <-time.After(2 * time.Second):
@@ -121,6 +136,7 @@ func TestWatchdogTracerlessPublishes(t *testing.T) {
 func TestWatchdogRefireThrottled(t *testing.T) {
 	bus := NewBus(nil, nil)
 	wd := StartWatchdog(WatchdogConfig{Bus: bus, Quiet: 100 * time.Millisecond})
+	bus.Publish(Event{Kind: KindStatus, Rank: 1}) // opens the quiet window
 	time.Sleep(450 * time.Millisecond)
 	wd.Stop()
 	// Windows elapsed: ~4.5 → at most ~4 firings; poll ticks: ~18.

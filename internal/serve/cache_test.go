@@ -61,6 +61,42 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 }
 
+// TestCacheKeysArePinned holds the key of every spec above (and of each
+// generated family with its fields omitted) to the literal value it had
+// before instance building moved behind puc.Generate and
+// testsets.ByFamily: a deployed cache, or a client comparing keys across
+// versions, must not see them move.
+func TestCacheKeysArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		sp   Spec
+		want string
+	}{
+		{Spec{Kind: "stp", STP: tinySTP}, "stp:33600be34518aa72b573610c31e2c129"},
+		{Spec{Kind: "stp", STP: tinySTP + "# trailing comment\n"}, "stp:14c8dc19feeec3d7bd53a9e08c0916ed"},
+		{Spec{Kind: "stp", Instance: "cc3-4p"}, "stp:8b2ca2183de0da90a573029945bfe582"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "cc", D: 3, Seed: 7}}, "stp:396642764798854d3045246eb2102090"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "cc", D: 3, Seed: 8}}, "stp:ff67569b01b414041bb0fb8ee23a0410"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "hc", D: 4}}, "stp:10a90fbe3860202740b1f0460ff94d04"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "hc", D: 4, Terminals: 5, Perturbed: true}}, "stp:188ab5c3248604dbe549b474898f44b2"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "bip"}}, "stp:b62f5ca7e4b96d1beebbf019adf68f78"},
+		{Spec{Kind: "stp", Gen: &GenSpec{Family: "bip", Terminals: 8, Steiner: 20, Deg: 2, Seed: 3}}, "stp:9e5245ceca3cb631e4a276f0fb0a0cc2"},
+		{Spec{Kind: "misdp", Family: "mkp", N: 6}, "misdp:02f2015d84e958dedc4566cb20780dcc"},
+		{Spec{Kind: "misdp", Family: "mkp", N: 7}, "misdp:0a554adc296e61684c03a27758db0432"},
+		{Spec{Kind: "misdp", Family: "cls", N: 6}, "misdp:80d6bcafa7b43a61b7c2deb4e5165182"},
+		{Spec{Kind: "misdp", Family: "ttd"}, "misdp:d8c95c21e2e824339a01a117dc00b772"},
+		{Spec{Kind: "misdp", Family: "cls"}, "misdp:30385789f4b6388c668c7a7c18cfbcc8"},
+		{Spec{Kind: "misdp", Family: "mkp"}, "misdp:4631cb3c64937030e64e1025e974ee5d"},
+		{Spec{Kind: "misdp", Family: "mkp", N: 8, K: 4, Seed: 2}, "misdp:98a1b7425f2c62567fd090583eb2f654"},
+	} {
+		if err := tc.sp.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", tc.sp, err)
+		}
+		if got := keyOf(t, tc.sp); got != tc.want {
+			t.Errorf("key of %+v = %q, pinned %q", tc.sp, got, tc.want)
+		}
+	}
+}
+
 // fixed returns a presolve func yielding a fresh one-var model.
 func fixed(offset float64) func() (*scip.Prob, float64, error) {
 	return func() (*scip.Prob, float64, error) {

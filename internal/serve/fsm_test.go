@@ -226,6 +226,12 @@ func TestDeadlineDuringPresolve(t *testing.T) {
 	if solved.Load() {
 		t.Error("solve ran even though the deadline fired during presolve")
 	}
+	// A job that reached running leaves with a result even though the
+	// stop landed before any bound existed: what it knows is the cache
+	// outcome (it waited on an entry already in flight).
+	if res := j.StatusView().Result; res == nil || res.Status != "interrupted" || res.Cache != "hit" || res.Workers != 1 {
+		t.Errorf("result after a stop during presolve = %+v, want interrupted/hit/1 worker", res)
+	}
 
 	// The abandoned presolve still completes and lands in the cache for
 	// later submissions.

@@ -48,107 +48,55 @@ func buildSTP(sp *Spec) (string, core.App, error) {
 	var (
 		spg       *steiner.SPG
 		canonical string
+		err       error
 	)
 	switch {
 	case sp.STP != "":
-		g, err := steiner.ReadSTP(strings.NewReader(sp.STP))
-		if err != nil {
+		if spg, err = steiner.ReadSTP(strings.NewReader(sp.STP)); err != nil {
 			return "", core.App{}, fmt.Errorf("parse inline stp: %w", err)
 		}
-		spg = g
 		canonical = "inline\x00" + sp.STP
 	case sp.Instance != "":
-		spg = puc.Named(sp.Instance)
-		if spg == nil {
+		if spg = puc.Named(sp.Instance); spg == nil {
 			return "", core.App{}, fmt.Errorf("unknown named instance %q", sp.Instance)
 		}
 		canonical = "named\x00" + sp.Instance
 	case sp.Gen != nil:
-		g := sp.Gen
-		seed := g.Seed
-		if seed == 0 {
-			seed = 1
+		if spg, canonical, err = puc.Generate(sp.Gen.params()); err != nil {
+			return "", core.App{}, err
 		}
-		switch g.Family {
-		case "hc":
-			if g.Terminals > 0 {
-				spg = puc.HypercubeT(g.D, g.Terminals, g.Perturbed, seed)
-			} else {
-				spg = puc.Hypercube(g.D, g.Perturbed, seed)
-			}
-		case "cc":
-			t := g.Terminals
-			if t == 0 {
-				t = 8
-			}
-			a := g.A
-			if a == 0 {
-				a = 3
-			}
-			spg = puc.CodeCover(g.D, a, t, g.Perturbed, seed)
-		case "bip":
-			t := g.Terminals
-			if t == 0 {
-				t = 16
-			}
-			st := g.Steiner
-			if st == 0 {
-				st = 60
-			}
-			deg := g.Deg
-			if deg == 0 {
-				deg = 3
-			}
-			spg = puc.Bipartite(t, st, deg, g.Perturbed, seed)
-		default:
-			return "", core.App{}, fmt.Errorf("unknown gen family %q (want hc, cc, bip)", g.Family)
-		}
-		canonical = fmt.Sprintf("gen\x00%s d=%d a=%d t=%d s=%d deg=%d p=%v seed=%d",
-			g.Family, g.D, g.A, g.Terminals, g.Steiner, g.Deg, g.Perturbed, seed)
+		canonical = "gen\x00" + canonical
 	default:
 		return "", core.App{}, fmt.Errorf("kind stp needs one of stp, instance, gen")
 	}
 	return cacheKey("stp", canonical), steiner.NewApp(spg), nil
 }
 
+// params maps the JSON generator object onto the generator's own
+// parameter struct; an omitted seed means 1.
+func (g *GenSpec) params() puc.Params {
+	return puc.Params{
+		Family: g.Family, D: g.D, A: g.A, Terminals: g.Terminals, Steiner: g.Steiner, Deg: g.Deg,
+		Perturbed: g.Perturbed, Seed: seedOr1(g.Seed),
+	}
+}
+
 func buildMISDP(sp *Spec) (string, core.App, error) {
-	seed := sp.Seed
-	if seed == 0 {
-		seed = 1
+	inst, canonical, err := testsets.ByFamily(sp.Family, sp.N, sp.K, seedOr1(sp.Seed))
+	if err != nil {
+		return "", core.App{}, err
 	}
-	var inst *misdp.MISDP
-	switch sp.Family {
-	case "ttd":
-		bars := 8
-		if sp.N > 0 {
-			bars = sp.N
-		}
-		inst = testsets.TTD(4, bars, 2, seed)
-	case "cls":
-		features, k := 6, 3
-		if sp.N > 0 {
-			features = sp.N
-		}
-		if sp.K > 0 {
-			k = sp.K
-		}
-		inst = testsets.CLS(features, features+2, k, seed)
-	case "mkp":
-		verts, k := 7, 3
-		if sp.N > 0 {
-			verts = sp.N
-		}
-		if sp.K > 0 {
-			k = sp.K
-		}
-		inst = testsets.MkP(verts, k, seed)
-	default:
-		return "", core.App{}, fmt.Errorf("unknown misdp family %q (want ttd, cls, mkp)", sp.Family)
-	}
-	canonical := fmt.Sprintf("%s n=%d k=%d seed=%d", sp.Family, sp.N, sp.K, seed)
 	app := misdp.NewApp(inst, 16)
 	if sp.Mode == "lp" {
 		app = misdp.NewAppLP(inst, 16)
 	}
 	return cacheKey("misdp", canonical), app, nil
+}
+
+// seedOr1 applies the API's "omitted seed = 1" rule.
+func seedOr1(seed int64) int64 {
+	if seed == 0 {
+		return 1
+	}
+	return seed
 }

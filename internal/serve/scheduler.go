@@ -191,15 +191,33 @@ func (s *scheduler) runJob(j *Job) {
 		return
 	}
 
+	workers := j.Spec.Workers
+	if workers < 1 {
+		workers = s.defaultWorkers
+	}
+	// Every job that gets this far leaves with a Result unless it fails
+	// (a failed job leaves with an error): it starts out as "interrupted,
+	// nothing known" and each phase fills in what it learns, so a stop
+	// that lands mid-presolve still reports the cache outcome and the
+	// time spent.
+	result := &Result{Status: "interrupted", Cache: "miss", Workers: workers}
+
 	presolveStart := time.Now()
 	prob, offset, hit, err := s.cache.Get(stop, key, func() (*scip.Prob, float64, error) {
 		return core.Presolve(app)
 	})
-	presolveSec := time.Since(presolveStart).Seconds()
+	if hit {
+		// The reduction phase was skipped; any time that passed was the
+		// wait for the cached entry, not presolve work by this job.
+		result.Cache = "hit"
+	} else {
+		result.PresolveSeconds = time.Since(presolveStart).Seconds()
+	}
 	if err != nil {
 		if err == errStopped {
 			// Cancel or deadline fired during presolve; the presolve
 			// itself keeps running and will serve later submissions.
+			j.setResult(result)
 			finish(s.stoppedState(firedCause()))
 			return
 		}
@@ -207,18 +225,7 @@ func (s *scheduler) runJob(j *Job) {
 		finish(StateFailed)
 		return
 	}
-	cacheLabel := "miss"
-	if hit {
-		cacheLabel = "hit"
-		// The reduction phase was skipped; what was measured is only the
-		// wait for the cached entry, not presolve work by this job.
-		presolveSec = 0
-	}
 
-	workers := j.Spec.Workers
-	if workers < 1 {
-		workers = s.defaultWorkers
-	}
 	tracer := obs.NewTracer(j.bus)
 	cfg := ug.Config{
 		Workers:   workers,
@@ -244,14 +251,9 @@ func (s *scheduler) runJob(j *Job) {
 		return
 	}
 
-	result := &Result{
-		Nodes:           res.Stats.TotalNodes,
-		SolveSeconds:    solveSec,
-		PresolveSeconds: presolveSec,
-		Cache:           cacheLabel,
-		Workers:         workers,
-		DualBound:       finiteOr0(res.DualBound + offset),
-	}
+	result.Nodes = res.Stats.TotalNodes
+	result.SolveSeconds = solveSec
+	result.DualBound = finiteOr0(res.DualBound + offset)
 	switch {
 	case res.Optimal:
 		result.Status = "optimal"
@@ -259,7 +261,6 @@ func (s *scheduler) runJob(j *Job) {
 	case res.Infeasible:
 		result.Status = "infeasible"
 	default:
-		result.Status = "interrupted"
 		result.Objective = finiteOr0(res.Stats.FinalPrimal + offset)
 	}
 	j.setResult(result)

@@ -454,3 +454,48 @@ func TestStatuszSummarizes(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileSpecsAreRejectedAtSubmit: generator parameters no generator
+// can honour used to pass Validate, reach puc.Hypercube inside a
+// scheduler lane and panic there (`1 << -1`), which — CapturePanic
+// re-panics by design — took the whole daemon down; d=40 instead asked
+// the allocator for 2^40 vertices. Each must now be a 400 at submit,
+// no job may be created, and the server must still answer afterwards.
+func TestHostileSpecsAreRejectedAtSubmit(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1})
+	for _, body := range []string{
+		`{"kind":"stp","gen":{"family":"hc","d":-1}}`,
+		`{"kind":"stp","gen":{"family":"hc","d":40}}`,
+		`{"kind":"stp","gen":{"family":"hc"}}`,
+		`{"kind":"stp","gen":{"family":"hc","d":3,"terminals":-4}}`,
+		`{"kind":"stp","gen":{"family":"cc","d":40,"a":9}}`,
+		`{"kind":"stp","gen":{"family":"cc","d":2,"a":-1}}`,
+		`{"kind":"stp","gen":{"family":"bip","steiner":-5}}`,
+		`{"kind":"stp","gen":{"family":"bip","terminals":1099511627776}}`,
+		`{"kind":"stp","gen":{"family":"bip","deg":-1}}`,
+		`{"kind":"stp","gen":{"family":"moebius","d":3}}`,
+		`{"kind":"misdp","family":"mkp","n":-3}`,
+		`{"kind":"misdp","family":"mkp","n":100000}`,
+		`{"kind":"misdp","family":"mkp","n":5,"k":1}`,
+		`{"kind":"misdp","family":"cls","n":4,"k":9}`,
+		`{"kind":"misdp","family":"ttd","k":-1}`,
+	} {
+		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v (server gone?)", body, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d %s, want 400", body, resp.StatusCode, raw)
+		}
+	}
+	if n, _ := snapshotValue(s, "serve.jobs.submitted"); n != 0 {
+		t.Errorf("%v hostile specs were admitted as jobs", n)
+	}
+	// The server is still there and still solves.
+	st := postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q,"workers":1}`, tinySTP))
+	if final := awaitTerminal(t, s, st.ID); final.State != StateDone {
+		t.Fatalf("job after the hostile batch = %+v, want done", final)
+	}
+}

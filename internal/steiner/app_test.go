@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/ug"
-	"repro/internal/ug/comm"
 
 	"repro/internal/core"
 )
 
 // Parallel ug[SCIP-Jack,*] must match the Dreyfus–Wagner oracle across
-// worker counts, ramp-up modes and communicators.
+// worker counts and ramp-up modes (TestUGSteinerOverNet in
+// internal/core covers the distributed transport).
 func TestUGSteinerMatchesDW(t *testing.T) {
 	for seed := int64(600); seed < 606; seed++ {
 		s := randomSPG(seed, 12, 14, 4)
@@ -55,26 +55,6 @@ func TestUGSteinerRacing(t *testing.T) {
 	got := res.Obj + factory.ObjOffset()
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("racing obj %v want %v", got, want)
-	}
-}
-
-func TestUGSteinerOverGobComm(t *testing.T) {
-	// The "MPI" path: everything — including vertex-branching decisions —
-	// must survive gob serialization.
-	s := randomSPG(17, 12, 14, 4)
-	want := s.SolveDW()
-	app := NewApp(s.Clone())
-	res, factory, err := core.SolveParallel(app, ug.Config{
-		Workers:        2,
-		Comm:           comm.NewGobComm(3),
-		StatusInterval: 1e-3,
-		ShipInterval:   1e-3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Optimal || math.Abs(res.Obj+factory.ObjOffset()-want) > 1e-6 {
-		t.Fatalf("gob run: %+v want %v", res, want)
 	}
 }
 

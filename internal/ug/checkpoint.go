@@ -75,7 +75,3 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 // LoadCheckpointInfo exposes checkpoint contents for inspection by tools
 // and the experiment harness (run-series tables).
 func LoadCheckpointInfo(path string) (*Checkpoint, error) { return loadCheckpoint(path) }
-
-// osWriteFile is a small indirection so tests can create fixture files
-// without importing os twice.
-func osWriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }

@@ -107,7 +107,7 @@ func TestCheckpointMissingFile(t *testing.T) {
 
 func TestCheckpointCorruptedFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := osWriteFile(path, []byte("not a gob stream \x00\xff garbage")); err != nil {
+	if err := os.WriteFile(path, []byte("not a gob stream \x00\xff garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadCheckpoint(path); err == nil {
@@ -128,7 +128,7 @@ func TestCheckpointCorruptedFile(t *testing.T) {
 	if len(data) < 8 {
 		t.Fatalf("checkpoint suspiciously small: %d bytes", len(data))
 	}
-	if err := osWriteFile(path, data[:len(data)/2]); err != nil {
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadCheckpoint(path); err == nil {

@@ -3,21 +3,18 @@
 // written once against an abstract communicator and instantiated with a
 // concrete parallelization library — Pthreads/C++11 threads for
 // FiberSCIP-style shared memory, MPI for ParaSCIP-style distributed
-// memory. Here ChannelComm plays the shared-memory role, GobComm the
-// message-serializing (MPI-simulating) role — every message crossing a
-// GobComm is gob-encoded to bytes and decoded on the far side, proving
-// that all transferred state (subproblems, solutions, statistics)
-// survives a solver-independent wire format — and the comm/net
-// subpackage provides NetComm, a real distributed-memory TCP transport
-// where coordinator and workers run as separate OS processes.
+// memory. Here ChannelComm plays the shared-memory role and the comm/net
+// subpackage provides NetComm, the distributed-memory role: a TCP
+// transport where coordinator and workers run as separate OS processes.
+// Payloads are serialized by the caller (internal/ug encodes every
+// subproblem, solution and status report to bytes before Send), so all
+// transferred state survives a solver-independent wire format under
+// either communicator.
 package comm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -182,31 +179,36 @@ func (mb *Mailbox) SetDepthGauge(g *obs.Gauge) {
 	mb.mu.Unlock()
 }
 
-// boxSet is the mailbox-backed receive path shared by ChannelComm,
-// GobComm, and (per endpoint) the comm/net transport: one mailbox per
-// rank, blocking Recv with a synthesized termination message after
-// close, non-blocking TryRecv, and per-rank depth instrumentation.
-type boxSet struct {
+// ChannelComm is the shared-memory communicator: messages move by
+// reference between goroutines, the analogue of ug's Pthreads/C++11
+// backends. One mailbox per rank gives blocking Recv with a synthesized
+// termination message after close, non-blocking TryRecv, and per-rank
+// depth instrumentation.
+type ChannelComm struct {
 	boxes []*Mailbox
 }
 
-func newBoxSet(size int) boxSet {
-	b := boxSet{boxes: make([]*Mailbox, size)}
-	for i := range b.boxes {
-		b.boxes[i] = NewMailbox()
+// NewChannelComm creates a communicator with size ranks.
+func NewChannelComm(size int) *ChannelComm {
+	c := &ChannelComm{boxes: make([]*Mailbox, size)}
+	for i := range c.boxes {
+		c.boxes[i] = NewMailbox()
 	}
-	return b
+	return c
 }
 
 // Size implements Comm.
-func (b boxSet) Size() int { return len(b.boxes) }
+func (c *ChannelComm) Size() int { return len(c.boxes) }
+
+// Send implements Comm.
+func (c *ChannelComm) Send(to int, m Message) { c.boxes[to].Put(m) }
 
 // Recv implements Comm. After Close, once the queue is drained Recv
 // returns a synthesized termination message (From = -1,
 // Tag = TagTermination) so blocked receivers unwind.
-func (b boxSet) Recv(rank int) Message {
+func (c *ChannelComm) Recv(rank int) Message {
 	//lint:ignore ctxdeadline Recv's contract is to block; Close closes every box, which unblocks Get
-	m, ok := b.boxes[rank].Get()
+	m, ok := c.boxes[rank].Get()
 	if !ok {
 		return Message{From: -1, Tag: TagTermination}
 	}
@@ -214,13 +216,13 @@ func (b boxSet) Recv(rank int) Message {
 }
 
 // TryRecv implements Comm.
-func (b boxSet) TryRecv(rank int) (Message, bool) { return b.boxes[rank].TryGet() }
+func (c *ChannelComm) TryRecv(rank int) (Message, bool) { return c.boxes[rank].TryGet() }
 
 // Close shuts every mailbox: later sends are dropped and receivers
 // blocked in Recv wake with a synthesized termination message once
 // their queue drains.
-func (b boxSet) Close() {
-	for _, mb := range b.boxes {
+func (c *ChannelComm) Close() {
+	for _, mb := range c.boxes {
 		mb.Close()
 	}
 }
@@ -228,119 +230,15 @@ func (b boxSet) Close() {
 // Closed reports whether Close has been called. The coordinator polls it
 // to exit its event loop cleanly when the transport is shut down under a
 // running coordination loop (tests, process teardown).
-func (b boxSet) Closed() bool { return len(b.boxes) > 0 && b.boxes[0].Closed() }
+func (c *ChannelComm) Closed() bool { return len(c.boxes) > 0 && c.boxes[0].Closed() }
 
 // Instrument registers per-rank mailbox depth gauges (current depth and
 // high-watermark) in reg, named "comm.mailbox.depth[rank]".
-func (b boxSet) Instrument(reg *obs.Registry) {
+func (c *ChannelComm) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	for rank, mb := range b.boxes {
+	for rank, mb := range c.boxes {
 		mb.SetDepthGauge(reg.Gauge(fmt.Sprintf("comm.mailbox.depth[%d]", rank)))
 	}
-}
-
-// ChannelComm is the shared-memory communicator: messages move by
-// reference between goroutines, the analogue of ug's Pthreads/C++11
-// backends.
-type ChannelComm struct {
-	boxSet
-}
-
-// NewChannelComm creates a communicator with size ranks.
-func NewChannelComm(size int) *ChannelComm {
-	return &ChannelComm{boxSet: newBoxSet(size)}
-}
-
-// Send implements Comm.
-func (c *ChannelComm) Send(to int, m Message) { c.boxes[to].Put(m) }
-
-// GobComm is the simulated distributed-memory communicator: every
-// message is serialized with encoding/gob into a byte buffer on Send and
-// decoded on receive, exactly the data-marshalling boundary an MPI
-// backend would cross. Any state that is not fully encodable (pointers,
-// shared structures) breaks loudly here, which is the property the tests
-// rely on.
-type GobComm struct {
-	boxSet
-	sendErrs atomic.Int64
-	errMu    sync.Mutex
-	firstErr error
-}
-
-// NewGobComm creates a gob-serializing communicator with size ranks.
-func NewGobComm(size int) *GobComm {
-	return &GobComm{boxSet: newBoxSet(size)}
-}
-
-// gobEncodeFrame serializes one message into a wire frame. It is a
-// variable so tests can inject the failure modes gob reserves for
-// unregistered or unencodable payload types; encoding a plain Message
-// never fails in production.
-var gobEncodeFrame = func(m Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Send implements Comm. An encode failure is recorded — counted, with
-// the first error retained for Err() — and the message is dropped
-// loudly rather than silently: an undeliverable coordination message
-// otherwise surfaces far from its cause as a distributed hang.
-func (c *GobComm) Send(to int, m Message) {
-	frame, err := gobEncodeFrame(m)
-	if err != nil {
-		c.sendErrs.Add(1)
-		c.errMu.Lock()
-		if c.firstErr == nil {
-			c.firstErr = fmt.Errorf("comm: gob encode %s from %d: %w", m.Tag, m.From, err)
-		}
-		c.errMu.Unlock()
-		return
-	}
-	c.boxes[to].Put(Message{Payload: frame})
-}
-
-// Err returns the first send-side encode error, or nil. SendErrors
-// reports how many messages were dropped; run teardown should treat a
-// non-zero count as a protocol bug.
-func (c *GobComm) Err() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.firstErr
-}
-
-// SendErrors returns the number of messages dropped by encode failures.
-func (c *GobComm) SendErrors() int64 { return c.sendErrs.Load() }
-
-func decodeFrame(frame Message) Message {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(frame.Payload)).Decode(&m); err != nil {
-		panic(fmt.Sprintf("comm: gob decode: %v", err))
-	}
-	return m
-}
-
-// Recv implements Comm. After Close, once the queue is drained Recv
-// returns a synthesized termination message (From = -1,
-// Tag = TagTermination) so blocked receivers unwind.
-func (c *GobComm) Recv(rank int) Message {
-	//lint:ignore ctxdeadline Recv's contract is to block; Close closes every box, which unblocks Get
-	frame, ok := c.boxes[rank].Get()
-	if !ok {
-		return Message{From: -1, Tag: TagTermination}
-	}
-	return decodeFrame(frame)
-}
-
-// TryRecv implements Comm.
-func (c *GobComm) TryRecv(rank int) (Message, bool) {
-	frame, ok := c.boxes[rank].TryGet()
-	if !ok {
-		return Message{}, false
-	}
-	return decodeFrame(frame), true
 }

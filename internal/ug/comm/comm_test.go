@@ -1,9 +1,6 @@
 package comm
 
 import (
-	"bytes"
-	"encoding/gob"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -34,43 +31,30 @@ func testComm(t *testing.T, c Comm) {
 }
 
 func TestChannelComm(t *testing.T) { testComm(t, NewChannelComm(2)) }
-func TestGobComm(t *testing.T)     { testComm(t, NewGobComm(2)) }
 
 func TestConcurrentSenders(t *testing.T) {
-	for _, c := range []Comm{NewChannelComm(4), NewGobComm(4)} {
-		var wg sync.WaitGroup
-		const per = 200
-		for s := 1; s < 4; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					c.Send(0, Message{From: s, Tag: TagNode, Payload: []byte{byte(i)}})
-				}
-			}(s)
-		}
-		counts := map[int]int{}
-		for i := 0; i < 3*per; i++ {
-			m := c.Recv(0)
-			counts[m.From]++
-		}
-		wg.Wait()
-		for s := 1; s < 4; s++ {
-			if counts[s] != per {
-				t.Fatalf("sender %d delivered %d messages, want %d", s, counts[s], per)
+	c := NewChannelComm(4)
+	var wg sync.WaitGroup
+	const per = 200
+	for s := 1; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Send(0, Message{From: s, Tag: TagNode, Payload: []byte{byte(i)}})
 			}
-		}
+		}(s)
 	}
-}
-
-func TestGobCommDeepCopies(t *testing.T) {
-	c := NewGobComm(2)
-	payload := []byte{1, 2, 3}
-	c.Send(1, Message{From: 0, Tag: TagNode, Payload: payload})
-	payload[0] = 99 // mutate after send; serialization must have copied
-	m := c.Recv(1)
-	if m.Payload[0] != 1 {
-		t.Fatal("GobComm did not serialize the payload at send time")
+	counts := map[int]int{}
+	for i := 0; i < 3*per; i++ {
+		m := c.Recv(0)
+		counts[m.From]++
+	}
+	wg.Wait()
+	for s := 1; s < 4; s++ {
+		if counts[s] != per {
+			t.Fatalf("sender %d delivered %d messages, want %d", s, counts[s], per)
+		}
 	}
 }
 
@@ -91,50 +75,5 @@ func TestTagStrings(t *testing.T) {
 	}
 	if Tag(99).String() == "" {
 		t.Fatal("unknown tag should still format")
-	}
-}
-
-// gobUnregistered is an interface-typed envelope whose concrete value is
-// never gob.Register'd — the one encode failure mode gob actually has in
-// this codebase, injected through the gobEncodeFrame seam.
-type gobUnregistered struct{ V interface{} }
-
-type unregisteredPayload struct{ X int }
-
-func TestGobCommSendRecordsEncodeErrors(t *testing.T) {
-	orig := gobEncodeFrame
-	defer func() { gobEncodeFrame = orig }()
-	gobEncodeFrame = func(m Message) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobUnregistered{V: unregisteredPayload{X: m.From}}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	c := NewGobComm(2)
-	c.Send(1, Message{From: 0, Tag: TagSubproblem, Payload: []byte("work")})
-	c.Send(1, Message{From: 0, Tag: TagStatus})
-	if _, ok := c.TryRecv(1); ok {
-		t.Fatal("undeliverable message was delivered anyway")
-	}
-	if got := c.SendErrors(); got != 2 {
-		t.Fatalf("SendErrors = %d, want 2", got)
-	}
-	err := c.Err()
-	if err == nil {
-		t.Fatal("first encode error not retained")
-	}
-	if !strings.Contains(err.Error(), "gob encode") || !strings.Contains(err.Error(), "subproblem") {
-		t.Fatalf("error lacks context: %v", err)
-	}
-	// Recovery: once encoding works again, traffic flows and the error
-	// record stays (it marks a protocol bug to be surfaced at teardown).
-	gobEncodeFrame = orig
-	c.Send(1, Message{From: 0, Tag: TagNode, Payload: []byte("ok")})
-	if m, ok := c.TryRecv(1); !ok || m.Tag != TagNode {
-		t.Fatalf("recovered send lost: %+v ok=%v", m, ok)
-	}
-	if c.SendErrors() != 2 || c.Err() == nil {
-		t.Fatal("error record should persist after recovery")
 	}
 }

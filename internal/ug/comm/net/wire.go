@@ -65,8 +65,7 @@ const maxFrameBody = 64 << 20
 // extended slice. clock is the sender's Lamport timestamp for this send
 // (0 when tracing is off — the receiver then treats the frame as
 // carrying no causal information). Exported so the codec tests can pin
-// byte-level determinism and cross-check round-trips against GobComm's
-// frame encoding.
+// byte-level determinism.
 func AppendMessage(buf []byte, m comm.Message, clock int64) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.From)))
 	buf = append(buf, byte(m.Tag))

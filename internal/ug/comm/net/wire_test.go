@@ -72,30 +72,6 @@ func TestDecodeMessageRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestRoundTripMatchesGobComm pins the shared contract between the two
-// serializing communicators: any message GobComm can carry across its
-// gob frame boundary survives the net codec identically. This is the
-// guard against wire-format drift between the in-process simulation and
-// the real distributed transport.
-func TestRoundTripMatchesGobComm(t *testing.T) {
-	gc := comm.NewGobComm(2)
-	for _, want := range sampleMessages() {
-		gc.Send(1, want)
-		viaGob, ok := gc.TryRecv(1)
-		if !ok {
-			t.Fatalf("GobComm dropped %+v", want)
-		}
-		viaNet, _, err := DecodeMessage(AppendMessage(nil, want, 0))
-		if err != nil {
-			t.Fatalf("net codec: %v", err)
-		}
-		if viaGob.From != viaNet.From || viaGob.Tag != viaNet.Tag ||
-			!bytes.Equal(viaGob.Payload, viaNet.Payload) {
-			t.Fatalf("codecs disagree: gob %+v net %+v", viaGob, viaNet)
-		}
-	}
-}
-
 func TestHandshakeCodecs(t *testing.T) {
 	rank, ver, err := decodeHello(appendHello(nil, 7))
 	if err != nil || rank != 7 || ver != ProtocolVersion {

@@ -20,8 +20,6 @@ func TestMailboxGaugeTracksQueueLength(t *testing.T) {
 	}{
 		{"ChannelComm", func(size int) closableComm { return NewChannelComm(size) },
 			func(c closableComm) []*Mailbox { return c.(*ChannelComm).boxes }},
-		{"GobComm", func(size int) closableComm { return NewGobComm(size) },
-			func(c closableComm) []*Mailbox { return c.(*GobComm).boxes }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -88,7 +86,6 @@ func TestMailboxGaugeUnderStress(t *testing.T) {
 		mk   func(size int) closableComm
 	}{
 		{"ChannelComm", func(size int) closableComm { return NewChannelComm(size) }},
-		{"GobComm", func(size int) closableComm { return NewGobComm(size) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()

@@ -29,7 +29,6 @@ func TestCommStress(t *testing.T) {
 		mk   func(size int) closableComm
 	}{
 		{"ChannelComm", func(size int) closableComm { return NewChannelComm(size) }},
-		{"GobComm", func(size int) closableComm { return NewGobComm(size) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { stressComm(t, tc.mk) })
 	}
@@ -162,7 +161,6 @@ func TestCloseSemantics(t *testing.T) {
 		mk   func(size int) closableComm
 	}{
 		{"ChannelComm", func(size int) closableComm { return NewChannelComm(size) }},
-		{"GobComm", func(size int) closableComm { return NewGobComm(size) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.mk(2)

@@ -868,7 +868,11 @@ func (co *coordinator) finalize() *Result {
 		res.Obj = co.incumbent.Obj
 		res.Sol = co.incumbent
 	}
-	if !co.stopping {
+	// The search is complete when nothing is left to explore — including
+	// when a stop request raced with the last outcome and so interrupted
+	// nothing: every interrupted, lost or collected subproblem is in the
+	// pool by now.
+	if len(co.pool) == 0 {
 		if co.incumbent != nil {
 			res.Optimal = true
 			res.DualBound = res.Obj

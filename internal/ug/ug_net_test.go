@@ -4,76 +4,30 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/ug/comm"
 	netcomm "repro/internal/ug/comm/net"
+	"repro/internal/ug/comm/net/nettest"
 )
 
-// distOpts keeps the distributed tests fast: tight heartbeats and
-// retries on loopback.
-func distOpts() netcomm.Options {
-	return netcomm.Options{
-		HeartbeatEvery:    20 * time.Millisecond,
-		RendezvousTimeout: 10 * time.Second,
-		RetryBase:         2 * time.Millisecond,
-		CloseTimeout:      2 * time.Second,
-	}
-}
-
-// runDistributed solves ff over a loopback netcomm roster: the
-// coordinator and each worker get their own endpoint, exactly as the
-// multi-process CLI path wires them (each side presolves its own copy
-// of the instance). wOpts customizes individual workers (fault plans).
-func runDistributed(t *testing.T, ff *fakeFactory, workers int, cfg Config,
-	wOpts map[int]netcomm.Options) (*Result, error) {
+// runDistributed solves ff over a loopback netcomm roster (nettest.Run):
+// the coordinator and each worker get their own endpoint, exactly as the
+// multi-process CLI path wires them. Worker processes presolve their own
+// instance copy; the fake factory's presolve is pure, so sharing ff
+// mirrors that. wOpts customizes individual workers (fault plans).
+func runDistributed(t *testing.T, ff SolverFactory, workers int, cfg Config,
+	wOpts map[int]netcomm.Options) (res *Result, err error) {
 	t.Helper()
-	ln, err := netcomm.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for rank := 1; rank <= workers; rank++ {
-		o := distOpts()
-		if ov, ok := wOpts[rank]; ok {
-			ov.HeartbeatEvery = o.HeartbeatEvery
-			ov.RendezvousTimeout = o.RendezvousTimeout
-			ov.RetryBase = o.RetryBase
-			ov.CloseTimeout = o.CloseTimeout
-			o = ov
-		}
-		wg.Add(1)
-		go func(rank int, o netcomm.Options) {
-			defer wg.Done()
-			wc, err := netcomm.Dial(ln.Addr(), rank, o)
-			if err != nil {
-				t.Errorf("worker %d dial: %v", rank, err)
-				return
-			}
-			defer wc.Close()
-			// Worker processes presolve their own instance copy; the
-			// fake factory's presolve is pure so this mirrors that. The
-			// worker session shares the endpoint's tracer, as the CLI
-			// worker path does.
-			RunWorker(rank, wc, ff, o.Trace)
-		}(rank, o)
-	}
-	copts := distOpts()
-	copts.Trace = cfg.Trace
-	c, err := ln.Rendezvous(workers+1, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = workers
-	cfg.Comm = c
-	cfg.RemoteWorkers = true
-	res, runErr := Run(ff, cfg)
-	_ = c.Close()
-	wg.Wait()
-	return res, runErr
+	nettest.Run(t, workers, cfg.Trace, wOpts,
+		func(rank int, wc comm.Comm, trace *obs.Tracer) { RunWorker(rank, wc, ff, trace) },
+		func(c comm.Comm) {
+			cfg.Workers, cfg.Comm, cfg.RemoteWorkers = workers, c, true
+			res, err = Run(ff, cfg)
+		})
+	return res, err
 }
 
 // TestDistributedMatchesChannelComm is the acceptance check for the
@@ -201,48 +155,47 @@ func TestDistributedMergedTraceCausallyConsistent(t *testing.T) {
 // data loop being serialized) stalls every data frame behind it while
 // heartbeats keep the link alive — a straggler, not a death. The
 // watchdog must fire during the quiet window, land a schema-valid
-// watchdog.stall event in the coordinator trace, and write the
-// goroutine dump; the run must still finish optimal, and the trace must
-// still pass the structural validator with stall events interleaved.
+// watchdog.stall event in the coordinator trace, and write the stall
+// bundle with its goroutine dump; the run must still finish optimal, and
+// the trace must still pass the structural validator with stall events
+// interleaved.
 func TestDistributedWatchdogFiresOnDelayedPeer(t *testing.T) {
 	const lo, hi, chunk = 0, 300000, 300
 	sink := &obs.MemSink{}
-	bus := obs.NewBus(sink, obs.NewRegistry())
+	rec := obs.NewRecorder(sink, 0)
+	bus := obs.NewBus(rec, obs.NewRegistry())
 	tracer := obs.NewTracer(bus)
-	dump := filepath.Join(t.TempDir(), "net.jsonl.stall-goroutines")
+	capture := &obs.Capturer{Dir: t.TempDir(), Recorder: rec}
 
-	// Arm the watchdog the way SolveNetParallel does — after rendezvous
-	// has opened the trace with comm.connect — so the opener invariant
-	// holds even if the watchdog fires before any solve progress.
-	connected, cancelConn := bus.Subscribe(obs.KindCommConnect)
 	stalls := make(chan obs.Event, 4)
-	var wd *obs.Watchdog
-	armed := make(chan struct{})
-	go func() {
-		defer close(armed)
-		if _, ok := <-connected; !ok {
-			return
-		}
-		cancelConn()
-		wd = obs.StartWatchdog(obs.WatchdogConfig{
-			Bus: bus, Tracer: tracer, Quiet: 200 * time.Millisecond, DumpPath: dump,
-			OnStall: func(ev obs.Event) {
-				select {
-				case stalls <- ev:
-				default:
-				}
-			},
-		})
-	}()
-
+	ff := &fakeFactory{lo: lo, hi: hi, chunk: chunk}
 	wOpts := map[int]netcomm.Options{
 		1: {Fault: netcomm.NewFaultPlan(netcomm.FaultRule{
 			Tag: comm.TagStatus, Nth: 2, Action: netcomm.FaultDelay, Delay: 900 * time.Millisecond})},
 	}
-	res, err := runDistributed(t, &fakeFactory{lo: lo, hi: hi, chunk: chunk}, 1,
-		Config{StatusInterval: 1e-4, ShipInterval: 1e-4, Trace: tracer}, wOpts)
-	<-armed
-	wd.Stop()
+	var (
+		res *Result
+		err error
+	)
+	nettest.Run(t, 1, tracer, wOpts,
+		func(rank int, wc comm.Comm, trace *obs.Tracer) { RunWorker(rank, wc, ff, trace) },
+		func(c comm.Comm) {
+			// Arm the watchdog where the CLI's net coordinator does: after
+			// the rendezvous has opened the trace with comm.connect, before
+			// the solve, so it observes the dispatch that opens its window.
+			wd := obs.StartWatchdog(obs.WatchdogConfig{
+				Bus: bus, Tracer: tracer, Quiet: 200 * time.Millisecond, Capture: capture,
+				OnStall: func(ev obs.Event) {
+					select {
+					case stalls <- ev:
+					default:
+					}
+				},
+			})
+			res, err = Run(ff, Config{Workers: 1, Comm: c, RemoteWorkers: true,
+				StatusInterval: 1e-4, ShipInterval: 1e-4, Trace: tracer})
+			wd.Stop()
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +228,14 @@ func TestDistributedWatchdogFiresOnDelayedPeer(t *testing.T) {
 	if err := obs.ValidateTrace(sink.Events()); err != nil {
 		t.Fatalf("trace with stall events fails validation: %v", err)
 	}
-	// The goroutine dump landed next to the (would-be) trace file and
-	// holds real stacks.
-	data, rerr := os.ReadFile(dump)
+	// The stall bundle's goroutine dump holds real stacks.
+	dumps, _ := filepath.Glob(filepath.Join(capture.Dir, "stall-*", "goroutines.txt"))
+	if len(dumps) == 0 {
+		t.Fatal("no stall bundle with a goroutine dump was written")
+	}
+	data, rerr := os.ReadFile(dumps[0])
 	if rerr != nil {
-		t.Fatalf("goroutine dump not written: %v", rerr)
+		t.Fatal(rerr)
 	}
 	if !strings.Contains(string(data), "goroutine") {
 		t.Fatalf("dump does not look like a goroutine profile (%d bytes)", len(data))

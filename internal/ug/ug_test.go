@@ -3,6 +3,7 @@ package ug
 import (
 	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -139,20 +140,18 @@ func TestCoordinatorFindsMinimum(t *testing.T) {
 	}
 }
 
-func TestCoordinatorGobComm(t *testing.T) {
+// TestCoordinatorOverNet puts the whole protocol — dispatch, status,
+// shipped nodes, solutions, termination — through the real transport's
+// frame codec on 127.0.0.1 with three worker endpoints.
+func TestCoordinatorOverNet(t *testing.T) {
 	ff := &fakeFactory{lo: 0, hi: 20000, chunk: 400}
 	want := trueMin(0, 20000)
-	res, err := Run(ff, Config{
-		Workers:        3,
-		Comm:           comm.NewGobComm(4),
-		StatusInterval: 1e-4,
-		ShipInterval:   1e-4,
-	})
+	res, err := runDistributed(t, ff, 3, Config{StatusInterval: 1e-4, ShipInterval: 1e-4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Optimal || res.Obj != want {
-		t.Fatalf("gob run: %+v want %v", res, want)
+		t.Fatalf("net run: %+v want %v", res, want)
 	}
 }
 
@@ -220,6 +219,47 @@ func TestTimeLimitCheckpointAndRestart(t *testing.T) {
 	}
 	if !res2.Stats.Restarted || res2.Stats.PoolAtStart != len(ck.Pool) {
 		t.Fatalf("restart stats wrong: %+v", res2.Stats)
+	}
+}
+
+// deafFactory's workers never act on a stop request: whatever they are
+// handed they finish — the limit case of a stop that lands just as the
+// last subproblem completes.
+type deafFactory struct{ fakeFactory }
+
+func (df *deafFactory) CreateWorker(int) WorkerSolver { return deafWorker{df} }
+
+type deafWorker struct{ df *deafFactory }
+
+func (w deafWorker) Solve(sub *Subproblem, sess *Session) Outcome {
+	lo, hi := decodeIv(sub.Payload)
+	best := math.Inf(1)
+	for i := lo; i < hi; i++ {
+		if v := f(i); v < best {
+			best = v
+			sess.FoundSolution(Solution{Obj: v, Payload: encodeIv(i, i+1)})
+		}
+		if i%w.df.chunk == 0 {
+			sess.Poll(StatusReport{Open: 1, Nodes: i - lo})
+		}
+	}
+	return Outcome{Completed: true, Nodes: hi - lo}
+}
+
+// TestStopThatInterruptsNothingIsOptimal: when the time limit fires but
+// every subproblem still comes back completed, nothing is left to
+// explore, so the run is optimal — not "interrupted" with zero open
+// nodes and an empty checkpoint (which is how
+// TestTimeLimitCheckpointAndRestart failed under -race, where the solve
+// takes about as long as its limit).
+func TestStopThatInterruptsNothingIsOptimal(t *testing.T) {
+	df := &deafFactory{fakeFactory{lo: 0, hi: 400_000, chunk: 100}}
+	res, err := Run(df, Config{Workers: 1, TimeLimit: 1e-3, StatusInterval: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := trueMin(0, 400_000); !res.Optimal || res.Obj != want || res.DualBound != want {
+		t.Fatalf("completed search reported as %+v, want optimal at %v", res, want)
 	}
 }
 
@@ -305,7 +345,7 @@ func TestRestartFromMissingCheckpoint(t *testing.T) {
 func TestCorruptCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.gob")
-	if err := osWriteFile(path, []byte("not a gob stream")); err != nil {
+	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadCheckpoint(path); err == nil {

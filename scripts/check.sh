@@ -12,6 +12,8 @@
 #   5. go test -race     the concurrency-sensitive packages
 #   6. go test ./...     the full tier-1 suite (includes the ugolint
 #                        selfcheck via internal/analysis)
+#   7. bench self-tests  the nested bench/ module
+#   8. loc.sh            the system's size (informational, no threshold)
 #
 # Exits non-zero on the first failure.
 set -u
@@ -63,6 +65,9 @@ step "cd bench && go test ./..."
 # plugin stack, so they catch a solver change that breaks what the
 # benchmark measures (decorated and bare counters must stay equal).
 (cd bench && go test ./...) || fail=1
+
+step "scripts/loc.sh -total (non-test Go lines outside bench/ and testdata/)"
+./scripts/loc.sh -total
 
 if [ "$fail" -ne 0 ]; then
     echo "check: FAILED"
