@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the full verification gate.
 
-.PHONY: build test lint lint-json lint-fix-list race flake fmt check loc bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
+.PHONY: build test lint race flake fmt check loc bench-hot trace-smoke net-smoke profile-smoke telemetry-smoke serve-smoke postmortem-smoke
 
 build:
 	go build ./...
@@ -13,23 +13,11 @@ test:
 lint:
 	go run ./cmd/ugolint ./...
 
-# lint-json emits findings as a JSON array (with suggested fixes as
-# replace-range edits) for editors and CI integrations. Exit status is
-# still 1 when anything is found.
-lint-json:
-	go run ./cmd/ugolint -json ./...
-
 # bench-hot regenerates BENCH_hotpath.json, the hot-path allocation
 # ledger: the scip/lp/sdp/comm-net allocation benchmarks at HEAD~1 vs the
 # working tree, side by side (see scripts/bench_hot.sh and ugolint -hot).
 bench-hot:
 	./scripts/bench_hot.sh
-
-# lint-fix-list prints findings grouped by file with per-file counts —
-# the triage view for working down a backlog. Always exits 0 so it can
-# be run mid-cleanup.
-lint-fix-list:
-	-go run ./cmd/ugolint -q -group ./...
 
 race:
 	go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/...

@@ -7,17 +7,13 @@
 //	go run ./cmd/ugolint ./...                 # whole module
 //	go run ./cmd/ugolint ./internal/ug/...     # one subtree
 //	go run ./cmd/ugolint -analyzers floatcmp,errdrop ./...
-//	go run ./cmd/ugolint -group ./...          # findings grouped by file
-//	go run ./cmd/ugolint -json ./...           # machine-readable, with fixes
 //	go run ./cmd/ugolint -hot ./...            # hot-path allocation report
 //	go run ./cmd/ugolint -list                 # describe analyzers
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,8 +27,6 @@ func main() {
 		list      = flag.Bool("list", false, "list analyzers and exit")
 		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		quiet     = flag.Bool("q", false, "suppress the summary lines")
-		group     = flag.Bool("group", false, "group findings by file for triage")
-		asJSON    = flag.Bool("json", false, "emit findings as a JSON array (with suggested fixes where mechanical)")
 		hot       = flag.Bool("hot", false, "hot-path mode: ranked allocation table from //ugo:hotpath roots plus hotalloc findings")
 	)
 	flag.Parse()
@@ -81,20 +75,13 @@ func main() {
 
 	if *hot {
 		findings, rows := analysis.RunHot(pkgs)
-		if *asJSON {
-			if err := writeHotJSON(os.Stdout, findings, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "ugolint:", err)
-				os.Exit(2)
-			}
-		} else {
-			printHotTable(rows)
-			for _, f := range findings {
-				fmt.Println(f)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "ugolint: %d package(s), %d hot function(s), %d finding(s)\n",
-					len(pkgs), len(rows), len(findings))
-			}
+		printHotTable(rows)
+		for _, f := range findings {
+			fmt.Println(f)
+		}
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "ugolint: %d package(s), %d hot function(s), %d finding(s)\n",
+				len(pkgs), len(rows), len(findings))
 		}
 		if len(findings) > 0 || broken > 0 {
 			os.Exit(1)
@@ -103,20 +90,10 @@ func main() {
 	}
 
 	findings := analysis.Run(pkgs, sel)
-	switch {
-	case *asJSON:
-		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "ugolint:", err)
-			os.Exit(2)
-		}
-	case *group:
-		printGrouped(findings)
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-	if !*quiet && !*asJSON {
+	if !*quiet {
 		fmt.Fprintf(os.Stderr, "ugolint: %d package(s), %d finding(s)\n", len(pkgs), len(findings))
 		printPerAnalyzer(sel, findings)
 	}
@@ -143,32 +120,6 @@ func printHotTable(rows []analysis.HotRow) {
 	}
 }
 
-// writeHotJSON emits the hot report and findings as one JSON object.
-func writeHotJSON(w io.Writer, findings []analysis.Finding, rows []analysis.HotRow) error {
-	type hotRow struct {
-		Func          string  `json:"func"`
-		Depth         int     `json:"depth"`
-		AllocsPerCall float64 `json:"allocs_per_call"`
-		Score         float64 `json:"score"`
-		Sites         int     `json:"sites"`
-		Via           string  `json:"via,omitempty"`
-		Cold          string  `json:"cold,omitempty"`
-	}
-	out := struct {
-		Hot      []hotRow           `json:"hot"`
-		Findings []analysis.Finding `json:"findings"`
-	}{Hot: make([]hotRow, 0, len(rows)), Findings: findings}
-	if out.Findings == nil {
-		out.Findings = []analysis.Finding{}
-	}
-	for _, r := range rows {
-		out.Hot = append(out.Hot, hotRow(r))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // printPerAnalyzer writes one summary line per selected analyzer (plus
 // the "lint" pseudo-analyzer for malformed directives, when it fired).
 func printPerAnalyzer(sel []*analysis.Analyzer, findings []analysis.Finding) {
@@ -187,27 +138,6 @@ func printPerAnalyzer(sel []*analysis.Analyzer, findings []analysis.Finding) {
 	sort.Strings(extra)
 	for _, name := range extra {
 		fmt.Fprintf(os.Stderr, "ugolint:   %-12s %d\n", name, counts[name])
-	}
-}
-
-// printGrouped writes findings grouped by file with a per-file count —
-// the triage view behind `make lint-fix-list`.
-func printGrouped(findings []analysis.Finding) {
-	byFile := map[string][]analysis.Finding{}
-	var files []string
-	for _, f := range findings {
-		if _, ok := byFile[f.Pos.Filename]; !ok {
-			files = append(files, f.Pos.Filename)
-		}
-		byFile[f.Pos.Filename] = append(byFile[f.Pos.Filename], f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		fs := byFile[file]
-		fmt.Printf("%s (%d)\n", file, len(fs))
-		for _, f := range fs {
-			fmt.Printf("  %d:%d [%s] %s\n", f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-		}
 	}
 }
 

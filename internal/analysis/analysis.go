@@ -25,22 +25,11 @@ import (
 	"strings"
 )
 
-// Finding is one rule violation at a source position. Fix, when
-// non-nil, is a mechanical text edit that resolves the finding.
+// Finding is one rule violation at a source position.
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fix      *TextEdit
-}
-
-// TextEdit is a suggested fix: replace the source range [Pos, End) with
-// NewText. Positions are resolved (file/line/column), so tools can apply
-// the edit without re-parsing.
-type TextEdit struct {
-	Pos     token.Position
-	End     token.Position
-	NewText string
 }
 
 func (f Finding) String() string {
@@ -55,8 +44,7 @@ type Pass struct {
 	Info    *types.Info
 	PkgPath string
 	// Mod is the module-wide call graph with converged function
-	// summaries; the interprocedural analyzers (lockblock, goroleak,
-	// mapdet) consult it.
+	// summaries; the interprocedural and dataflow analyzers consult it.
 	Mod *Module
 
 	analyzer *Analyzer
@@ -72,21 +60,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFixf records a finding at pos carrying a suggested text edit:
-// replace [fixPos, fixEnd) with newText.
-func (p *Pass) ReportFixf(pos token.Pos, fixPos, fixEnd token.Pos, newText, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Analyzer: p.analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fix: &TextEdit{
-			Pos:     p.Fset.Position(fixPos),
-			End:     p.Fset.Position(fixEnd),
-			NewText: newText,
-		},
-	})
-}
-
 // Analyzer is one named rule.
 type Analyzer struct {
 	Name string
@@ -96,11 +69,9 @@ type Analyzer struct {
 	Run     func(*Pass)
 }
 
-// All returns the full analyzer set in stable order: the six
-// intraprocedural analyzers from the first generation, the four
-// interprocedural ones built on the call-graph summaries, the four
-// dataflow/taint analyzers built on the value-level layer, then the
-// hot-path allocation analyzer.
+// All returns the full analyzer set in stable order: the syntactic
+// and flow-driven rules first, then the ones built on the call-graph
+// and dataflow summaries, then the hot-path allocation analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
@@ -109,14 +80,10 @@ func All() []*Analyzer {
 		MathRand,
 		PrintfDebug,
 		ExportDoc,
-		LockBlock,
-		GoroLeak,
 		MapDet,
-		TolConst,
 		WallDet,
 		CtxDeadline,
 		TraceKind,
-		ChanLock,
 		HotAlloc,
 	}
 }
@@ -143,7 +110,9 @@ func ByName(names string) ([]*Analyzer, error) {
 }
 
 // RunPackage applies analyzers to one loaded package and returns the
-// findings that survive //lint:ignore filtering. Malformed or unknown
+// distinct findings that survive //lint:ignore filtering (flow-driven
+// analyzers walk loop bodies twice, so a site can be reported twice
+// with the same message; it is kept once). Malformed or unknown
 // ignore directives are themselves reported under the pseudo-analyzer
 // "lint". The call graph is built over the single package; use Run for
 // whole-module summaries.
@@ -171,10 +140,12 @@ func runPackage(pkg *Package, mod *Module, analyzers []*Analyzer) []Finding {
 	}
 	ig, bad := collectIgnores(pkg)
 	var out []Finding
+	seen := map[Finding]bool{}
 	for _, f := range raw {
-		if ig.suppresses(f) {
+		if seen[f] || ig.suppresses(f) {
 			continue
 		}
+		seen[f] = true
 		out = append(out, f)
 	}
 	out = append(out, bad...)

@@ -9,13 +9,13 @@ import (
 )
 
 // This file builds the module-level call graph that powers the
-// interprocedural analyzers (lockblock, goroleak, mapdet). The graph is
-// deliberately conservative in the may-call direction: a function value
-// or method value that is merely referenced is treated as potentially
-// called, and an interface method call fans out to every module type
-// that implements the interface. Precision is recovered where it
-// matters by keeping goroutine launches (`go f()`) out of the
-// synchronous edge set — a spawned callee cannot block its spawner.
+// interprocedural analyzers (lockhold, mapdet, and the dataflow layer).
+// The graph is deliberately conservative in the may-call direction: a
+// function value or method value that is merely referenced is treated
+// as potentially called, and an interface method call fans out to every
+// module type that implements the interface. Precision is recovered
+// where it matters by giving goroutine launches (`go f()`) no edge at
+// all: a spawned callee cannot block its spawner.
 
 // FuncNode is one node of the module call graph: a declared function or
 // method (Obj != nil) or a function literal (Lit != nil).
@@ -25,8 +25,7 @@ type FuncNode struct {
 	Decl *ast.FuncDecl // declaration site; nil for literals
 	Pkg  *Package
 
-	calls   map[*FuncNode]bool // synchronous may-call edges (incl. references)
-	spawned map[*FuncNode]bool // callees launched with `go`
+	calls map[*FuncNode]bool // synchronous may-call edges (incl. references)
 	// returnedCalls are callees whose result is returned directly
 	// (`return f(...)`); OrderDep propagates through them.
 	returnedCalls []*FuncNode
@@ -155,15 +154,13 @@ func (m *Module) collectNodes(pkg *Package) {
 			switch x := nd.(type) {
 			case *ast.FuncDecl:
 				obj, _ := pkg.Info.Defs[x.Name].(*types.Func)
-				fn := &FuncNode{Obj: obj, Decl: x, Pkg: pkg,
-					calls: map[*FuncNode]bool{}, spawned: map[*FuncNode]bool{}}
+				fn := &FuncNode{Obj: obj, Decl: x, Pkg: pkg, calls: map[*FuncNode]bool{}}
 				if obj != nil {
 					m.byObj[obj] = fn
 				}
 				m.nodes = append(m.nodes, fn)
 			case *ast.FuncLit:
-				fn := &FuncNode{Lit: x, Pkg: pkg,
-					calls: map[*FuncNode]bool{}, spawned: map[*FuncNode]bool{}}
+				fn := &FuncNode{Lit: x, Pkg: pkg, calls: map[*FuncNode]bool{}}
 				m.byLit[x] = fn
 				m.nodes = append(m.nodes, fn)
 			}
@@ -191,8 +188,9 @@ func (m *Module) collectNamed(pkg *Package) {
 }
 
 // collectEdges walks one function body (not descending into nested
-// literals, which are their own nodes) and records call, spawn,
-// reference, and returned-call edges.
+// literals, which are their own nodes) and records call, reference, and
+// returned-call edges. The call under a `go` statement adds no edge; its
+// arguments are evaluated by the spawner and keep theirs.
 func (m *Module) collectEdges(n *FuncNode) {
 	info := n.Pkg.Info
 	// Funs of call expressions: excluded from reference-edge handling.
@@ -211,13 +209,11 @@ func (m *Module) collectEdges(n *FuncNode) {
 	walkShallow(n.body(), func(nd ast.Node) bool {
 		switch x := nd.(type) {
 		case *ast.CallExpr:
-			tgt := m.calleesOf(info, x.Fun)
-			for _, c := range tgt {
-				if spawnSites[x] {
-					n.spawned[c] = true
-				} else {
-					n.calls[c] = true
-				}
+			if spawnSites[x] {
+				return true
+			}
+			for _, c := range m.calleesOf(info, x.Fun) {
+				n.calls[c] = true
 			}
 		case *ast.ReturnStmt:
 			for _, res := range x.Results {
@@ -257,10 +253,6 @@ func (m *Module) collectEdges(n *FuncNode) {
 		}
 		return true
 	})
-	// Calls through `go lit()` register the literal only as spawned.
-	for c := range n.spawned {
-		delete(n.calls, c)
-	}
 }
 
 // calleesOf resolves the possible module-local targets of calling fun.

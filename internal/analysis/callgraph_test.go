@@ -29,7 +29,7 @@ func mustFunc(t *testing.T, m *Module, suffix string) *FuncNode {
 
 // TestCallGraphSummaries drives the fixed-point engine over the
 // callgraph fixture: mutual recursion, interface dispatch, method
-// values, spawns, and transitive lock acquisition.
+// values, goroutine launches, and transitive lock acquisition.
 func TestCallGraphSummaries(t *testing.T) {
 	m := buildFixtureModule(t, "callgraph")
 
@@ -48,6 +48,7 @@ func TestCallGraphSummaries(t *testing.T) {
 		".dispatch":     true,  // interface dispatch fans out to Real.Block
 		".methodValue":  true,  // conservative: referenced method value may be called
 		".spawner":      false, // go pingA(...) cannot block the spawner
+		".spawnAndCall": true,  // the synchronous pingA(...) beside the launch can
 		".pure":         false,
 		".lockerCaller": false,
 	}
@@ -55,13 +56,6 @@ func TestCallGraphSummaries(t *testing.T) {
 		if got := mustFunc(t, m, suffix).Summary().MayBlock; got != want {
 			t.Errorf("MayBlock(%s) = %v, want %v", suffix, got, want)
 		}
-	}
-
-	if !mustFunc(t, m, ".spawner").Summary().Spawns {
-		t.Error("spawner should have Spawns set")
-	}
-	if mustFunc(t, m, ".pure").Summary().Spawns {
-		t.Error("pure should not have Spawns set")
 	}
 
 	// Transitive lock acquisition: bump locks l.mu directly,
@@ -111,7 +105,7 @@ func TestCallGraphDeterministicRebuild(t *testing.T) {
 			t.Fatalf("node %d differs: %s vs %s", i, fa[i].Name(), fb[i].Name())
 		}
 		sa, sb := fa[i].Summary(), fb[i].Summary()
-		if sa.MayBlock != sb.MayBlock || sa.Spawns != sb.Spawns || sa.OrderDep != sb.OrderDep || sa.SortsArg != sb.SortsArg {
+		if sa.MayBlock != sb.MayBlock || sa.OrderDep != sb.OrderDep || sa.SortsArg != sb.SortsArg {
 			t.Errorf("summary of %s differs across rebuilds", fa[i].Name())
 		}
 	}
@@ -141,9 +135,9 @@ func TestOrderDepPropagation(t *testing.T) {
 	}
 }
 
-// TestInterprocFixtures asserts the WANT markers of the four
-// interprocedural analyzers' fixture packages.
-func TestLockBlockFixture(t *testing.T) { checkFixture(t, LockBlock, "lockblock/internal/ug") }
-func TestGoroLeakFixture(t *testing.T)  { checkFixture(t, GoroLeak, "goroleak/internal/ug") }
+// The lockblock and tolconst fixtures keep the names of the analyzers
+// that were folded into lockhold (its call-summary rules) and floatcmp
+// (its literal rule); the tests are named after the fixture directory.
+func TestLockBlockFixture(t *testing.T) { checkFixture(t, LockHold, "lockblock/internal/ug") }
 func TestMapDetFixture(t *testing.T)    { checkFixture(t, MapDet, "mapdet/internal/ug") }
-func TestTolConstFixture(t *testing.T)  { checkFixture(t, TolConst, "tolconst/internal/scip") }
+func TestTolConstFixture(t *testing.T)  { checkFixture(t, FloatCmp, "tolconst/internal/scip") }

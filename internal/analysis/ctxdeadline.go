@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -127,6 +125,27 @@ func alignedArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 	return append(args, call.Args...)
 }
 
+// ioOperands calls fn for each operand a call performs raw I/O on:
+// rawIOTargets for a non-module call, the callees' ioParams summaries
+// otherwise. via is "" for direct I/O and " (via <callee>)" for I/O in
+// a callee, ready to append to a finding.
+func ioOperands(info *types.Info, call *ast.CallExpr, callees []*FuncNode, fn func(arg ast.Expr, k ioKind, via string)) {
+	if len(callees) == 0 {
+		for _, t := range rawIOTargets(info, call) {
+			fn(t.expr, t.kind, "")
+		}
+		return
+	}
+	args := alignedArgs(info, call)
+	for _, c := range callees {
+		for i, k := range c.ioParams {
+			if k != 0 && i < len(args) {
+				fn(args[i], k, " (via "+shortFuncName(c)+")")
+			}
+		}
+	}
+}
+
 // computeIOParams converges the per-function raw-I/O parameter
 // summaries over the call graph (monotone, so a plain sweep-to-fixpoint
 // terminates).
@@ -183,7 +202,7 @@ func scanIOParams(m *Module, n *FuncNode) bool {
 		return true
 	})
 	changed := false
-	add := func(e ast.Expr, k ioKind) {
+	add := func(e ast.Expr, k ioKind, _ string) {
 		i, ok := paramIdx(e)
 		if !ok {
 			return
@@ -199,21 +218,7 @@ func scanIOParams(m *Module, n *FuncNode) bool {
 		if !ok {
 			return true
 		}
-		callees := m.calleesOf(info, call.Fun)
-		if len(callees) == 0 {
-			for _, t := range rawIOTargets(info, call) {
-				add(t.expr, t.kind)
-			}
-			return true
-		}
-		args := alignedArgs(info, call)
-		for _, c := range callees {
-			for i, k := range c.ioParams {
-				if k != 0 && i < len(args) {
-					add(args[i], k)
-				}
-			}
-		}
+		ioOperands(info, call, m.calleesOf(info, call.Fun), add)
 		return true
 	})
 	return changed
@@ -264,13 +269,11 @@ func isZeroTime(info *types.Info, e ast.Expr) bool {
 // ---------------------------------------------------------------------------
 
 // guardWalker is the per-function state shared across forks: alias
-// resolution and finding dedup (loop bodies are interpreted twice).
+// resolution for the guard sets.
 type guardWalker struct {
 	p       *Pass
-	mod     *Module
 	info    *types.Info
 	aliases map[types.Object]types.Object // bufio wrapper → wrapped conn
-	seen    map[string]bool
 }
 
 // guardEnv is the flow state: the set of canonical roots with a read /
@@ -363,31 +366,17 @@ func (e *guardEnv) call(call *ast.CallExpr) {
 
 	// Inherently unbounded operations.
 	if path, name, ok := pkgFuncOf(info, call.Fun); ok && path == "net" && name == "Dial" {
-		e.w.report(call.Pos(), "net.Dial has no bound; use net.DialTimeout or a net.Dialer with Timeout")
+		e.w.p.Reportf(call.Pos(), "net.Dial has no bound; use net.DialTimeout or a net.Dialer with Timeout")
 		return
 	}
 	if desc, ok := commRecvTarget(info, call); ok {
-		e.w.report(call.Pos(),
+		e.w.p.Reportf(call.Pos(),
 			"blocking %s receive has no deadline; bound it or justify the shutdown path with //lint:ignore", desc)
 		return
 	}
 
 	// Raw I/O and module-callee I/O against the guard sets.
-	callees := e.w.mod.calleesOf(info, call.Fun)
-	if len(callees) == 0 {
-		for _, t := range rawIOTargets(info, call) {
-			e.checkIO(t.expr, t.kind, "")
-		}
-		return
-	}
-	args := alignedArgs(info, call)
-	for _, c := range callees {
-		for i, k := range c.ioParams {
-			if k != 0 && i < len(args) {
-				e.checkIO(args[i], k, shortFuncName(c))
-			}
-		}
-	}
+	ioOperands(info, call, e.w.p.Mod.calleesOf(info, call.Fun), e.checkIO)
 }
 
 // checkIO reports connection I/O whose direction lacks a must-guard.
@@ -396,30 +385,14 @@ func (e *guardEnv) checkIO(arg ast.Expr, k ioKind, via string) {
 	if obj == nil || !connishObj(obj) {
 		return
 	}
-	suffix := ""
-	if via != "" {
-		suffix = " (via " + via + ")"
-	}
 	if k&ioRead != 0 && !e.rd[obj] {
-		e.w.report(arg.Pos(), "network read on %s without a read deadline on this path; call SetReadDeadline first%s",
-			exprString(arg), suffix)
+		e.w.p.Reportf(arg.Pos(), "network read on %s without a read deadline on this path; call SetReadDeadline first%s",
+			exprString(arg), via)
 	}
 	if k&ioWrite != 0 && !e.wr[obj] {
-		e.w.report(arg.Pos(), "network write on %s without a write deadline on this path; call SetWriteDeadline first%s",
-			exprString(arg), suffix)
+		e.w.p.Reportf(arg.Pos(), "network write on %s without a write deadline on this path; call SetWriteDeadline first%s",
+			exprString(arg), via)
 	}
-}
-
-// report dedups by position+message: loop bodies run twice under the
-// driver, and several callees can blame the same operand.
-func (w *guardWalker) report(pos token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := fmt.Sprintf("%d:%s", pos, msg)
-	if w.seen[key] {
-		return
-	}
-	w.seen[key] = true
-	w.p.Reportf(pos, "%s", msg)
 }
 
 // canonicalRoot resolves an operand to the object deadlines apply to:
@@ -555,13 +528,7 @@ func runCtxDeadline(p *Pass) {
 		if n.Pkg.PkgPath != p.PkgPath || n.body() == nil {
 			continue
 		}
-		w := &guardWalker{
-			p:       p,
-			mod:     p.Mod,
-			info:    n.Pkg.Info,
-			aliases: collectAliases(n.Pkg.Info, n.body()),
-			seen:    map[string]bool{},
-		}
+		w := &guardWalker{p: p, info: n.Pkg.Info, aliases: collectAliases(n.Pkg.Info, n.body())}
 		env := &guardEnv{w: w, rd: map[types.Object]bool{}, wr: map[types.Object]bool{}}
 		flowStmts(n.body().List, env)
 	}

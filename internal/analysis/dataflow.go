@@ -10,7 +10,8 @@ import (
 )
 
 // This file is the value-level dataflow layer under walldet, tracekind
-// and (via the shared control-flow driver) ctxdeadline and chanlock. It
+// and (via the shared control-flow driver) ctxdeadline, lockhold and
+// hotalloc. It
 // adds to the boolean summaries of summary.go an intraprocedural
 // abstract interpretation over go/ast+go/types: every local variable
 // carries an element of a small taint lattice, statements are transfer
@@ -109,9 +110,8 @@ type taintSite struct {
 // tracekind's schema cross-check.
 type eventLitSite struct {
 	pos        token.Pos
-	kind       string        // resolved Kind constant; "" when not constant
-	kindPos    token.Pos     // position of the Kind value (when present)
-	kindLit    *ast.BasicLit // raw string literal Kind, for suggested fixes
+	kind       string    // resolved Kind constant; "" when not constant
+	kindPos    token.Pos // position of the Kind value (when present)
 	hasKind    bool
 	positional bool // non-keyed literal (sets every field positionally)
 	fields     []eventFieldSite
@@ -175,8 +175,9 @@ type flowState interface {
 
 // loopAware is an optional flowState extension: a client implementing
 // it is told when the driver enters and leaves a loop body, bracketing
-// the two body runs. hotalloc uses this to track syntactic loop depth
-// without re-implementing the statement dispatch.
+// the two body runs. hotalloc (allocations per iteration) and lockhold
+// (the Cond.Wait rule) use this to track syntactic loop depth without
+// re-implementing the statement dispatch.
 type loopAware interface {
 	enterLoop()
 	exitLoop()
@@ -515,7 +516,7 @@ func (e *taintEnv) trackKind(obj types.Object, val ast.Expr) {
 			continue
 		}
 		if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Kind" {
-			if k, _, isConst := resolveKind(e.w.info, kv.Value); isConst {
+			if k, isConst := resolveKind(e.w.info, kv.Value); isConst {
 				kind = k
 			}
 		}
@@ -592,7 +593,7 @@ func (e *taintEnv) checkFieldSink(sel *ast.SelectorExpr, val ast.Expr, t Taint) 
 		if field == "Kind" {
 			assigned := "?"
 			if val != nil {
-				if k, _, isConst := resolveKind(e.w.info, val); isConst {
+				if k, isConst := resolveKind(e.w.info, val); isConst {
 					assigned = k
 				}
 			}
@@ -679,7 +680,7 @@ func (e *taintEnv) compositeLit(lit *ast.CompositeLit) Taint {
 			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Kind" {
 				site.hasKind = true
 				site.kindPos = kv.Value.Pos()
-				site.kind, site.kindLit, _ = resolveKind(e.w.info, kv.Value)
+				site.kind, _ = resolveKind(e.w.info, kv.Value)
 			}
 		}
 	}
@@ -726,16 +727,12 @@ func (e *taintEnv) compositeLit(lit *ast.CompositeLit) Taint {
 }
 
 // resolveKind extracts the constant string value of an event Kind
-// expression; lit is non-nil when it is a raw string literal (the
-// suggested-fix case).
-func resolveKind(info *types.Info, v ast.Expr) (kind string, lit *ast.BasicLit, constant_ bool) {
-	if bl, ok := unparen(v).(*ast.BasicLit); ok && bl.Kind == token.STRING {
-		lit = bl
-	}
+// expression.
+func resolveKind(info *types.Info, v ast.Expr) (kind string, constant_ bool) {
 	if tv, ok := info.Types[v]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return constant.StringVal(tv.Value), lit, true
+		return constant.StringVal(tv.Value), true
 	}
-	return "", lit, false
+	return "", false
 }
 
 // eventSinkDesc names an event-field sink for findings.
@@ -799,14 +796,7 @@ func (e *taintEnv) call(call *ast.CallExpr) Taint {
 		}
 	}
 
-	// Receiver-first argument list aligned with paramList indexing.
-	args := make([]ast.Expr, 0, len(call.Args)+1)
-	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if _, isMethod := info.Selections[sel]; isMethod {
-			args = append(args, sel.X)
-		}
-	}
-	args = append(args, call.Args...)
+	args := alignedArgs(info, call)
 	taints := make([]Taint, len(args))
 	for i, a := range args {
 		taints[i] = e.eval(a)
@@ -1197,10 +1187,12 @@ func shortFuncName(c *FuncNode) string {
 	return name
 }
 
-// pkgFuncOf matches fun against the pkg.Func call shape and returns the
-// package path and function name.
-func pkgFuncOf(info *types.Info, fun ast.Expr) (path, name string, ok bool) {
-	sel, isSel := unparen(fun).(*ast.SelectorExpr)
+// pkgFuncOf matches e against the package-qualified shape pkg.Name (a
+// function in call position, or a package-level variable such as
+// os.Stdout) and returns the package path and name. It is the one
+// package-name resolution in the analyzers.
+func pkgFuncOf(info *types.Info, e ast.Expr) (path, name string, ok bool) {
+	sel, isSel := unparen(e).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}

@@ -69,33 +69,22 @@ func TestCtxDeadlineFixture(t *testing.T) {
 	checkFixture(t, CtxDeadline, "ctxdeadline/internal/ug/comm")
 }
 func TestTraceKindFixture(t *testing.T) { checkFixture(t, TraceKind, "tracekind") }
-func TestChanLockFixture(t *testing.T)  { checkFixture(t, ChanLock, "chanlock/internal/ug") }
 
-// TestTraceKindSuggestedFix pins the mechanical fix on the misspelled
-// kind: a replace-range edit swapping the literal for the nearest known
-// kind, as surfaced by `ugolint -json`.
+// TestChanLockFixture runs lockhold over the fixture of the former
+// chanlock analyzer: conditional holds, TryLock, network writes.
+func TestChanLockFixture(t *testing.T) { checkFixture(t, LockHold, "chanlock/internal/ug") }
+
+// TestTraceKindSuggestedFix pins the suggestion on the misspelled kind:
+// exactly one finding, and it names the nearest known kind.
 func TestTraceKindSuggestedFix(t *testing.T) {
 	pkg := loadFixture(t, "tracekind")
-	var fixes []Finding
+	var hints []string
 	for _, f := range RunPackage(pkg, []*Analyzer{TraceKind}) {
-		if f.Fix != nil {
-			fixes = append(fixes, f)
+		if strings.Contains(f.Message, "did you mean") {
+			hints = append(hints, f.Message)
 		}
 	}
-	if len(fixes) != 1 {
-		t.Fatalf("want exactly one suggested fix (the despatch typo), got %d", len(fixes))
-	}
-	f := fixes[0]
-	if f.Fix.NewText != `"dispatch"` {
-		t.Errorf("fix text = %s, want %q", f.Fix.NewText, `"dispatch"`)
-	}
-	if !strings.Contains(f.Message, `did you mean "dispatch"`) {
-		t.Errorf("fix message %q does not name the replacement", f.Message)
-	}
-	if f.Fix.Pos.Line != f.Pos.Line || f.Fix.End.Line != f.Pos.Line {
-		t.Errorf("fix range %v–%v should stay on the finding line %d", f.Fix.Pos, f.Fix.End, f.Pos.Line)
-	}
-	if f.Fix.End.Column <= f.Fix.Pos.Column {
-		t.Errorf("fix range is empty: %v–%v", f.Fix.Pos, f.Fix.End)
+	if len(hints) != 1 || !strings.Contains(hints[0], `did you mean "dispatch"`) {
+		t.Fatalf("want one suggestion naming \"dispatch\" (the despatch typo), got %q", hints)
 	}
 }

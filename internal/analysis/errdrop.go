@@ -88,10 +88,8 @@ func neverFails(p *Pass, call *ast.CallExpr) bool {
 		}
 		return false
 	}
-	if isPkgIdent(p, sel.X, "fmt") && fprintFuncs[sel.Sel.Name] {
-		return true
-	}
-	return false
+	path, name, _ := pkgFuncOf(p.Info, sel)
+	return path == "fmt" && fprintFuncs[name]
 }
 
 func callName(call *ast.CallExpr) string {

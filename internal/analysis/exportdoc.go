@@ -5,11 +5,10 @@ import (
 	"strings"
 )
 
-// ExportDocPackages lists the package-path suffixes whose exported API
+// exportDocPackages lists the package-path suffixes whose exported API
 // must be documented: the plugin/glue surface a solver author programs
-// against (the paper's ScipUserPlugins analogue). Other packages are
-// free to adopt the rule later by extending this list.
-var ExportDocPackages = []string{
+// against (the paper's ScipUserPlugins analogue).
+var exportDocPackages = []string{
 	"/internal/scip",
 	"/internal/ug",
 	"/internal/ug/comm",
@@ -26,7 +25,7 @@ var ExportDoc = &Analyzer{
 	Name: "exportdoc",
 	Doc:  "undocumented exported API in plugin-facing packages",
 	Applies: func(pkgPath string) bool {
-		for _, suffix := range ExportDocPackages {
+		for _, suffix := range exportDocPackages {
 			if strings.HasSuffix(pkgPath, suffix) {
 				return true
 			}
@@ -83,7 +82,8 @@ func runExportDoc(p *Pass) {
 // checkGenDecl enforces docs on exported specs. A doc comment on the
 // grouped declaration (`// Protocol tags.` above a const block) covers
 // every spec inside it; otherwise each exported spec needs its own doc
-// or trailing comment.
+// or trailing comment. Struct fields are left to review: the struct's
+// own doc is required, per-field enforcement would drown signal.
 func checkGenDecl(p *Pass, d *ast.GenDecl) {
 	blockDoc := d.Doc != nil
 	for _, spec := range d.Specs {
@@ -91,9 +91,6 @@ func checkGenDecl(p *Pass, d *ast.GenDecl) {
 		case *ast.TypeSpec:
 			if s.Name.IsExported() && !blockDoc && s.Doc == nil && s.Comment == nil {
 				p.Reportf(s.Pos(), "exported type %s has no doc comment", s.Name.Name)
-			}
-			if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
-				checkFields(p, s.Name.Name, st)
 			}
 			if it, ok := s.Type.(*ast.InterfaceType); ok && s.Name.IsExported() {
 				checkInterface(p, s.Name.Name, it)
@@ -134,14 +131,4 @@ func checkInterface(p *Pass, typeName string, it *ast.InterfaceType) {
 			}
 		}
 	}
-}
-
-// checkFields is intentionally lenient for struct fields: only exported
-// fields of exported structs with no doc anywhere in the struct are
-// worth flagging wholesale; per-field enforcement would drown signal.
-// We require at least the struct itself to be documented (handled by
-// the TypeSpec check), so fields are left to review.
-func checkFields(p *Pass, typeName string, st *ast.StructType) {
-	_ = typeName
-	_ = st
 }

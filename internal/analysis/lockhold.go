@@ -1,24 +1,45 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // LockHold flags operations that can block indefinitely while a
-// sync.Mutex/RWMutex is held: channel sends/receives, select statements,
-// sync.Cond.Wait outside a `for` re-check loop, time.Sleep, and
-// file/network I/O. In the ug/comm mailbox and the coordinator's
-// solution pool, any of these inside a critical section turns a
-// microsecond lock into a convoy (or a deadlock when the peer needs the
-// same lock). Cond.Wait must sit in a `for !predicate` loop because
-// spurious and stolen wakeups are allowed by the memory model.
+// sync.Mutex/RWMutex may be held. In the ug/comm mailbox and the
+// coordinator's solution pool, blocking inside a critical section turns
+// a microsecond lock into a convoy, or a deadlock when the peer needs
+// the same lock. The analyzer runs on the flow driver (dataflow.go) with
+// a may-held lattice, so one walk sees a hold taken on every path and a
+// hold taken on only some (a conditional Lock, a TryLock) alike, and
+// reports, wherever a mutex may be held:
+//
+//   - a channel send or receive outside a select-with-default (those
+//     poll, they do not park the goroutine);
+//   - a known-blocking stdlib call (blockingCalls: time.Sleep, file and
+//     network I/O, console output);
+//   - a call into a module function whose summary says it may block
+//     (possibly several calls deep), or that may re-acquire a mutex
+//     already held: a self-deadlock on a non-reentrant Go mutex;
+//   - a network write, raw or through a module callee (ctxdeadline's
+//     ioParams): remote backpressure extends the critical section.
+//
+// Independently of any hold, sync.Cond.Wait outside a for/range loop is
+// reported: spurious and stolen wakeups are allowed by the memory model,
+// so the predicate must be re-checked. Cond.Wait is never a blocking
+// finding itself, because it releases the lock while parked (the mailbox
+// pattern in internal/ug/comm). Deferred calls run at return and `go`
+// statements on another goroutine, so neither is scanned; a function
+// literal is walked as its own function, holding nothing.
 var LockHold = &Analyzer{
-	Name: "lockhold",
-	Doc:  "blocking operation (channel op, Cond.Wait outside for, I/O) while a mutex is held",
-	Run:  runLockHold,
+	Name:    "lockhold",
+	Doc:     "blocking operation (channel op, blocking call, network write, mutex re-acquire) while a mutex may be held; Cond.Wait outside a loop",
+	Applies: isInternal,
+	Run:     runLockHold,
 }
 
 // blockingCalls maps package path → function names that may block.
@@ -32,276 +53,234 @@ var blockingCalls = map[string]map[string]bool{
 	"net/http": {"Get": true, "Post": true, "Head": true, "PostForm": true},
 }
 
-func runLockHold(p *Pass) {
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				scanLocked(p, body.List, map[string]bool{})
-			}
-			return true // keep walking: nested FuncLits scanned separately
-		})
-		checkCondWait(p, file)
-	}
+// lockWalker is the per-function state shared by every fork of heldEnv.
+type lockWalker struct {
+	p           *Pass
+	info        *types.Info
+	nonBlocking map[token.Pos]bool // comm ops inside select-with-default
+	loops       int                // loop depth, for the Cond.Wait rule
 }
 
-// scanLocked walks a statement list tracking which mutexes are held.
-// held maps the printed receiver expression ("mb.mu") to true. The scan
-// is a conservative straight-line approximation: nested blocks inherit a
-// copy of the held set, and a defer of Unlock keeps the mutex held to
-// the end of the list (which is what actually happens at run time).
-func scanLocked(p *Pass, stmts []ast.Stmt, held map[string]bool) {
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *ast.ExprStmt:
-			if recv, op, ok := mutexOp(p, st.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[recv] = true
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				continue
-			}
-		case *ast.DeferStmt:
-			// defer mu.Unlock() releases only at return: the mutex stays
-			// held for the remainder of this statement list.
-			continue
-		}
-		if len(held) > 0 {
-			checkWhileHeld(p, st)
-		}
-		for _, nested := range nestedBlocks(st) {
-			scanLocked(p, nested, copySet(held))
+// heldEnv is the flow state: the mutexes that may be held here. The
+// value records whether the hold is conditional (acquired on only some
+// paths into this point).
+type heldEnv struct {
+	w    *lockWalker
+	held map[types.Object]bool
+}
+
+func (e *heldEnv) fork() flowState {
+	cp := &heldEnv{w: e.w, held: make(map[types.Object]bool, len(e.held))}
+	for k, v := range e.held {
+		cp.held[k] = v
+	}
+	return cp
+}
+
+// merge unions may-held facts: a mutex held on only one incoming path
+// becomes conditionally held.
+func (e *heldEnv) merge(other flowState) {
+	o := other.(*heldEnv)
+	for k, cond := range o.held {
+		mine, ok := e.held[k]
+		e.held[k] = !ok || mine || cond
+	}
+	for k := range e.held {
+		if _, ok := o.held[k]; !ok {
+			e.held[k] = true
 		}
 	}
 }
 
-// mutexOp matches a call expr of the form recv.Lock/Unlock/RLock/RUnlock
-// where recv's type is (or embeds) sync.Mutex or sync.RWMutex.
-func mutexOp(p *Pass, e ast.Expr) (recv, op string, ok bool) {
-	call, ok2 := e.(*ast.CallExpr)
-	if !ok2 {
-		return "", "", false
-	}
-	sel, ok2 := call.Fun.(*ast.SelectorExpr)
-	if !ok2 {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+func (e *heldEnv) enterLoop() { e.w.loops++ }
+func (e *heldEnv) exitLoop()  { e.w.loops-- }
+
+func (e *heldEnv) leaf(st ast.Stmt) {
+	switch s := st.(type) {
+	case *ast.DeferStmt, *ast.GoStmt:
+		// A deferred Unlock releases at return, not here; a new
+		// goroutine does not hold this one's locks.
+	case *ast.RangeStmt:
+		e.scan(s.X)
 	default:
-		return "", "", false
+		e.scan(st)
 	}
-	if !isSyncLockRecv(p, sel) {
-		return "", "", false
-	}
-	return exprString(sel.X), name, true
 }
 
-// isSyncLockRecv reports whether the method call resolves into package
-// sync (covers fields of type sync.Mutex/RWMutex and embedded mutexes).
-func isSyncLockRecv(p *Pass, sel *ast.SelectorExpr) bool {
-	if s, ok := p.Info.Selections[sel]; ok {
-		if fn, ok := s.Obj().(*types.Func); ok && fn.Pkg() != nil {
-			return fn.Pkg().Path() == "sync"
-		}
-		return false
+func (e *heldEnv) expr(x ast.Expr) {
+	if x != nil {
+		e.scan(x)
 	}
-	// No selection info (e.g. package-incomplete typing): fall back to
-	// the receiver's static type name.
-	if tv, ok := p.Info.Types[sel.X]; ok && tv.Type != nil {
-		s := tv.Type.String()
-		return s == "sync.Mutex" || s == "*sync.Mutex" || s == "sync.RWMutex" || s == "*sync.RWMutex"
-	}
-	return false
 }
 
-// checkWhileHeld reports blocking operations in the statement itself
-// (not descending into nested blocks — those re-enter scanLocked with
-// their own copy of the held set, and nested function literals have
-// their own lock discipline).
-func checkWhileHeld(p *Pass, st ast.Stmt) {
-	switch st := st.(type) {
-	case *ast.SendStmt:
-		p.Reportf(st.Arrow, "channel send while mutex is held can block the critical section")
-		return
-	case *ast.SelectStmt:
-		p.Reportf(st.Select, "select while mutex is held can block the critical section")
-		return
-	}
-	shallow := shallowExprs(st)
-	for _, e := range shallow {
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // separate scope
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					p.Reportf(n.OpPos, "channel receive while mutex is held can block the critical section")
-				}
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok {
-						if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-							path := pn.Imported().Path()
-							if fns := blockingCalls[path]; fns != nil && fns[sel.Sel.Name] {
-								p.Reportf(n.Pos(), "%s.%s while mutex is held can block the critical section", path, sel.Sel.Name)
-							}
-						}
-					}
-				}
+func (e *heldEnv) scan(nd ast.Node) {
+	walkShallow(nd, func(x ast.Node) bool {
+		switch v := x.(type) {
+		case *ast.CallExpr:
+			e.call(v)
+		case *ast.UnaryExpr:
+			if v.Op == token.ARROW {
+				e.commOp(v.Pos(), "receive")
 			}
-			return true
-		})
-	}
-}
-
-// checkCondWait reports sync.Cond.Wait calls with no enclosing for/range
-// loop inside the same function: Wait must be re-checked in a loop.
-func checkCondWait(p *Pass, file *ast.File) {
-	// Track the ancestor chain manually.
-	var stack []ast.Node
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && isCondRecv(p, sel) {
-				if !hasLoopAncestor(stack) {
-					p.Reportf(call.Pos(), "sync.Cond.Wait outside a for loop: spurious wakeups require re-checking the predicate in a loop")
-				}
-			}
+		case *ast.SendStmt:
+			e.commOp(v.Pos(), "send")
 		}
 		return true
-	}
-	ast.Inspect(file, walk)
+	})
 }
 
-func isCondRecv(p *Pass, sel *ast.SelectorExpr) bool {
-	if s, ok := p.Info.Selections[sel]; ok {
-		// Receiver must be sync.Cond specifically: sync.WaitGroup.Wait
-		// has no re-check contract.
-		recv := s.Recv().String()
-		return strings.HasSuffix(recv, "sync.Cond")
+// call applies a lock operation to the held set, checks the Cond.Wait
+// rule, and reports blocking calls and network writes made while
+// anything may be held.
+func (e *heldEnv) call(call *ast.CallExpr) {
+	info := e.w.info
+	if obj, op, ok := syncLockOp(info, call); ok {
+		if obj != nil {
+			switch op {
+			case "Lock", "RLock":
+				e.held[obj] = false
+			case "TryLock", "TryRLock":
+				e.held[obj] = true // acquired only when it succeeds
+			case "Unlock", "RUnlock":
+				delete(e.held, obj)
+			}
+		}
+		return
 	}
-	if tv, ok := p.Info.Types[sel.X]; ok && tv.Type != nil {
-		s := tv.Type.String()
-		return s == "sync.Cond" || s == "*sync.Cond"
+	if isCondWait(info, call) {
+		if e.w.loops == 0 {
+			e.w.p.Reportf(call.Pos(), "sync.Cond.Wait outside a for loop: spurious wakeups require re-checking the predicate in a loop")
+		}
+		return
 	}
-	return false
+	if len(e.held) == 0 {
+		return
+	}
+	if path, name, ok := pkgFuncOf(info, call.Fun); ok && blockingCalls[path][name] {
+		e.w.p.Reportf(call.Pos(), "%s.%s while %s can block the critical section", path, name, e.holding())
+	}
+	callees := e.w.p.Mod.calleesOf(info, call.Fun)
+	for _, c := range callees {
+		if c.sum.MayBlock {
+			e.w.p.Reportf(call.Pos(), "call to %s may block (channel/select/Wait/I-O in its call chain) while %s", c.Name(), e.holding())
+		}
+		for _, mu := range e.heldSorted() {
+			if c.sum.Acquires[mu] {
+				e.w.p.Reportf(call.Pos(), "call to %s may re-acquire %q, which is already held: self-deadlock on a non-reentrant mutex", c.Name(), mu.Name())
+			}
+		}
+	}
+	ioOperands(info, call, callees, func(arg ast.Expr, k ioKind, via string) {
+		if obj := exprRootObj(info, arg); k&ioWrite != 0 && obj != nil && connishObj(obj) {
+			e.w.p.Reportf(arg.Pos(), "network write on %s while %s%s; remote backpressure extends the critical section",
+				exprString(arg), e.holding(), via)
+		}
+	})
 }
 
-// hasLoopAncestor reports whether the ancestor chain contains a for or
-// range statement below the nearest enclosing function.
-func hasLoopAncestor(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
+// commOp reports a channel operation that can park the goroutine while a
+// mutex may be held.
+func (e *heldEnv) commOp(pos token.Pos, what string) {
+	if len(e.held) > 0 && !e.w.nonBlocking[pos] {
+		e.w.p.Reportf(pos, "channel %s while %s can block the critical section", what, e.holding())
+	}
+}
+
+// heldSorted returns the held mutexes in stable (name) order so finding
+// order is deterministic.
+func (e *heldEnv) heldSorted() []types.Object {
+	out := make([]types.Object, 0, len(e.held))
+	for mu := range e.held {
+		out = append(out, mu)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	return out
+}
+
+// holding names the held mutexes for a finding, marking the ones held
+// on only some paths into this point.
+func (e *heldEnv) holding() string {
+	var parts []string
+	for _, mu := range e.heldSorted() {
+		s := fmt.Sprintf("%q", mu.Name())
+		if e.held[mu] {
+			s += " (on some paths)"
+		}
+		parts = append(parts, s)
+	}
+	return "holding mutex " + strings.Join(parts, ", ")
+}
+
+// syncLockOp matches mu.Lock()-style calls on sync primitives and
+// returns the mutex identity and operation name.
+func syncLockOp(info *types.Info, call *ast.CallExpr) (types.Object, string, bool) {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", false
+	}
+	s, ok := info.Selections[sel]
+	if !ok {
+		return nil, "", false
+	}
+	fn, ok := s.Obj().(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, "", false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
+		return mutexIdentity(info, sel.X), sel.Sel.Name, true
+	}
+	return nil, "", false
+}
+
+// isCondWait matches cond.Wait() on a sync.Cond (sync.WaitGroup.Wait has
+// no re-check contract).
+func isCondWait(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Wait" {
+		return false
+	}
+	s, ok := info.Selections[sel]
+	return ok && isNamedIn(s.Recv(), "Cond", "sync")
+}
+
+// nonBlockingComms marks the comm operations of every
+// select-with-default in body: those poll rather than block.
+func nonBlockingComms(body *ast.BlockStmt) map[token.Pos]bool {
+	out := map[token.Pos]bool{}
+	walkShallow(body, func(nd ast.Node) bool {
+		sel, ok := nd.(*ast.SelectStmt)
+		if !ok || !selectHasDefault(sel) {
 			return true
-		case *ast.FuncDecl, *ast.FuncLit:
-			return false
 		}
-	}
-	return false
-}
-
-// nestedBlocks returns the statement lists nested inside st.
-func nestedBlocks(st ast.Stmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	switch st := st.(type) {
-	case *ast.BlockStmt:
-		out = append(out, st.List)
-	case *ast.IfStmt:
-		out = append(out, st.Body.List)
-		if st.Else != nil {
-			switch e := st.Else.(type) {
-			case *ast.BlockStmt:
-				out = append(out, e.List)
-			case *ast.IfStmt:
-				out = append(out, nestedBlocks(e)...)
+		for _, c := range sel.Body.List {
+			cc, ok := c.(*ast.CommClause)
+			if !ok || cc.Comm == nil {
+				continue
 			}
-		}
-	case *ast.ForStmt:
-		out = append(out, st.Body.List)
-	case *ast.RangeStmt:
-		out = append(out, st.Body.List)
-	case *ast.SwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		out = append(out, nestedBlocks(st.Stmt)...)
-	}
-	return out
-}
-
-// shallowExprs returns the expressions evaluated directly by st (not
-// inside nested blocks).
-func shallowExprs(st ast.Stmt) []ast.Expr {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		return []ast.Expr{st.X}
-	case *ast.AssignStmt:
-		return append(append([]ast.Expr{}, st.Lhs...), st.Rhs...)
-	case *ast.ReturnStmt:
-		return st.Results
-	case *ast.IfStmt:
-		if st.Cond != nil {
-			return []ast.Expr{st.Cond}
-		}
-	case *ast.ForStmt:
-		if st.Cond != nil {
-			return []ast.Expr{st.Cond}
-		}
-	case *ast.RangeStmt:
-		return []ast.Expr{st.X}
-	case *ast.SwitchStmt:
-		if st.Tag != nil {
-			return []ast.Expr{st.Tag}
-		}
-	case *ast.GoStmt:
-		return nil // new goroutine: not holding our locks
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			var out []ast.Expr
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					out = append(out, vs.Values...)
+			ast.Inspect(cc.Comm, func(x ast.Node) bool {
+				switch v := x.(type) {
+				case *ast.SendStmt:
+					out[v.Pos()] = true
+				case *ast.UnaryExpr:
+					if v.Op == token.ARROW {
+						out[v.Pos()] = true
+					}
 				}
-			}
-			return out
+				return true
+			})
 		}
-	case *ast.IncDecStmt:
-		return []ast.Expr{st.X}
-	}
-	return nil
+		return true
+	})
+	return out
 }
 
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
+func runLockHold(p *Pass) {
+	for _, n := range p.Mod.Funcs() {
+		if n.Pkg.PkgPath != p.PkgPath || n.body() == nil {
+			continue
+		}
+		w := &lockWalker{p: p, info: n.Pkg.Info, nonBlocking: nonBlockingComms(n.body())}
+		flowStmts(n.body().List, &heldEnv{w: w, held: map[types.Object]bool{}})
 	}
-	return out
 }

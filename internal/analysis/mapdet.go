@@ -109,7 +109,25 @@ func mapOrderSites(m *Module, n *FuncNode) []mapdetSite {
 		dedup = append(dedup, s)
 	}
 	if len(dedup) > 0 {
-		returned := returnedObjs(n)
+		// A site reaches the return when its target is a named result
+		// (bare returns) or is referenced by a return statement.
+		returned := map[types.Object]bool{}
+		for _, o := range resultObjs(n) {
+			returned[o] = true
+		}
+		walkShallow(body, func(nd ast.Node) bool {
+			if ret, ok := nd.(*ast.ReturnStmt); ok {
+				for _, res := range ret.Results {
+					ast.Inspect(res, func(x ast.Node) bool {
+						if id, ok := x.(*ast.Ident); ok && info.Uses[id] != nil {
+							returned[info.Uses[id]] = true
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
 		for i := range dedup {
 			if dedup[i].target != nil && returned[dedup[i].target] {
 				dedup[i].reachesReturn = true
@@ -187,7 +205,7 @@ func rangeOrderSites(m *Module, n *FuncNode, rs *ast.RangeStmt) []mapdetSite {
 		}
 		switch s.Tok {
 		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-			if rhsTainted && isFloatType(info, lhs) {
+			if rhsTainted && isFloatExpr(info, lhs) {
 				sites = append(sites, mapdetSite{
 					pos:    s.Pos(),
 					msg:    "float accumulation into " + exprString(lhs) + " over map iteration is order-dependent (FP addition is not associative); iterate sorted keys",
@@ -353,15 +371,9 @@ func sortedAfter(m *Module, n *FuncNode, rs *ast.RangeStmt, obj types.Object) bo
 		if !argHasObj {
 			return true
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if pn, ok := info.Uses[id].(*types.PkgName); ok {
-					if fns := sortFuncs[pn.Imported().Path()]; fns != nil && fns[sel.Sel.Name] {
-						sorted = true
-						return false
-					}
-				}
-			}
+		if path, name, ok := pkgFuncOf(info, call.Fun); ok && sortFuncs[path][name] {
+			sorted = true
+			return false
 		}
 		for _, c := range m.calleesOf(info, call.Fun) {
 			if c.sum.SortsArg {
@@ -372,46 +384,6 @@ func sortedAfter(m *Module, n *FuncNode, rs *ast.RangeStmt, obj types.Object) bo
 		return true
 	})
 	return sorted
-}
-
-// returnedObjs collects the objects referenced in the function's return
-// statements, plus named result parameters (covered by bare returns).
-func returnedObjs(n *FuncNode) map[types.Object]bool {
-	info := n.Pkg.Info
-	out := map[types.Object]bool{}
-	var ftype *ast.FuncType
-	if n.Decl != nil {
-		ftype = n.Decl.Type
-	} else {
-		ftype = n.Lit.Type
-	}
-	if ftype.Results != nil {
-		for _, f := range ftype.Results.List {
-			for _, name := range f.Names {
-				if o := info.Defs[name]; o != nil {
-					out[o] = true
-				}
-			}
-		}
-	}
-	walkShallow(n.body(), func(nd ast.Node) bool {
-		ret, ok := nd.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			ast.Inspect(res, func(x ast.Node) bool {
-				if id, ok := x.(*ast.Ident); ok {
-					if o := info.Uses[id]; o != nil {
-						out[o] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return out
 }
 
 // guardOperands returns the printed operands of every comparison inside
@@ -458,14 +430,4 @@ func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin && id.Name == "append"
-}
-
-// isFloatType reports whether e's static type is a floating-point kind.
-func isFloatType(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

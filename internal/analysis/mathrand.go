@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // MathRand flags use of math/rand's global generator (rand.Intn,
 // rand.Float64, rand.Shuffle, ...) in library code. The experiment
@@ -30,22 +27,9 @@ func runMathRand(p *Pass) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
+		if path, name, _ := pkgFuncOf(p.Info, call.Fun); path == "math/rand" && !mathRandCtors[name] {
+			p.Reportf(call.Pos(), "rand.%s draws from the process-global generator; thread a seeded *rand.Rand instead", name)
 		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pn, ok := p.Info.Uses[id].(*types.PkgName)
-		if !ok || pn.Imported().Path() != "math/rand" {
-			return true
-		}
-		if mathRandCtors[sel.Sel.Name] {
-			return true
-		}
-		p.Reportf(call.Pos(), "rand.%s draws from the process-global generator; thread a seeded *rand.Rand instead", sel.Sel.Name)
 		return true
 	})
 }

@@ -45,8 +45,7 @@ func runPrintfDebug(p *Pass) {
 				}
 			}
 		case *ast.SelectorExpr:
-			if isPkgIdent(p, fun.X, "fmt") {
-				name := fun.Sel.Name
+			if path, name, _ := pkgFuncOf(p.Info, fun); path == "fmt" {
 				if printFuncs[name] {
 					p.Reportf(call.Pos(), "fmt.%s writes to stdout from a library package; emit an internal/obs event or route output through the statistics path", name)
 				}
@@ -59,19 +58,7 @@ func runPrintfDebug(p *Pass) {
 	})
 }
 
-func isPkgIdent(p *Pass, e ast.Expr, pkgPath string) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgPath
-}
-
 func isStdStream(p *Pass, e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return isPkgIdent(p, sel.X, "os") && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
+	path, name, _ := pkgFuncOf(p.Info, e)
+	return path == "os" && (name == "Stdout" || name == "Stderr")
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Summary is the per-function dataflow summary computed to a fixed
@@ -16,13 +17,10 @@ type Summary struct {
 	// synchronous call into a function that may. Goroutine launches do
 	// not propagate it: `go f()` never blocks the spawner.
 	MayBlock bool
-	// Spawns: the function starts a goroutine, directly or through any
-	// synchronous callee.
-	Spawns bool
 	// Acquires: identities (field or variable objects) of sync.Mutex /
 	// sync.RWMutex receivers the function may Lock/RLock, directly or
 	// transitively. Calling such a function while one of these is held
-	// is a self-deadlock candidate (lockblock).
+	// is a self-deadlock candidate (lockhold).
 	Acquires map[types.Object]bool
 	// OrderDep: the function's return value depends on map-iteration
 	// order (an argmax over keys, unsorted key collection, or a float
@@ -51,7 +49,7 @@ func computeSummaries(m *Module) {
 			directFacts(n)
 		}
 	}
-	// Fixed point for MayBlock / Spawns / Acquires.
+	// Fixed point for MayBlock / Acquires.
 	m.Rounds = 0
 	for changed := true; changed; {
 		changed = false
@@ -62,10 +60,6 @@ func computeSummaries(m *Module) {
 					n.sum.MayBlock = true
 					changed = true
 				}
-				if c.sum.Spawns && !n.sum.Spawns {
-					n.sum.Spawns = true
-					changed = true
-				}
 				for obj := range c.sum.Acquires {
 					if !n.sum.Acquires[obj] {
 						n.sum.Acquires[obj] = true
@@ -73,9 +67,6 @@ func computeSummaries(m *Module) {
 					}
 				}
 			}
-			// n.spawned needs no propagation: a GoStmt already set
-			// n.sum.Spawns directly, and a spawned callee's blocking
-			// behavior stays inside the new goroutine.
 		}
 	}
 	// OrderDep direct facts need the SortsArg bits above, so they are
@@ -111,11 +102,9 @@ func computeSummaries(m *Module) {
 // directFacts computes the intraprocedural summary bits of one node.
 func directFacts(n *FuncNode) {
 	info := n.Pkg.Info
-	params := paramObjs(n)
+	params := paramList(n)
 	walkShallow(n.body(), func(nd ast.Node) bool {
 		switch x := nd.(type) {
-		case *ast.GoStmt:
-			n.sum.Spawns = true
 		case *ast.SendStmt:
 			n.sum.MayBlock = true
 		case *ast.UnaryExpr:
@@ -141,47 +130,36 @@ func directFacts(n *FuncNode) {
 
 // directCallFacts classifies one call expression: blocking stdlib/sync
 // calls, mutex acquisitions, and parameter sorts.
-func directCallFacts(n *FuncNode, info *types.Info, params map[types.Object]bool, call *ast.CallExpr) {
+func directCallFacts(n *FuncNode, info *types.Info, params []types.Object, call *ast.CallExpr) {
+	// Package-qualified calls: blocking table and sorting helpers.
+	if path, name, ok := pkgFuncOf(info, call.Fun); ok {
+		if blockingCalls[path][name] {
+			n.sum.MayBlock = true
+		}
+		if sortFuncs[path][name] && len(call.Args) > 0 {
+			if root := rootIdent(call.Args[0]); root != nil && slices.Contains(params, info.Uses[root]) {
+				n.sum.SortsArg = true
+			}
+		}
+		return
+	}
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	// Method calls resolved through types.Selections: sync.Cond.Wait and
 	// sync.WaitGroup.Wait block; Lock/RLock acquire.
-	if s, ok := info.Selections[sel]; ok {
-		fn, ok := s.Obj().(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return
-		}
-		if fn.Pkg().Path() == "sync" {
-			switch fn.Name() {
-			case "Wait":
-				n.sum.MayBlock = true
-			case "Lock", "RLock":
-				if obj := mutexIdentity(info, sel.X); obj != nil {
-					n.sum.Acquires[obj] = true
-				}
-			}
-		}
-		return
-	}
-	// Package-qualified calls: blocking table and sorting helpers.
-	id, ok := sel.X.(*ast.Ident)
+	s, ok := info.Selections[sel]
 	if !ok {
 		return
 	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return
-	}
-	path := pn.Imported().Path()
-	if fns := blockingCalls[path]; fns != nil && fns[sel.Sel.Name] {
-		n.sum.MayBlock = true
-	}
-	if fns := sortFuncs[path]; fns != nil && fns[sel.Sel.Name] && len(call.Args) > 0 {
-		if root := rootIdent(call.Args[0]); root != nil {
-			if obj := info.Uses[root]; obj != nil && params[obj] {
-				n.sum.SortsArg = true
+	if fn, ok := s.Obj().(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
+		switch fn.Name() {
+		case "Wait":
+			n.sum.MayBlock = true
+		case "Lock", "RLock":
+			if obj := mutexIdentity(info, sel.X); obj != nil {
+				n.sum.Acquires[obj] = true
 			}
 		}
 	}
@@ -209,36 +187,6 @@ func mutexIdentity(info *types.Info, recv ast.Expr) types.Object {
 		return mutexIdentity(info, r.X)
 	}
 	return nil
-}
-
-// paramObjs collects the parameter (and receiver) objects of a node.
-func paramObjs(n *FuncNode) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	var ftype *ast.FuncType
-	if n.Decl != nil {
-		ftype = n.Decl.Type
-		if n.Decl.Recv != nil {
-			for _, f := range n.Decl.Recv.List {
-				for _, name := range f.Names {
-					if obj := n.Pkg.Info.Defs[name]; obj != nil {
-						out[obj] = true
-					}
-				}
-			}
-		}
-	} else {
-		ftype = n.Lit.Type
-	}
-	if ftype.Params != nil {
-		for _, f := range ftype.Params.List {
-			for _, name := range f.Names {
-				if obj := n.Pkg.Info.Defs[name]; obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // selectHasDefault reports whether a select statement has a default
@@ -275,4 +223,16 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// exprRootObj resolves an expression's root identifier to its object.
+func exprRootObj(info *types.Info, e ast.Expr) types.Object {
+	root := rootIdent(e)
+	if root == nil {
+		return nil
+	}
+	if obj := info.Uses[root]; obj != nil {
+		return obj
+	}
+	return info.Defs[root]
 }

@@ -47,10 +47,17 @@ func methodValue(r Real) func(chan int) {
 	return f
 }
 
-// spawner launches pingA on a goroutine: Spawns without MayBlock,
-// because `go f()` never blocks the spawner.
+// spawner launches pingA on a goroutine: not MayBlock, because
+// `go f()` never blocks the spawner.
 func spawner(ch chan int) {
 	go pingA(3, ch)
+}
+
+// spawnAndCall launches pingA and also calls it synchronously: the
+// launch adds no edge, the synchronous call keeps its own.
+func spawnAndCall(ch chan int) {
+	go pingA(3, ch)
+	pingA(3, ch)
 }
 
 // pure touches nothing interesting.

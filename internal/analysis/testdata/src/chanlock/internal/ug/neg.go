@@ -2,11 +2,11 @@ package ug
 
 import "net"
 
-// uncondSend holds the lock on every path: that is lockhold/lockblock
-// territory, and chanlock stays quiet to avoid double-reporting.
+// uncondSend holds the lock on every path: the unconditional hold is
+// reported exactly like the conditional ones in pos.go.
 func uncondSend(h *hub) {
 	h.mu.Lock()
-	h.ch <- 1
+	h.ch <- 1 // WANT lockhold
 	h.mu.Unlock()
 }
 
@@ -33,7 +33,7 @@ func sendAfter(h *hub, urgent bool) {
 }
 
 // readUnlocked does its network IO outside any critical section; the
-// missing deadline is ctxdeadline's concern, not chanlock's.
+// missing deadline is ctxdeadline's concern, not lockhold's.
 func readUnlocked(h *hub, conn net.Conn, buf []byte) {
 	h.mu.Lock()
 	h.mu.Unlock()

@@ -1,7 +1,7 @@
-// Package ug holds fixtures for the chanlock analyzer: blocking channel
-// and network operations reached while a mutex may be held. The
-// directory nests under internal/ug so the package path passes the
-// analyzer's Applies filter.
+// Package ug holds fixtures for lockhold on the may-held lattice:
+// blocking channel and network operations reached while a mutex may be
+// held. The directory nests under internal/ug so the package path
+// passes the analyzer's Applies filter.
 package ug
 
 import (
@@ -14,13 +14,13 @@ type hub struct {
 	ch chan int
 }
 
-// condSend takes the lock on only one path, a shape the purely linear
-// lockhold scan cannot see: the send can block while holding mu.
+// condSend takes the lock on only one path, a shape a purely linear
+// scan cannot see: the send can block while holding mu.
 func condSend(h *hub, urgent bool) {
 	if urgent {
 		h.mu.Lock()
 	}
-	h.ch <- 1 // WANT chanlock
+	h.ch <- 1 // WANT lockhold
 	if urgent {
 		h.mu.Unlock()
 	}
@@ -33,7 +33,7 @@ func condRecv(h *hub, urgent bool) int {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 	}
-	return <-h.ch // WANT chanlock
+	return <-h.ch // WANT lockhold
 }
 
 // tryHeld: TryLock acquires on only some executions, so the send runs
@@ -42,7 +42,7 @@ func tryHeld(h *hub) {
 	if h.mu.TryLock() {
 		defer h.mu.Unlock()
 	}
-	h.ch <- 1 // WANT chanlock
+	h.ch <- 1 // WANT lockhold
 }
 
 // netWriteHeld blocks on the network inside the critical section:
@@ -50,5 +50,5 @@ func tryHeld(h *hub) {
 func netWriteHeld(mu *sync.Mutex, conn net.Conn, buf []byte) {
 	mu.Lock()
 	defer mu.Unlock()
-	_, _ = conn.Write(buf) // WANT chanlock
+	_, _ = conn.Write(buf) // WANT lockhold
 }

@@ -1,5 +1,5 @@
 // Package ug holds positive (pos.go) and negative (neg.go) fixtures for
-// the interprocedural lockblock analyzer. The directory nests under
+// lockhold's interprocedural rules. The directory nests under
 // internal/ug so the package path passes the analyzer's Applies filter.
 package ug
 
@@ -18,7 +18,7 @@ func relay(ch chan int) int { return waitForItem(ch) }
 
 func takeLocked(p *pool, ch chan int) int {
 	p.mu.Lock()
-	v := waitForItem(ch) // WANT lockblock
+	v := waitForItem(ch) // WANT lockhold
 	p.mu.Unlock()
 	return v
 }
@@ -26,7 +26,7 @@ func takeLocked(p *pool, ch chan int) int {
 func takeDeepLocked(p *pool, ch chan int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return relay(ch) // WANT lockblock
+	return relay(ch) // WANT lockhold
 }
 
 // size re-acquires p.mu: calling it with the lock held self-deadlocks.
@@ -38,7 +38,7 @@ func (p *pool) size() int {
 
 func drainLocked(p *pool) int {
 	p.mu.Lock()
-	n := p.size() // WANT lockblock
+	n := p.size() // WANT lockhold
 	p.mu.Unlock()
 	return n
 }

@@ -1,5 +1,5 @@
 // Package lockhold holds positive (pos.go) and negative (neg.go)
-// fixtures for the lockhold analyzer.
+// fixtures for the lockhold analyzer's intraprocedural rules.
 package lockhold
 
 import (
@@ -48,7 +48,7 @@ func printWhileLocked(b *box) {
 
 func selectWhileLocked(b *box, ch chan int) {
 	b.mu.Lock()
-	select { // WANT lockhold
+	select { // polls: the default arm means it never parks
 	case <-ch:
 	default:
 	}
@@ -78,4 +78,15 @@ func embeddedMutex(e *embedded, ch chan int) {
 	e.Lock()
 	ch <- e.n // WANT lockhold
 	e.Unlock()
+}
+
+// writeInIfInit hides the blocking call in an if-init clause, which a
+// scan of the condition alone never sees.
+func writeInIfInit(b *box, path string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := os.WriteFile(path, nil, 0o644); err != nil { // WANT lockhold
+		return err
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"strings"
 
@@ -14,9 +13,8 @@ import (
 // for that kind. Event literals are collected by the dataflow layer
 // (dataflow.go), which also resolves the kind of post-literal field
 // writes (`ev := obs.Event{Kind: ...}; ev.Str = ...`) by tracking kinds
-// through local assignments. An unknown kind written as a raw string
-// literal gets a suggested fix to the nearest known kind, so `ugolint
-// -json` output can be applied mechanically.
+// through local assignments. An unknown kind close to a known one is
+// reported with a "did you mean" naming it.
 //
 // internal/obs itself is exempt: the decoder and tracer legitimately
 // build events field-by-field from wire data.
@@ -104,17 +102,10 @@ func checkKindField(p *Pass, pos token.Pos, kind, field string) {
 	p.Reportf(pos, "event kind %q does not carry field %s (schema allows: %s)", kind, field, allowed)
 }
 
-// reportUnknownKind reports an unknown event kind, with a suggested fix
-// to the nearest known kind when the kind is a raw string literal and a
-// plausibly-close neighbour exists.
+// reportUnknownKind reports an unknown event kind, naming the nearest
+// known kind when a plausibly-close neighbour exists.
 func reportUnknownKind(p *Pass, s eventLitSite) {
-	best, dist := nearestKind(s.kind)
-	if s.kindLit != nil && best != "" && dist <= 2 && dist < len(s.kind) {
-		p.ReportFixf(s.kindPos, s.kindLit.Pos(), s.kindLit.End(), fmt.Sprintf("%q", best),
-			"unknown event kind %q; did you mean %q?", s.kind, best)
-		return
-	}
-	if best != "" && dist <= 2 {
+	if best, dist := nearestKind(s.kind); best != "" && dist <= 2 {
 		p.Reportf(s.kindPos, "unknown event kind %q; did you mean %q?", s.kind, best)
 		return
 	}

@@ -5,7 +5,9 @@
 // reserved for sentinel values and sparsity tests and must be spelled
 // through the Exact*/Nonzero helpers so the intent is auditable. The
 // floatcmp analyzer (internal/analysis) enforces this: it flags raw
-// float comparisons everywhere except inside this package.
+// float comparisons everywhere except inside this package, and raw
+// tolerance literals in solver-core comparisons, which must name the
+// constants below.
 package num
 
 import "math"

@@ -105,23 +105,12 @@ func (c *Capturer) write(reason, detail string, panicInfo []byte) (string, error
 	if !c.Armed() {
 		return "", nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("obs: bundle parent: %w", err)
 	}
-	pid := os.Getpid()
-	var dir string
-	for {
-		dir = filepath.Join(c.Dir, fmt.Sprintf("%s-pid%d-%d", reason, pid, c.seq))
-		c.seq++
-		err := os.Mkdir(dir, 0o755)
-		if err == nil {
-			break
-		}
-		if !os.IsExist(err) {
-			return "", fmt.Errorf("obs: bundle dir: %w", err)
-		}
+	dir, err := c.reserveDir(reason)
+	if err != nil {
+		return "", err
 	}
 
 	events := c.Recorder.Events()
@@ -147,6 +136,27 @@ func (c *Capturer) write(reason, detail string, panicInfo []byte) (string, error
 	}
 	fmt.Fprintf(os.Stderr, "obs: forensics bundle written: %s (%s: %s)\n", dir, reason, detail)
 	return dir, nil
+}
+
+// reserveDir creates a fresh bundle directory. Only the sequence number
+// and the Mkdir need c.mu: each bundle owns its directory, so the file
+// writes that follow run outside the lock, and a slow disk in one
+// capture does not stall a concurrent one.
+func (c *Capturer) reserveDir(reason string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pid := os.Getpid()
+	for {
+		dir := filepath.Join(c.Dir, fmt.Sprintf("%s-pid%d-%d", reason, pid, c.seq))
+		c.seq++
+		err := os.Mkdir(dir, 0o755)
+		if err == nil {
+			return dir, nil
+		}
+		if !os.IsExist(err) {
+			return "", fmt.Errorf("obs: bundle dir: %w", err)
+		}
+	}
 }
 
 func writeEventsFile(path string, events []Event) error {

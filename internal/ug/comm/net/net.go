@@ -146,11 +146,11 @@ func (p *peer) write(ftype byte, body []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-	//lint:ignore chanlock frame writes are serialized under wmu by design; the write deadline above bounds how long backpressure can hold it
+	//lint:ignore lockhold frame writes are serialized under wmu by design; the write deadline above bounds how long backpressure can hold it
 	if err := writeFrame(p.bw, ftype, body); err != nil {
 		return err
 	}
-	//lint:ignore chanlock flush is part of the same deadline-bounded frame write
+	//lint:ignore lockhold flush is part of the same deadline-bounded frame write
 	return p.bw.Flush()
 }
 

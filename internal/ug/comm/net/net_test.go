@@ -103,6 +103,12 @@ func TestRendezvousExchange(t *testing.T) {
 	if !seen[0] || !seen[1] || !seen[2] {
 		t.Fatalf("missing senders: %v (tags %v)", seen, tags)
 	}
+	// The send loop counts a frame after its write returns; on a loaded
+	// host that bookkeeping can trail the replies the frame provoked.
+	deadline := time.Now().Add(time.Second)
+	for reg.Counter("comm.net.bytes.out").Value() <= 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := reg.Counter("comm.net.bytes.out").Value(); got <= 0 {
 		t.Fatalf("bytes.out counter not flowing: %d", got)
 	}

@@ -6,9 +6,8 @@
 #   2. go vet ./...      the stock toolchain analyzers
 #   3. go build ./...    everything compiles
 #   4. ugolint ./...     the solver-aware analyzers (internal/analysis),
-#                        then the -json emitter over the same tree so
-#                        the machine-readable path cannot rot, then the
-#                        -hot allocation gate over the //ugo:hotpath region
+#                        then the -hot allocation gate over the
+#                        //ugo:hotpath region
 #   5. go test -race     the concurrency-sensitive packages
 #   6. go test ./...     the full tier-1 suite (includes the ugolint
 #                        selfcheck via internal/analysis)
@@ -40,13 +39,6 @@ go build ./... || fail=1
 
 step "ugolint ./..."
 go run ./cmd/ugolint ./... || fail=1
-
-step "ugolint -json ./..."
-# The JSON emitter is the editor/CI integration surface; run it over the
-# same tree (output discarded — the human-readable step above already
-# showed any findings) so it fails loudly if findings exist or the
-# encoder breaks.
-go run ./cmd/ugolint -json ./... >/dev/null || fail=1
 
 step "ugolint -hot ./..."
 # The hot-path allocation gate: any unsanctioned allocation inside the

@@ -8,9 +8,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tracked and untracked files, minus any deleted from the working tree
+# but not yet staged (a deletion PR's working state).
 files() {
     git ls-files -co --exclude-standard -- '*.go' |
-        grep -v -e '_test\.go$' -e '^bench/' -e '/testdata/'
+        grep -v -e '_test\.go$' -e '^bench/' -e '/testdata/' |
+        while read -r f; do [ -f "$f" ] && echo "$f"; done
 }
 
 if [ "${1:-}" = "-total" ]; then
