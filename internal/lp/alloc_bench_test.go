@@ -49,9 +49,9 @@ func BenchmarkLPResolve(b *testing.B) {
 	}
 }
 
-// The factor's three per-pivot operations run on arenas that persist
-// across refactors: once those have grown to their working size, a
-// solve or an eta update allocates nothing.
+// The factor's per-pivot operations and the yᵀA product run on arenas
+// that persist across refactors: once those have grown to their working
+// size, a solve, an eta update or a pricing product allocates nothing.
 func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 	p, n := resolveProblem()
 	s := NewSolver(p)
@@ -60,15 +60,19 @@ func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 	}
 	f := &s.fac
 	a, x := make([]float64, s.m), make([]float64, s.m)
+	ya := make([]float64, s.n+s.m)
 	fill := func(v []float64) {
 		for i := range v {
 			v[i] = float64(i%7) - 3
 		}
 	}
+	unit := func(v []float64) {
+		clear(v)
+		v[len(v)/2] = 1
+	}
 	stack := func() { // a full eta file, as deep as the refactor trigger lets it get
 		f.dropEtas()
-		for k := 0; k < refactorEtas; k++ {
-			j := k % n
+		for j := 0; len(f.epos) < refactorEtas; j = (j + 1) % n {
 			if s.state[j] == stBasic {
 				continue
 			}
@@ -77,12 +81,20 @@ func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 		}
 	}
 	stack() // grow the arenas once
+	w := append([]float64(nil), s.ftran(n-1)...)
+	r := largest(w)
 	for _, op := range []struct {
 		name string
 		run  func()
 	}{
 		{"ftran", func() { fill(a); f.ftran(a, x) }},
 		{"btran", func() { fill(x); f.btran(x, a) }},
+		{"btran of a unit vector", func() { unit(x); f.btran(x, a) }},
+		{"timesA", func() { fill(a); s.timesA(a, ya) }},
+		{"update that fills the eta file", func() {
+			f.epos, f.epiv = f.epos[:refactorEtas-1], f.epiv[:refactorEtas-1]
+			f.update(r, w)
+		}},
 		{"eta update", stack},
 	} {
 		if allocs := testing.AllocsPerRun(50, op.run); allocs != 0 {

@@ -7,14 +7,15 @@ import "math"
 // bounds are tightened during branch-and-bound: both operations keep the
 // previous optimal basis dual feasible while possibly making it primal
 // infeasible. Reduced costs are maintained incrementally (refreshed
-// after refactorizations) so an iteration costs O(Σnnz + m) plus one
-// sparse btran and one sparse ftran against the basis factor.
+// after refactorizations) so an iteration costs one btran of a unit
+// vector, the nonzeros of the rows its result touches, O(n + m) of
+// pricing and ratio test, and one ftran against the basis factor.
 //
 //ugo:hotpath driver
 func (s *Solver) dualSimplex() Status {
 	limit := s.maxIters()
 	for {
-		if s.iters >= limit {
+		if s.outOfBudget(limit) {
 			return IterLimit
 		}
 		s.iters++
@@ -78,8 +79,9 @@ func (s *Solver) dualSimplex() Status {
 			}
 		}
 		if enter < 0 {
-			// No entering column can repair the violated basic. Confirm
-			// with fresh reduced costs before declaring infeasibility.
+			// No entering column can repair the violated basic: up to
+			// pivotTol the row proves infeasibility, and Solve returns
+			// that as is.
 			return Infeasible
 		}
 		// Step: move entering so that x_B(r) lands exactly on its violated

@@ -40,7 +40,11 @@ const (
 // Basis changes are stacked on top in product form: replacing the column
 // at position r by one whose ftran image is w multiplies B from the
 // right by the identity with column r replaced by w, and that eta column
-// is all that is stored. All arenas are reused across refactors.
+// is all that is stored, densely: the etas of the cut LPs are 54–99 %
+// full, so m values take less room than index/value pairs. btran walks
+// each eta over the support of its running vector instead, which for a
+// pivot row starts as one position. All arenas are reused across
+// refactors.
 type factor struct {
 	m int // order at the last refactor; the Solver's m runs ahead of it after AddRow
 
@@ -62,11 +66,12 @@ type factor struct {
 	lval       []float64
 
 	// Eta file: update e replaced position epos[e]; epiv[e] is w[epos[e]]
-	// and eidx/eval[ebeg[e]:ebeg[e+1]] the other nonzeros of w.
-	ebeg, eidx []int
-	eval       []float64
-	epos       []int
-	epiv       []float64
+	// and eta[e·m:(e+1)·m] is w with a zero at epos[e]. supp is btran's
+	// sorted list of the positions its running vector may be nonzero at.
+	eta  []float64
+	epos []int
+	epiv []float64
+	supp []int
 
 	// Refactor scratch: B by column (bbeg/bidx/bval) and its pattern by
 	// row (rbeg/rpos), the count of unpivoted rows per column, the pivot
@@ -291,10 +296,12 @@ func (f *factor) factorNucleus() bool {
 	return true
 }
 
-// dropEtas empties the eta file, keeping its arenas.
+// dropEtas empties the eta file and sizes its arenas for a full one at
+// the current order, so that update and btran never grow them.
 func (f *factor) dropEtas() {
-	f.ebeg = append(f.ebeg[:0], 0)
-	f.eidx, f.eval, f.epos, f.epiv = f.eidx[:0], f.eval[:0], f.epos[:0], f.epiv[:0]
+	f.eta = grow(f.eta, refactorEtas*f.m)
+	f.supp = grow(f.supp, f.m)
+	f.epos, f.epiv = f.epos[:0], f.epiv[:0]
 }
 
 // update stacks one basis change on the factor: the column at position r
@@ -302,13 +309,9 @@ func (f *factor) dropEtas() {
 //
 //ugo:hotpath
 func (f *factor) update(r int, w []float64) {
-	for i, v := range w {
-		if i != r && num.Nonzero(v) {
-			f.eidx = append(f.eidx, i)
-			f.eval = append(f.eval, v)
-		}
-	}
-	f.ebeg = append(f.ebeg, len(f.eidx))
+	e := len(f.epos)
+	copy(f.eta[e*f.m:(e+1)*f.m], w)
+	f.eta[e*f.m+r] = 0
 	f.epos = append(f.epos, r)
 	f.epiv = append(f.epiv, w[r])
 }
@@ -346,8 +349,8 @@ func (f *factor) ftran(a, x []float64) {
 		}
 		v /= f.epiv[e]
 		x[r] = v
-		for k := f.ebeg[e]; k < f.ebeg[e+1]; k++ {
-			x[f.eidx[k]] -= f.eval[k] * v
+		for i, h := range f.eta[e*f.m : (e+1)*f.m] {
+			x[i] -= h * v
 		}
 	}
 }
@@ -355,15 +358,41 @@ func (f *factor) ftran(a, x []float64) {
 // btran solves yᵀB = vᵀ for the current basis. v is indexed by basis
 // position and is destroyed; y is indexed by constraint row.
 //
+// The eta phase keeps the positions where v may be nonzero in f.supp,
+// sorted: only an eta's pivot position changes, so each eta adds at most
+// that one, and its dot product runs over the list instead of over all
+// m positions. The terms it skips are exact zeros, and the ones it keeps
+// are summed in increasing position order, as a scan of the whole eta
+// would sum them.
+//
 //ugo:hotpath
 func (f *factor) btran(v, y []float64) {
+	if len(f.epos) > 0 {
+		f.supp = f.supp[:0]
+		for i, vi := range v[:f.m] {
+			if num.Nonzero(vi) {
+				f.supp = append(f.supp, i)
+			}
+		}
+	}
 	for e := len(f.epos) - 1; e >= 0; e-- {
 		r := f.epos[e]
+		eta := f.eta[e*f.m : (e+1)*f.m]
 		acc := v[r]
-		for k := f.ebeg[e]; k < f.ebeg[e+1]; k++ {
-			acc -= f.eval[k] * v[f.eidx[k]]
+		for _, i := range f.supp {
+			acc -= eta[i] * v[i]
 		}
 		v[r] = acc / f.epiv[e]
+		if num.ExactZero(v[r]) {
+			continue
+		}
+		// r may be listed already: a value that cancelled to zero keeps its
+		// place.
+		if k, listed := slices.BinarySearch(f.supp, r); !listed {
+			f.supp = append(f.supp, 0)
+			copy(f.supp[k+1:], f.supp[k:])
+			f.supp[k] = r
+		}
 	}
 	for t := 0; t < f.m; t++ {
 		acc := v[f.pcol[t]]

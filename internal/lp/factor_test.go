@@ -99,31 +99,39 @@ func checkAgainstOracle(t *testing.T, what string, s *lp.Solver, md *model, rng 
 	}
 }
 
+// bringIn makes a random nonbasic, nonzero column basic through the
+// simplex's own pivot, and reports whether the factor was rebuilt.
+func bringIn(t *testing.T, what string, s *lp.Solver, md *model, rng *rand.Rand) (refactored bool) {
+	t.Helper()
+	total := md.n + len(md.rows)
+	for tries := 0; tries <= 100*total; tries++ {
+		enter := rng.Intn(total)
+		basic := false
+		for _, j := range s.Basis() {
+			basic = basic || j == enter
+		}
+		if basic || enter < md.n && !md.hasColumn(enter) {
+			continue
+		}
+		_, refactored = s.Replace(enter)
+		return refactored
+	}
+	t.Fatalf("%s: no nonbasic column left to bring in", what)
+	return false
+}
+
 // exerciseUpdates checks the live factor, then after 1, 10 and 100 basis
 // changes (which cross the refactor trigger on the way), then across a
 // forced refactor.
 func exerciseUpdates(t *testing.T, what string, s *lp.Solver, md *model, rng *rand.Rand) {
 	t.Helper()
 	checkAgainstOracle(t, what+", as recorded", s, md, rng)
-	total := md.n + len(md.rows)
 	done, rebuilt := 0, 0
 	for _, target := range []int{1, 10, 100} {
-		for tries := 0; done < target; tries++ {
-			if tries > 100*total {
-				t.Fatalf("%s: no nonbasic column left to bring in after %d changes", what, done)
-			}
-			enter := rng.Intn(total)
-			basic := false
-			for _, j := range s.Basis() {
-				basic = basic || j == enter
-			}
-			if basic || enter < md.n && !md.hasColumn(enter) {
-				continue
-			}
-			if _, refactored := s.Replace(enter); refactored {
+		for ; done < target; done++ {
+			if bringIn(t, what, s, md, rng) {
 				rebuilt++
 			}
-			done++
 		}
 		checkAgainstOracle(t, fmt.Sprintf("%s, after %d updates", what, done), s, md, rng)
 	}
@@ -160,46 +168,47 @@ func basicStructurals(s *lp.Solver, n int) int {
 	return k
 }
 
-func TestFactorMatchesDenseOracleOnRandomBases(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 6; trial++ {
-		m := 20 + rng.Intn(60)
-		n := m + 10 + rng.Intn(30)
-		// Column j < m carries a strong entry in row j, so any mix of those
-		// columns and slacks is a nonsingular basis; everything else is
-		// sparse noise.
-		p := lp.NewProblem()
-		for j := 0; j < n; j++ {
-			p.AddVar(0, 1, 0)
-		}
-		for i := 0; i < m; i++ {
-			coefs := []lp.Nonzero{{Col: i, Val: 4 + rng.Float64()}}
-			for j := 0; j < n; j++ {
-				if j != i && rng.Float64() < 3/float64(n) {
-					coefs = append(coefs, lp.Nonzero{Col: j, Val: rng.Float64()*2 - 1})
-				}
-			}
-			p.AddRow(lp.LE, 1, coefs)
-		}
-		basis := make([]int, m)
-		for i := range basis {
-			basis[i] = n + i
-			if rng.Float64() < 0.5 {
-				basis[i] = i
-			}
-		}
-		rng.Shuffle(m, func(a, b int) { basis[a], basis[b] = basis[b], basis[a] })
-		s := lp.NewSolver(p)
-		s.ForceBasis(basis)
-		if !s.Refactor() {
-			t.Fatalf("trial %d: a diagonally strong basis reported singular", trial)
-		}
-		exerciseUpdates(t, fmt.Sprintf("random basis %d (m=%d)", trial, m), s, modelOf(p), rng)
+// randomBasis is a factored basis of a random sparse LP of 20–80 rows.
+// Column j < m carries a strong entry in row j, so any mix of those
+// columns and slacks is a nonsingular basis; everything else is sparse
+// noise.
+func randomBasis(t *testing.T, rng *rand.Rand) (*lp.Solver, *model) {
+	t.Helper()
+	m := 20 + rng.Intn(60)
+	n := m + 10 + rng.Intn(30)
+	p := lp.NewProblem()
+	for j := 0; j < n; j++ {
+		p.AddVar(0, 1, 0)
 	}
+	for i := 0; i < m; i++ {
+		coefs := []lp.Nonzero{{Col: i, Val: 4 + rng.Float64()}}
+		for j := 0; j < n; j++ {
+			if j != i && rng.Float64() < 3/float64(n) {
+				coefs = append(coefs, lp.Nonzero{Col: j, Val: rng.Float64()*2 - 1})
+			}
+		}
+		p.AddRow(lp.LE, 1, coefs)
+	}
+	basis := make([]int, m)
+	for i := range basis {
+		basis[i] = n + i
+		if rng.Float64() < 0.5 {
+			basis[i] = i
+		}
+	}
+	rng.Shuffle(m, func(a, b int) { basis[a], basis[b] = basis[b], basis[a] })
+	s := lp.NewSolver(p)
+	s.ForceBasis(basis)
+	if !s.Refactor() {
+		t.Fatalf("a diagonally strong basis (m=%d) reported singular", m)
+	}
+	return s, modelOf(p)
 }
 
-func TestFactorMatchesDenseOracleOnSteinerCutLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// steinerCutLoopBasis is the optimal basis after six separation rounds
+// of the directed-cut LP of a PUC hypercube analogue.
+func steinerCutLoopBasis(t *testing.T) (*lp.Solver, *model) {
+	t.Helper()
 	sap, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
 	md := modelOf(p)
 	s := lp.NewSolver(p)
@@ -214,17 +223,13 @@ func TestFactorMatchesDenseOracleOnSteinerCutLoop(t *testing.T) {
 	if sol.Status != lp.Optimal {
 		t.Fatalf("cut loop ended %v", sol.Status)
 	}
-	// The peel must leave a nucleus no larger than the structural part of
-	// the basis, which in turn is a fraction of the rows.
-	m, nucleus, _ := s.FactorShape()
-	if k := basicStructurals(s, md.n); nucleus > k || 2*k > m {
-		t.Fatalf("m=%d, %d basic structurals, nucleus %d: the slack peel is not doing its job", m, k, nucleus)
-	}
-	exerciseUpdates(t, fmt.Sprintf("Steiner cut-loop basis (m=%d, nucleus %d)", m, nucleus), s, md, rng)
+	return s, md
 }
 
-func TestFactorMatchesDenseOracleOnEigencutLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+// eigencutLoopBasis is the optimal basis of the LP-relaxed TTD root once
+// eigenvector cuts have brought it to 40–120 dense rows.
+func eigencutLoopBasis(t *testing.T) (*lp.Solver, *model) {
+	t.Helper()
 	inst := testsets.TTD(4, 12, 2, 6)
 	p := eigenLP(inst)
 	md := modelOf(p)
@@ -244,11 +249,89 @@ func TestFactorMatchesDenseOracleOnEigencutLoop(t *testing.T) {
 	if sol.Status != lp.Optimal || len(md.rows) < 40 {
 		t.Fatalf("eigencut loop ended %v with %d rows", sol.Status, len(md.rows))
 	}
+	return s, md
+}
+
+func TestFactorMatchesDenseOracleOnRandomBases(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 6; trial++ {
+		s, md := randomBasis(t, rng)
+		exerciseUpdates(t, fmt.Sprintf("random basis %d (m=%d)", trial, len(md.rows)), s, md, rng)
+	}
+}
+
+func TestFactorMatchesDenseOracleOnSteinerCutLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s, md := steinerCutLoopBasis(t)
+	// The peel must leave a nucleus no larger than the structural part of
+	// the basis, which in turn is a fraction of the rows.
+	m, nucleus, _ := s.FactorShape()
+	if k := basicStructurals(s, md.n); nucleus > k || 2*k > m {
+		t.Fatalf("m=%d, %d basic structurals, nucleus %d: the slack peel is not doing its job", m, k, nucleus)
+	}
+	exerciseUpdates(t, fmt.Sprintf("Steiner cut-loop basis (m=%d, nucleus %d)", m, nucleus), s, md, rng)
+}
+
+func TestFactorMatchesDenseOracleOnEigencutLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	s, md := eigencutLoopBasis(t)
 	m, nucleus, _ := s.FactorShape()
 	if k := basicStructurals(s, md.n); nucleus > k {
 		t.Fatalf("m=%d, %d basic structurals, nucleus %d", m, k, nucleus)
 	}
 	exerciseUpdates(t, fmt.Sprintf("eigencut-loop basis (m=%d, nucleus %d)", m, nucleus), s, md, rng)
+}
+
+// The kernels must return what the ones they replaced returned, equal
+// under ==: ftran and btran over a sparse eta file, and yᵀA column by
+// column (lp's KernelDiff holds those oracles). Checked on random and
+// cut-loop bases with 0, 1, 10 and 31 etas stacked, the last one short
+// of the refactor trigger, for dense, unit and ±1 right-hand sides.
+func TestKernelsMatchSparseEtaOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	type basisCase struct {
+		what  string
+		basis func(*testing.T) (*lp.Solver, *model)
+	}
+	cases := []basisCase{
+		{"Steiner cut-loop basis", steinerCutLoopBasis},
+		{"eigencut-loop basis", eigencutLoopBasis},
+	}
+	random := func(t *testing.T) (*lp.Solver, *model) { return randomBasis(t, rng) }
+	for trial := 0; trial < 3; trial++ {
+		cases = append(cases, basisCase{fmt.Sprintf("random basis %d", trial), random})
+	}
+	for _, c := range cases {
+		s, md := c.basis(t)
+		if !s.Refactor() {
+			t.Fatalf("%s: singular", c.what)
+		}
+		m := len(md.rows)
+		done := 0
+		for _, target := range []int{0, 1, 10, 31} {
+			for ; done < target; done++ {
+				if bringIn(t, c.what, s, md, rng) {
+					t.Fatalf("%s: refactored after %d updates, before the trigger", c.what, done+1)
+				}
+			}
+			if _, _, etas := s.FactorShape(); etas != done {
+				t.Fatalf("%s: %d etas after %d updates", c.what, etas, done)
+			}
+			dense, unit, signs := make([]float64, m), make([]float64, m), make([]float64, m)
+			unit[rng.Intn(m)] = 1
+			for i := range dense {
+				dense[i] = rng.NormFloat64()
+				if rng.Intn(8) == 0 {
+					signs[i] = float64(1 - 2*rng.Intn(2))
+				}
+			}
+			for _, rhs := range [][]float64{dense, unit, signs} {
+				if d := s.KernelDiff(rhs); d != "" {
+					t.Fatalf("%s (m=%d), %d etas: %s", c.what, m, done, d)
+				}
+			}
+		}
+	}
 }
 
 // A basis that cannot be factored must be reported, and Solve must then

@@ -16,12 +16,24 @@
 // and the structural columns left with one row once those are gone —
 // into the triangular factor without arithmetic, and LU-factors only the
 // remaining nucleus, with threshold partial pivoting that prefers sparse
-// rows. Each pivot stacks one product-form eta column on the factor;
-// after refactorEtas of them the factor is rebuilt, and the basic values
-// and reduced costs are recomputed from it. AddRow only records the row:
-// its slack is basic, and the next Solve rebuilds the factor once for
-// all rows added since the last one. A basis the factor finds singular
-// is abandoned for the all-slack basis, from which the phases restart.
+// rows. Each pivot stacks one product-form eta column on the factor, in
+// a dense eta file sized for refactorEtas of them at the last refactor;
+// after that many the factor is rebuilt, and the basic values and
+// reduced costs are recomputed from it. btran runs each eta over the
+// support of its right-hand side, which for a pivot row e_rᵀB⁻¹ is a few
+// positions. AddRow only records the row, by column and by row: its
+// slack is basic, and the next Solve rebuilds the factor once for all
+// rows added since the last one. A basis the factor finds singular is
+// abandoned for the all-slack basis, from which the phases restart.
+//
+// Every product yᵀA — the pivot row, the reduced costs, phase-1 pricing
+// — runs over the row copy, touching only the rows with y_i ≠ 0, and
+// adds each column's terms in increasing row order, so it equals the
+// column-by-column dot products it replaced.
+//
+// Solver.Deadline bounds a Solve in time as MaxIters bounds it in
+// iterations: the phases check it every 64 iterations and stop with
+// IterLimit.
 package lp
 
 import (

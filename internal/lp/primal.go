@@ -100,7 +100,7 @@ func (s *Solver) primalPhase2() Status {
 	limit := s.maxIters()
 	noProgress := 0
 	for {
-		if s.iters >= limit {
+		if s.outOfBudget(limit) {
 			return IterLimit
 		}
 		s.iters++
@@ -181,7 +181,7 @@ func (s *Solver) primalPhase1() Status {
 	limit := s.maxIters()
 	noProgress := 0
 	for {
-		if s.iters >= limit {
+		if s.outOfBudget(limit) {
 			return IterLimit
 		}
 		s.iters++
@@ -202,25 +202,18 @@ func (s *Solver) primalPhase1() Status {
 			}
 		}
 		s.btranBuf = grow(s.btranBuf, s.m)
-		y := s.btranBuf
-		s.fac.btran(cb, y)
+		s.fac.btran(cb, s.btranBuf)
+		s.alphaBuf = grow(s.alphaBuf, s.n+s.m)
+		ya := s.alphaBuf
+		s.timesA(s.btranBuf, ya)
 		bland := noProgress > 2*(s.n+s.m)+200
 		// Price nonbasic columns: d_j = −yᵀA_j (phase-1 costs of nonbasics
 		// are zero).
 		enter := -1
 		var dir, best float64
-		total := s.n + s.m
-		for j := 0; j < total; j++ {
+		for j, yaj := range ya {
 			if s.state[j] == stBasic {
 				continue
-			}
-			var yaj float64
-			if j < s.n {
-				for _, e := range s.cols[j] {
-					yaj += y[e.row] * e.val
-				}
-			} else {
-				yaj = y[j-s.n]
 			}
 			dj := -yaj
 			dd, ok := s.enterDir(j, dj, bland)

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/num"
 )
@@ -28,7 +29,10 @@ type Solver struct {
 	m, n int // rows, structural columns
 
 	// Computational form: [A | I_slack] x = b, lo ≤ x ≤ up over n+m cols.
+	// A is kept twice: by column for ftran and refactor, by row for the
+	// products yᵀA.
 	cols  [][]colEntry // sparse structural columns
+	rows  [][]rowEntry // sparse rows of A, slack excluded
 	b     []float64
 	c     []float64 // length n+m (slack costs 0)
 	lo    []float64
@@ -43,6 +47,9 @@ type Solver struct {
 
 	// MaxIters bounds a single Solve call; 0 means the default.
 	MaxIters int
+	// Deadline, when set, ends a Solve still iterating after it with
+	// IterLimit. The phases look at the clock every 64 iterations.
+	Deadline time.Time
 
 	iters int
 
@@ -54,8 +61,9 @@ type Solver struct {
 	// Per-iteration simplex scratch, reused across pivots and re-solves.
 	// Every user fully overwrites its buffer before reading it; alphaBuf,
 	// ftranBuf and btranBuf are distinct because an iteration holds an
-	// alpha row and an ftran column (and, in phase 1, a btran result)
-	// live at the same time. posBuf (indexed by basis position) and
+	// alpha row (in phase 1, its yᵀA) and an ftran column live at the
+	// same time, and timesA reads a btran result while it writes the
+	// alpha row. posBuf (indexed by basis position) and
 	// rowBuf (indexed by row) are the right-hand sides the factor's
 	// solves consume.
 	alphaBuf []float64
@@ -86,30 +94,37 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// timesA computes out_j = yᵀA_j for every column, slacks included
+// (out[n+i] = y_i), at the cost of the rows with y_i ≠ 0. Each out_j
+// sums its nonzero terms in increasing row order, as the dot product
+// with column j would.
+//
+//ugo:hotpath
+func (s *Solver) timesA(y, out []float64) {
+	clear(out[:s.n])
+	for i, yi := range y[:s.m] {
+		if num.ExactZero(yi) {
+			continue
+		}
+		for _, e := range s.rows[i] {
+			out[e.col] += yi * e.val
+		}
+	}
+	copy(out[s.n:s.n+s.m], y)
+}
+
 // alphaRow computes α_j = (e_rᵀ B⁻¹) A_j for every column (the pivot row
-// of the full tableau), in O(Σnnz + m) using the sparse columns. The
-// result aliases s.alphaBuf and is valid until the next call.
+// of the full tableau). The result aliases s.alphaBuf and is valid until
+// the next call.
 func (s *Solver) alphaRow(r int) []float64 {
 	s.posBuf = grow(s.posBuf, s.m)
 	clear(s.posBuf)
 	s.posBuf[r] = 1
 	s.btranBuf = grow(s.btranBuf, s.m)
-	er := s.btranBuf
-	s.fac.btran(s.posBuf, er)
-	total := s.n + s.m
-	s.alphaBuf = grow(s.alphaBuf, total)
-	alpha := s.alphaBuf
-	for j := 0; j < s.n; j++ {
-		var acc float64
-		for _, e := range s.cols[j] {
-			acc += er[e.row] * e.val
-		}
-		alpha[j] = acc
-	}
-	for i := 0; i < s.m; i++ {
-		alpha[s.n+i] = er[i]
-	}
-	return alpha
+	s.fac.btran(s.posBuf, s.btranBuf)
+	s.alphaBuf = grow(s.alphaBuf, s.n+s.m)
+	s.timesA(s.btranBuf, s.alphaBuf)
+	return s.alphaBuf
 }
 
 // updatePricing applies the standard reduced-cost update after a pivot:
@@ -138,25 +153,16 @@ func (s *Solver) refreshPricing() {
 		s.posBuf[i] = s.c[j]
 	}
 	s.y = grow(s.y, s.m)
-	y := s.y
-	s.fac.btran(s.posBuf, y)
-	total := s.n + s.m
-	s.d = grow(s.d, total)
+	s.fac.btran(s.posBuf, s.y)
+	s.d = grow(s.d, s.n+s.m)
 	d := s.d
-	for j := 0; j < total; j++ {
+	s.timesA(s.y, d)
+	for j, yaj := range d {
 		if s.state[j] == stBasic {
 			d[j] = 0
-			continue
-		}
-		var yaj float64
-		if j < s.n {
-			for _, e := range s.cols[j] {
-				yaj += y[e.row] * e.val
-			}
 		} else {
-			yaj = y[j-s.n]
+			d[j] = s.c[j] - yaj
 		}
-		d[j] = s.c[j] - yaj
 	}
 	s.pricing = priceFresh
 }
@@ -205,18 +211,22 @@ func (s *Solver) AddRow(sense Sense, rhs float64, coefs []Nonzero) int {
 	s.m++
 	s.b = append(s.b, rhs)
 	s.sense = append(s.sense, sense)
-	// Extend structural columns with the new row's coefficients, summing
-	// duplicates in rowAcc; the second pass takes each sum at the column's
-	// first occurrence and zeroes it, which skips the later ones.
+	// Extend structural columns and the row copy with the new row's
+	// coefficients, summing duplicates in rowAcc; the second pass takes
+	// each sum at the column's first occurrence and zeroes it, which skips
+	// the later ones.
 	for _, nz := range coefs {
 		s.rowAcc[nz.Col] += nz.Val
 	}
+	entries := make([]rowEntry, 0, len(coefs))
 	for _, nz := range coefs {
 		if v := s.rowAcc[nz.Col]; num.Nonzero(v) {
 			s.cols[nz.Col] = append(s.cols[nz.Col], colEntry{row: row, val: v})
+			entries = append(entries, rowEntry{col: nz.Col, val: v})
 			s.rowAcc[nz.Col] = 0
 		}
 	}
+	s.rows = append(s.rows, entries)
 	// Slack column: previous slacks gain a zero entry implicitly because
 	// slack columns are unit vectors; we track slacks positionally (slack
 	// of row i is column n+i) and synthesize the column on demand.
@@ -315,6 +325,12 @@ func (s *Solver) SetObj(j int, c float64) {
 // colEntry is one nonzero of a sparse structural column.
 type colEntry struct {
 	row int
+	val float64
+}
+
+// rowEntry is one nonzero of a sparse row of A.
+type rowEntry struct {
+	col int
 	val float64
 }
 
@@ -483,6 +499,14 @@ func (s *Solver) maxIters() int {
 	return 20000 + 40*(s.n+s.m)
 }
 
+// outOfBudget reports whether a phase loop must stop with IterLimit: it
+// has spent limit iterations, or it is at a multiple of 64 and past the
+// Deadline.
+func (s *Solver) outOfBudget(limit int) bool {
+	return s.iters >= limit ||
+		s.iters%64 == 0 && !s.Deadline.IsZero() && time.Now().After(s.Deadline)
+}
+
 // Solve optimizes from the current basis (or from the all-slack basis on
 // the first call), automatically choosing primal or dual simplex.
 func (s *Solver) Solve() *Solution {
@@ -498,12 +522,11 @@ func (s *Solver) Solve() *Solution {
 			s.refreshPricing()
 		}
 		if !s.dualInfeasible(s.d) {
-			if st := s.dualSimplex(); st != Optimal {
-				// Either proven infeasible or numerical trouble; phase 1
-				// confirms from scratch.
-				if st == Infeasible {
-					return s.finish(Infeasible)
-				}
+			// The dual's Infeasible is returned as is. After its IterLimit
+			// the primal phases below find the budget spent at their
+			// first check.
+			if st := s.dualSimplex(); st == Infeasible {
+				return s.finish(Infeasible)
 			}
 		}
 		if s.primalInfeasibility() > feasTol {

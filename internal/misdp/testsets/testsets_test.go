@@ -12,17 +12,45 @@ import (
 // solve runs the full pipeline and returns max Bᵀy.
 func solve(t *testing.T, p *misdp.MISDP, set scip.Settings) (float64, scip.Status) {
 	t.Helper()
-	def := &misdp.Def{}
-	data, _ := def.Presolve(p, scip.Infinity)
-	prob := def.BuildModel(data.(*misdp.MISDP))
-	plug := misdp.NewPlugins()
-	plug.Def = def
-	s := scip.NewSolver(prob, set, plug)
+	s := solver(p, set)
 	st := s.Solve()
 	if st == scip.StatusOptimal {
 		return -s.Incumbent().Obj, st
 	}
 	return math.Inf(-1), st
+}
+
+// solver presolves p and returns the branch-and-bound solver over it.
+func solver(p *misdp.MISDP, set scip.Settings) *scip.Solver {
+	def := &misdp.Def{}
+	data, _ := def.Presolve(p, scip.Infinity)
+	prob := def.BuildModel(data.(*misdp.MISDP))
+	plug := misdp.NewPlugins()
+	plug.Def = def
+	return scip.NewSolver(prob, set, plug)
+}
+
+// Iterate pin: node counts and LP iterations of two LP-mode solves,
+// recorded before the LP kernels were last rewritten. Kernel changes that
+// only reorder exact zeros leave every pivot, and so these counts, alone;
+// one that moves a pivot fails here.
+func TestLPIteratePin(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		p            *misdp.MISDP
+		nodes, iters int64
+	}{
+		{"mkp 10,4,3", MkP(10, 4, 3), 53, 6464},
+		{"ttd 4,8,2,8", TTD(4, 8, 2, 8), 137, 2596},
+	} {
+		s := solver(tc.p, misdp.LPSettings())
+		if st := s.Solve(); st != scip.StatusOptimal {
+			t.Fatalf("%s: status %v", tc.name, st)
+		}
+		if s.Stats.Nodes != tc.nodes || s.Stats.LPIterations != tc.iters {
+			t.Errorf("%s: %d nodes / %d LP iterations, pinned %d / %d", tc.name, s.Stats.Nodes, s.Stats.LPIterations, tc.nodes, tc.iters)
+		}
+	}
 }
 
 // bruteTTD enumerates all integer designs.

@@ -166,6 +166,38 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
+// A time limit too large for a time.Duration means no limit: the LP
+// deadline must not wrap into the past and cut every LP off at its first
+// iteration.
+func TestHugeTimeLimitKeepsLPSolving(t *testing.T) {
+	values := []float64{10, 13, 7, 8, 2, 9, 11}
+	weights := []float64{5, 6, 3, 4, 1, 5, 7}
+	want := bruteKnapsack(values, weights, 15)
+	solve := func(limit float64) *Solver {
+		set := DefaultSettings()
+		set.TimeLimit = limit
+		s := NewSolver(knapsackProb(values, weights, 15), set, nil)
+		if st := s.Solve(); st != StatusOptimal {
+			t.Fatalf("time limit %g: status %v", limit, st)
+		}
+		if math.Abs(-s.Incumbent().Obj-want) > 1e-6 {
+			t.Fatalf("time limit %g: obj %v want %v", limit, -s.Incumbent().Obj, want)
+		}
+		return s
+	}
+	ref := solve(0)
+	if ref.Stats.LPIterations == 0 {
+		t.Fatal("reference solve ran no LP iterations")
+	}
+	for _, limit := range []float64{math.Inf(1), 1e10, 1e300} {
+		s := solve(limit)
+		if s.Stats.LPIterations != ref.Stats.LPIterations || s.Stats.Nodes != ref.Stats.Nodes {
+			t.Fatalf("time limit %g: %d nodes, %d LP iterations; want %d, %d as with no limit",
+				limit, s.Stats.Nodes, s.Stats.LPIterations, ref.Stats.Nodes, ref.Stats.LPIterations)
+		}
+	}
+}
+
 func TestPollInterrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 14

@@ -555,6 +555,14 @@ func (s *Solver) SolveSubprob(sub *Subprob) Status {
 //ugo:hotpath driver
 func (s *Solver) loop() Status {
 	s.start = time.Now()
+	if s.lps != nil {
+		// The LP stops at the limit too: one root solve can outlast it. A
+		// limit beyond what a Duration holds (≈ 292 years, +Inf) is none.
+		s.lps.Deadline = time.Time{}
+		if tl := s.Set.TimeLimit; tl > 0 && tl < float64(math.MaxInt64)/float64(time.Second) {
+			s.lps.Deadline = s.start.Add(time.Duration(tl * float64(time.Second)))
+		}
+	}
 	for {
 		if s.Poll != nil && !s.Poll(s) {
 			s.curBound = Infinity

@@ -3,8 +3,23 @@ package puc
 import (
 	"testing"
 
+	"repro/internal/scip"
 	"repro/internal/steiner"
 )
+
+// Iterate pin: the node count and LP iterations of one sequential solve,
+// recorded before the LP kernels were last rewritten. Kernel changes that
+// only reorder exact zeros leave every pivot, and so these counts, alone;
+// one that moves a pivot fails here.
+func TestLPIteratePin(t *testing.T) {
+	s := sequential(t, HypercubeSpread(5, 16, 100, 170, 4), 0)
+	if st := s.Solve(); st != scip.StatusOptimal {
+		t.Fatalf("status %v", st)
+	}
+	if s.Stats.Nodes != 21 || s.Stats.LPIterations != 5966 {
+		t.Fatalf("hc 5,16,100,170,4: %d nodes / %d LP iterations, pinned 21 / 5966", s.Stats.Nodes, s.Stats.LPIterations)
+	}
+}
 
 func TestHypercubeStructure(t *testing.T) {
 	for d := 2; d <= 6; d++ {
