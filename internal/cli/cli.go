@@ -245,6 +245,7 @@ func (r *run) sequential() (*ug.Result, float64) {
 		FinalPrimal: res.Obj, FinalDual: res.DualBound,
 		RacingWinner: -1,
 		LPIterations: s.Stats.LPIterations, CutsAdded: s.Stats.CutsAdded,
+		SolsFound: s.Stats.SolsFound, PropFixings: s.Stats.PropFixings,
 		Phases: ug.PhaseTimes(s.Stats.Phases),
 	}
 	return res, offset

@@ -23,8 +23,9 @@ type App struct {
 	Def scip.ProblemDef
 	// Data is the original problem data.
 	Data any
-	// MakePlugins constructs a fresh plugin set (plugins may carry
-	// per-solver state, so each ParaSolver gets its own).
+	// MakePlugins constructs a fresh plugin set. It is called exactly
+	// once per WorkerSolver.Solve, before anything else, so plugins may
+	// carry per-solve state.
 	MakePlugins func() *scip.Plugins
 	// Settings is the racing settings ladder; Settings[0] is the default
 	// configuration used outside racing. Empty means a single default.
@@ -145,21 +146,31 @@ func (f *Factory) CreateWorker(settingsIdx int) ug.WorkerSolver {
 
 var negInf = -scip.Infinity
 
-// worker wraps one scip solver instance as a UG ParaSolver.
+// worker wraps one scip solver as a UG ParaSolver. The solver is built
+// on the first Solve and reset for every later one, so its incumbent,
+// pseudocosts and pool of global cuts carry over between subproblems.
 type worker struct {
 	f   *Factory
 	set scip.Settings
+	s   *scip.Solver
 }
 
-// Solve implements ug.WorkerSolver: it decodes the subproblem, solves it
-// with a fresh scip solver, and services the UG session from the
-// solver's per-node Poll hook (Algorithm 2's periodic communication).
+// Solve implements ug.WorkerSolver: it builds a new plugin set, decodes
+// the subproblem, solves it with the worker's reset scip solver, and
+// services the UG session from the solver's per-node Poll hook
+// (Algorithm 2's periodic communication).
 func (w *worker) Solve(sub *ug.Subproblem, sess *ug.Session) ug.Outcome {
+	plug := w.f.app.MakePlugins()
 	sp, err := scip.DecodeSubprob(sub.Payload)
 	if err != nil {
 		return ug.Outcome{}
 	}
-	s := scip.NewSolver(w.f.presolved, w.set, w.f.app.MakePlugins())
+	if w.s == nil {
+		w.s = scip.NewSolver(w.f.presolved, w.set, plug)
+	} else {
+		w.s.Reset(plug)
+	}
+	s := w.s
 	lastObj := scip.Infinity
 	if inc := sess.InitialIncumbent(); inc != nil {
 		if sol, err := scip.DecodeSol(inc.Payload); err == nil && s.InjectSolution(sol) {
@@ -221,6 +232,8 @@ func (w *worker) Solve(sub *ug.Subproblem, sess *ug.Session) ug.Outcome {
 		RootTime:     s.Stats.RootTime,
 		LPIterations: s.Stats.LPIterations,
 		CutsAdded:    s.Stats.CutsAdded,
+		SolsFound:    s.Stats.SolsFound,
+		PropFixings:  s.Stats.PropFixings,
 		Phases: ug.PhaseTimes{
 			LP:          s.Stats.Phases.LP,
 			Relax:       s.Stats.Phases.Relax,

@@ -1,0 +1,84 @@
+package core_test
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/scip"
+	"repro/internal/steiner"
+	"repro/internal/steiner/puc"
+	"repro/internal/ug"
+)
+
+// A reset solver keeps the global Steiner cuts of its earlier
+// subproblems in the LP: after solving one child of the root, it
+// separates fewer cuts on the other child than a fresh solver does.
+func TestResetSolverSeparatesFewerCuts(t *testing.T) {
+	app := steiner.NewApp(puc.HypercubeT(4, 7, true, 3))
+	prob, _, err := core.Presolve(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := app.Settings[0]
+	set.NodeLimit = 1
+	s := scip.NewSolver(prob, set, app.MakePlugins())
+	s.SolveSubprob(&scip.Subprob{Bound: math.Inf(-1)})
+	kids := s.ExtractAllOpen()
+	if len(kids) != 2 {
+		t.Fatalf("root left %d open children, want 2", len(kids))
+	}
+	set.NodeLimit = 0
+	s.Set.NodeLimit = 0
+	s.Reset(app.MakePlugins())
+	s.SolveSubprob(kids[0])
+	s.Reset(app.MakePlugins())
+	s.SolveSubprob(kids[1])
+	fresh := scip.NewSolver(prob, set, app.MakePlugins())
+	fresh.SolveSubprob(kids[1])
+	if s.Stats.CutsAdded >= fresh.Stats.CutsAdded {
+		t.Fatalf("second child: %d cuts on the reset solver, %d on a fresh one",
+			s.Stats.CutsAdded, fresh.Stats.CutsAdded)
+	}
+}
+
+// Every way of running ug[SCIP-Jack,*] reaches the Dreyfus–Wagner
+// optimum: sequential, ug with 1 and 2 ParaSolvers, racing ramp-up, and
+// 2 ParaSolvers over the loopback TCP transport.
+func TestSteinerModesAgree(t *testing.T) {
+	inst := puc.HypercubeT(4, 7, true, 3)
+	want := inst.SolveDW()
+	newApp := func() core.App { return steiner.NewApp(inst.Clone()) }
+	check := func(mode string, optimal bool, obj float64) {
+		t.Helper()
+		if !optimal || math.Abs(obj-want) > 1e-6 {
+			t.Errorf("%s: optimal %v, obj %v; want %v", mode, optimal, obj, want)
+		}
+	}
+
+	s, st, off := core.SolveSequential(newApp(), steiner.DefaultSettings())
+	check("sequential", st == scip.StatusOptimal, s.Incumbent().Obj+off)
+
+	fine := ug.Config{StatusInterval: 1e-3, ShipInterval: 1e-3}
+	for _, mode := range []struct {
+		name string
+		cfg  ug.Config
+	}{
+		{"ug 1 worker", ug.Config{Workers: 1}},
+		{"ug 2 workers", ug.Config{Workers: 2}},
+		{"racing", ug.Config{Workers: 2, RampUp: ug.RampUpRacing, RacingTime: 0.05}},
+	} {
+		cfg := mode.cfg
+		cfg.StatusInterval, cfg.ShipInterval = fine.StatusInterval, fine.ShipInterval
+		res, f, err := core.SolveParallel(newApp(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(mode.name, res.Optimal, res.Obj+f.ObjOffset())
+	}
+	res, f, err := core.SolveDistributed(t, newApp, 2, fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loopback TCP", res.Optimal, res.Obj+f.ObjOffset())
+}

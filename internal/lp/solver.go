@@ -315,6 +315,18 @@ func (s *Solver) RowEnabled(i int) bool {
 	return !(math.IsInf(s.lo[j], -1) && math.IsInf(s.up[j], 1))
 }
 
+// Row returns a copy of row i as AddRow stored it: duplicate columns
+// summed, zero sums dropped.
+//
+//ugo:coldpath copies one row, for callers that rebuild an LP
+func (s *Solver) Row(i int) RowDef {
+	coefs := make([]Nonzero, len(s.rows[i]))
+	for k, e := range s.rows[i] {
+		coefs[k] = Nonzero{Col: e.col, Val: e.val}
+	}
+	return RowDef{Sense: s.sense[i], RHS: s.b[i], Coefs: coefs}
+}
+
 // SetObj updates an objective coefficient. An optimal basis stays primal
 // feasible, so the next Solve runs primal phase 2 from it.
 func (s *Solver) SetObj(j int, c float64) {

@@ -105,6 +105,7 @@ type Solver struct {
 	Trace *obs.Tracer
 
 	lps       *lp.Solver
+	lpProb    *lp.Problem // model rows, then the pool of global cuts of earlier subproblems
 	baseRows  int
 	cutOrigin []int64 // origin node ID per cut row (-1 = globally valid)
 	cutKeys   map[string]bool
@@ -165,20 +166,60 @@ func NewSolver(prob *Prob, set Settings, plug *Plugins) *Solver {
 		}
 	}
 	if set.UseLP {
-		lpp := lp.NewProblem()
+		s.lpProb = lp.NewProblem()
 		for _, v := range prob.Vars {
-			lpp.AddVar(v.Lo, v.Up, v.Obj)
+			s.lpProb.AddVar(v.Lo, v.Up, v.Obj)
 		}
 		for _, r := range prob.Rows {
-			lpp.AddRow(r.Sense, r.RHS, r.Coefs)
+			s.lpProb.AddRow(r.Sense, r.RHS, r.Coefs)
 		}
-		s.lps = lp.NewSolver(lpp)
-		if set.MaxLPIterations > 0 {
-			s.lps.MaxIters = set.MaxLPIterations
-		}
-		s.baseRows = len(prob.Rows)
+		s.buildLP()
 	}
 	return s
+}
+
+// buildLP starts a fresh LP from lpProb: the model rows and every global
+// cut pooled so far are its base rows, and no local cut survives.
+func (s *Solver) buildLP() {
+	s.lps = lp.NewSolver(s.lpProb)
+	if s.Set.MaxLPIterations > 0 {
+		s.lps.MaxIters = s.Set.MaxLPIterations
+	}
+	s.baseRows = s.lpProb.NumRows()
+	s.cutOrigin = s.cutOrigin[:0]
+}
+
+// Reset readies the solver for another subproblem of the same model
+// with a new plugin set, as a ParaSolver does between dispatches. Open
+// nodes left by an interrupt go back to the node pool; statistics, the
+// node counter and the Poll hook start over. The incumbent, the
+// pseudocosts, scratch buffers and the global-cut fingerprints stay.
+// The global cuts of the finished subproblem join the pool, and the LP
+// is rebuilt from the model rows plus the pool, so the local cuts of
+// the previous subproblem are gone. Solvers that are never reset keep
+// no copy of their cuts.
+//
+//ugo:coldpath once per dispatched subproblem
+func (s *Solver) Reset(plug *Plugins) {
+	if plug == nil {
+		plug = &Plugins{}
+	}
+	s.Plug = plug
+	s.Poll = nil
+	for _, n := range s.tree.drain() {
+		s.finishNode(n)
+	}
+	s.Stats = Stats{}
+	s.curBound = 0
+	s.nextNodeID = 0
+	if s.Set.UseLP {
+		for k, origin := range s.cutOrigin {
+			if origin < 0 {
+				s.lpProb.Rows = append(s.lpProb.Rows, s.lps.Row(s.baseRows+k))
+			}
+		}
+		s.buildLP()
+	}
 }
 
 // addCut appends a cutting-plane row; origin < 0 marks it globally

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,8 +90,19 @@ func snapshotValue(s *Server, name string) (float64, bool) {
 
 func TestHTTPSubmitSolveFetch(t *testing.T) {
 	s := startServer(t, Config{MaxConcurrent: 2})
+	// The real solve waits for the POST response to be read, so the
+	// fresh job cannot have finished by then.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before the server's Close if postJob fails
+	solve := s.sched.solve
+	s.sched.solve = func(app core.App, prob *scip.Prob, offset float64, cfg ug.Config) (*ug.Result, error) {
+		<-gate
+		return solve(app, prob, offset, cfg)
+	}
 	body := fmt.Sprintf(`{"kind":"stp","stp":%q,"workers":1}`, tinySTP)
 	st := postJob(t, s, body)
+	release()
 	if st.State != StateQueued && st.State != StateRunning {
 		t.Fatalf("fresh job state = %s", st.State)
 	}

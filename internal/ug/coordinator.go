@@ -102,6 +102,8 @@ type RunStats struct {
 	// are drawn from; printed by the CLIs' -stats tables).
 	LPIterations   int64   // LP simplex iterations summed over all solvers
 	CutsAdded      int64   // cutting planes added summed over all solvers
+	SolsFound      int64   // incumbents installed summed over all solvers
+	PropFixings    int64   // bound-tightening propagator calls summed over all solvers
 	TransferBytes  int64   // payload bytes moved LC ↔ ParaSolvers
 	MaxPoolDepth   int     // deepest the coordinator pool ever got
 	CollectPhases  int     // number of collect-mode intervals entered
@@ -669,6 +671,8 @@ func (co *coordinator) handle(m comm.Message) {
 		co.stats.TotalNodes += out.Nodes
 		co.stats.LPIterations += out.LPIterations
 		co.stats.CutsAdded += out.CutsAdded
+		co.stats.SolsFound += out.SolsFound
+		co.stats.PropFixings += out.PropFixings
 		co.stats.Phases.Add(out.Phases)
 		co.lpItersHist.Observe(float64(out.LPIterations))
 		if m.From >= 1 && m.From <= len(co.stats.PerWorkerNodes) {

@@ -29,6 +29,8 @@ func FormatStats(w io.Writer, st RunStats) error {
 		{"max active", fmt.Sprintf("%d (first at %.3fs)", st.MaxActive, st.FirstMaxActiveTime)},
 		{"LP iterations", fmt.Sprintf("%d", st.LPIterations)},
 		{"cuts added", fmt.Sprintf("%d", st.CutsAdded)},
+		{"solutions found", fmt.Sprintf("%d", st.SolsFound)},
+		{"prop fixings", fmt.Sprintf("%d", st.PropFixings)},
 		{"phase times (s)", fmt.Sprintf("presolve %.3f  LP %.3f  relax %.3f  sepa %.3f  heur %.3f  prop %.3f",
 			st.Phases.Presolve, st.Phases.LP, st.Phases.Relax,
 			st.Phases.Separation, st.Phases.Heuristics, st.Phases.Propagation)},

@@ -46,11 +46,14 @@ type Outcome struct {
 	Nodes     int64
 	OpenLeft  int // open nodes abandoned on interruption
 	RootTime  float64
-	// LPIterations/CutsAdded carry base-solver work counters back to the
-	// coordinator, which sums them into RunStats for the -stats tables.
-	// Base solvers without an LP leave them zero.
+	// LPIterations, CutsAdded, SolsFound and PropFixings carry
+	// base-solver work counters back to the coordinator, which sums them
+	// into RunStats for the -stats tables. Base solvers without an LP
+	// leave the first two zero.
 	LPIterations int64
 	CutsAdded    int64
+	SolsFound    int64 // incumbents the base solver installed
+	PropFixings  int64 // propagator calls that tightened a bound
 	// Phases is the subproblem's wall time per base-solver phase; the
 	// coordinator sums it into RunStats.Phases for the -stats table.
 	Phases PhaseTimes
@@ -131,7 +134,9 @@ type SolverFactory interface {
 	// and, optionally, a solution found during presolving.
 	GlobalPresolve() (root []byte, initial *Solution, err error)
 	// CreateWorker builds a base solver bound to the given racing settings
-	// index; index 0 must be the default configuration.
+	// index; index 0 must be the default configuration. A ParaSolver
+	// calls it once per settings index it is sent and keeps the result
+	// for the rest of its run.
 	CreateWorker(settingsIdx int) WorkerSolver
 	// NumSettings reports the length of the racing settings ladder
 	// (customized racing); at least 1.
@@ -140,7 +145,10 @@ type SolverFactory interface {
 	SettingsName(idx int) string
 }
 
-// WorkerSolver is one base-solver instance inside a ParaSolver.
+// WorkerSolver is one base-solver instance inside a ParaSolver. It
+// serves every subproblem of its settings index that reaches the
+// ParaSolver, one Solve at a time, so it may keep state (incumbent,
+// pseudocosts, globally valid cuts) from one subproblem to the next.
 type WorkerSolver interface {
 	// Solve explores sub until completion or until a Session poll commands
 	// otherwise. Implementations must call sess.Poll at least once per

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,7 +22,10 @@ type fakeFactory struct {
 	lo, hi   int64
 	chunk    int64
 	settings int
-	created  int64 // atomic: workers created
+	bound    float64  // dual bound of every status report and shipped node
+	split    bool     // halve the unscanned rest, so more than one node is open
+	created  int64    // atomic: workers created
+	used     sync.Map // [2]int{rank, settings index} pairs that solved a subproblem
 }
 
 func f(i int64) float64 {
@@ -48,7 +52,7 @@ func (ff *fakeFactory) SettingsName(idx int) string {
 }
 func (ff *fakeFactory) CreateWorker(settingsIdx int) WorkerSolver {
 	atomic.AddInt64(&ff.created, 1)
-	return &fakeWorker{ff: ff}
+	return &fakeWorker{ff: ff, settingsIdx: settingsIdx}
 }
 
 func maxInt(a, b int) int {
@@ -59,10 +63,12 @@ func maxInt(a, b int) int {
 }
 
 type fakeWorker struct {
-	ff *fakeFactory
+	ff          *fakeFactory
+	settingsIdx int
 }
 
 func (fw *fakeWorker) Solve(sub *Subproblem, sess *Session) Outcome {
+	fw.ff.used.Store([2]int{sess.rank, fw.settingsIdx}, true)
 	lo, hi := decodeIv(sub.Payload)
 	best := math.Inf(1)
 	if inc := sess.InitialIncumbent(); inc != nil {
@@ -76,7 +82,9 @@ func (fw *fakeWorker) Solve(sub *Subproblem, sess *Session) Outcome {
 		open = open[:len(open)-1]
 		// Split: keep the lower chunk, push the rest.
 		mid := cur[0] + fw.ff.chunk
-		if mid < cur[1] {
+		if half := mid + (cur[1]-mid)/2; fw.ff.split && half-mid > fw.ff.chunk {
+			open = append(open, [2]int64{half, cur[1]}, [2]int64{mid, half})
+		} else if mid < cur[1] {
 			open = append(open, [2]int64{mid, cur[1]})
 		} else {
 			mid = cur[1]
@@ -88,7 +96,7 @@ func (fw *fakeWorker) Solve(sub *Subproblem, sess *Session) Outcome {
 			}
 		}
 		nodes++
-		cmd := sess.Poll(StatusReport{Bound: 0, Open: len(open), Nodes: nodes})
+		cmd := sess.Poll(StatusReport{Bound: fw.ff.bound, Open: len(open), Nodes: nodes})
 		for _, sol := range cmd.Solutions {
 			if sol.Obj < best {
 				best = sol.Obj
@@ -96,14 +104,14 @@ func (fw *fakeWorker) Solve(sub *Subproblem, sess *Session) Outcome {
 		}
 		if cmd.ExtractAll {
 			for _, iv := range open {
-				sess.ShipNode(Subproblem{Bound: 0, Payload: encodeIv(iv[0], iv[1])})
+				sess.ShipNode(Subproblem{Bound: fw.ff.bound, Payload: encodeIv(iv[0], iv[1])})
 			}
 			return Outcome{Completed: false, Nodes: nodes, OpenLeft: 0}
 		}
 		if cmd.WantNode && len(open) > 0 {
 			iv := open[0]
 			open = open[1:]
-			sess.ShipNode(Subproblem{Bound: 0, Payload: encodeIv(iv[0], iv[1])})
+			sess.ShipNode(Subproblem{Bound: fw.ff.bound, Payload: encodeIv(iv[0], iv[1])})
 		}
 		if cmd.Stop {
 			return Outcome{Completed: false, Nodes: nodes, OpenLeft: len(open)}
@@ -323,6 +331,35 @@ func TestShiftWorkersCreated(t *testing.T) {
 	}
 	if atomic.LoadInt64(&ff.created) < 1 {
 		t.Fatal("no workers created")
+	}
+}
+
+// A ParaSolver creates one WorkerSolver per settings index it is sent
+// and keeps it: creations count (rank, settings) pairs, not dispatches.
+func TestWorkerSolverReusedAcrossDispatches(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workers: 2},
+		{Workers: 3, RampUp: RampUpRacing, RacingTime: 0.02},
+	} {
+		cfg.StatusInterval, cfg.ShipInterval = 1e-4, 1e-4
+		// A bound below every objective keeps the incumbent from closing
+		// the gap, so the whole range is scanned and shared out.
+		ff := &fakeFactory{lo: 0, hi: 1 << 21, chunk: 50, settings: 3, bound: -1, split: true}
+		res, err := Run(ff, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		ff.used.Range(func(_, _ any) bool { pairs++; return true })
+		created := atomic.LoadInt64(&ff.created)
+		if created != int64(pairs) {
+			t.Errorf("ramp-up %d: %d workers created for %d (rank, settings) pairs", cfg.RampUp, created, pairs)
+		}
+		// A race can end with the instance solved; normal ramp-up always
+		// shares the range out and re-dispatches.
+		if cfg.RampUp == RampUpNormal && res.Stats.Dispatched <= created {
+			t.Errorf("ramp-up %d: %d dispatches over %d workers: no solver was reused", cfg.RampUp, res.Stats.Dispatched, created)
+		}
 	}
 }
 

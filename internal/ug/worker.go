@@ -135,10 +135,13 @@ func (s *Session) FoundSolution(sol Solution) {
 
 // runWorker is the ParaSolver main loop (the paper's Algorithm 2): wait
 // for work, solve it while communicating, report termination; exit on
-// the termination tag. trace may be nil (tracing disabled). testPanic
-// makes the solver panic on its first received subproblem — the
-// fault-injection hook behind Config.TestPanicRank.
+// the termination tag. One WorkerSolver per settings index is created on
+// first use and kept for the rank's whole run, so base-solver state
+// survives between subproblems. trace may be nil (tracing disabled).
+// testPanic makes the solver panic on its first received subproblem —
+// the fault-injection hook behind Config.TestPanicRank.
 func runWorker(rank int, c comm.Comm, factory SolverFactory, trace *obs.Tracer, testPanic bool) {
+	solvers := map[int]WorkerSolver{}
 	for {
 		m := c.Recv(rank)
 		switch m.Tag {
@@ -148,7 +151,11 @@ func runWorker(rank int, c comm.Comm, factory SolverFactory, trace *obs.Tracer, 
 			}
 			var w workMsg
 			dec(m.Payload, &w)
-			solver := factory.CreateWorker(w.SettingsIdx)
+			solver, ok := solvers[w.SettingsIdx]
+			if !ok {
+				solver = factory.CreateWorker(w.SettingsIdx)
+				solvers[w.SettingsIdx] = solver
+			}
 			sess := newSession(rank, c, w.Incumbent, w.StatusSec, w.ShipSec)
 			sess.trace = trace
 			out := solver.Solve(&w.Sub, sess)
