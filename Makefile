@@ -41,11 +41,13 @@ check:
 	./scripts/check.sh
 
 # trace-smoke runs a small instrumented Steiner solve and validates the
-# resulting JSONL event trace with ugtrace (the same gate CI applies).
+# resulting JSONL event trace with ugtrace (the same gate CI applies),
+# including a racing ladder that names a winner.
 trace-smoke:
 	go run ./cmd/ugsteiner -instance cc3-4p -workers 2 -racing -trace /tmp/ug-smoke.trace -stats
 	go run ./cmd/ugtrace -validate /tmp/ug-smoke.trace
 	go run ./cmd/ugtrace /tmp/ug-smoke.trace
+	go run ./cmd/ugtrace -racing /tmp/ug-smoke.trace | grep -q '^winner: rank'
 
 # net-smoke exercises the distributed path end to end: the coordinator
 # self-spawns two worker processes, solves a small STP instance over

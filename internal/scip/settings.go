@@ -69,7 +69,6 @@ type Settings struct {
 
 	NodeLimit int64   // 0 = unlimited
 	TimeLimit float64 // seconds, 0 = unlimited
-	GapLimit  float64 // stop when (ub-lb)/|ub| below this
 
 	// MaxLPIterations caps each LP solve (0 = solver default).
 	MaxLPIterations int

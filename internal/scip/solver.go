@@ -23,7 +23,6 @@ const (
 	StatusInterrupted
 	StatusNodeLimit
 	StatusTimeLimit
-	StatusGapLimit
 )
 
 // String renders the status for result tables and messages.
@@ -39,8 +38,6 @@ func (s Status) String() string {
 		return "nodelimit"
 	case StatusTimeLimit:
 		return "timelimit"
-	case StatusGapLimit:
-		return "gaplimit"
 	}
 	return "unknown"
 }
@@ -616,10 +613,6 @@ func (s *Solver) loop() Status {
 		if s.timeUp() {
 			s.curBound = Infinity
 			return StatusTimeLimit
-		}
-		if s.Set.GapLimit > 0 && s.Gap() <= s.Set.GapLimit {
-			s.curBound = Infinity
-			return StatusGapLimit
 		}
 		n := s.tree.pop()
 		if n == nil {

@@ -29,10 +29,10 @@ func (co *coordinator) saveCheckpoint() error {
 	for _, sub := range co.pool {
 		ck.Pool = append(ck.Pool, *sub)
 	}
-	// Iterate running subtrees by ascending rank: a checkpoint written
-	// in map order would make restarts depend on iteration randomness.
-	for _, rank := range co.runningRanks() {
-		ck.Pool = append(ck.Pool, *co.running[rank])
+	for _, r := range co.ranks {
+		if r.sub != nil {
+			ck.Pool = append(ck.Pool, *r.sub)
+		}
 	}
 	ck.Incumbent = co.incumbent
 	tmp := co.cfg.CheckpointPath + ".tmp"

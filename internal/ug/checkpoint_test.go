@@ -11,18 +11,18 @@ import (
 // state saveCheckpoint persists: pooled subproblems, roots of running
 // subtrees, the incumbent, and the worker bounds feeding dualBound.
 func ckCoordinator(path string) *coordinator {
-	return &coordinator{
+	co := &coordinator{
 		cfg: Config{CheckpointPath: path},
 		pool: subHeap{
 			{ID: 1, Depth: 2, Bound: 4.5, Payload: []byte("node-1")},
 			{ID: 3, Depth: 5, Bound: 7.25, Payload: []byte("node-3")},
 		},
-		running: map[int]*Subproblem{
-			2: {ID: 2, Depth: 1, Bound: 3.5, Payload: []byte("node-2")},
-		},
-		workerBound: map[int]float64{2: 3.25},
-		incumbent:   &Solution{Obj: 11.5, Payload: []byte("best")},
+		ranks:     make([]rankState, 3),
+		active:    1,
+		incumbent: &Solution{Obj: 11.5, Payload: []byte("best")},
 	}
+	co.ranks[2] = rankState{sub: &Subproblem{ID: 2, Depth: 1, Bound: 3.5, Payload: []byte("node-2")}, bound: 3.25}
+	return co
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -85,8 +85,7 @@ func TestCheckpointOverwriteIsAtomic(t *testing.T) {
 
 	// Later save with fewer nodes must fully replace the earlier file.
 	co.pool = subHeap{{ID: 9, Bound: 1.5, Payload: []byte("late")}}
-	co.running = map[int]*Subproblem{}
-	co.workerBound = map[int]float64{}
+	co.release(2)
 	if err := co.saveCheckpoint(); err != nil {
 		t.Fatalf("second save: %v", err)
 	}

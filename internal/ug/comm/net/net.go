@@ -549,6 +549,13 @@ func (c *NetComm) recvLoop(p *peer) {
 				c.peerGone(p, fmt.Errorf("netcomm: rank %d sent a malformed frame: %w", p.rank, derr))
 				return
 			}
+			if m.From != p.rank {
+				// The handshake fixed who is on this link; a frame that
+				// claims another sender would be booked against a rank
+				// that never sent it.
+				c.peerGone(p, fmt.Errorf("netcomm: rank %d sent a malformed frame: sender field %d", p.rank, m.From))
+				return
+			}
 			// Merge the sender's Lamport clock before the message becomes
 			// visible locally: anything emitted after the delivery is then
 			// causally ordered after everything the sender did before it.

@@ -357,6 +357,49 @@ func TestHeartbeatTimeoutDeclaresPeerDead(t *testing.T) {
 	}
 }
 
+func TestForgedSenderIsMalformed(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coCh := make(chan error, 1)
+	var co *NetComm
+	go func() {
+		c, err := ln.Rendezvous(2, quickOpts())
+		co = c
+		coCh <- err
+	}()
+	// A hand-rolled worker handshaken as rank 1 whose data frame claims
+	// to come from rank 7, outside the roster: delivered as sent, it would
+	// make the coordinator book an outcome for a rank that does not exist.
+	conn, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, frameHello, appendHello(nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := readFrame(bufio.NewReader(conn)); err != nil || ft != frameWelcome {
+		t.Fatalf("handshake: type %d err %v", ft, err)
+	}
+	if err := <-coCh; err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	forged := AppendMessage(nil, comm.Message{From: 7, Tag: comm.TagTerminated}, 0)
+	if err := writeFrame(conn, frameData, forged); err != nil {
+		t.Fatal(err)
+	}
+	m := recvWithTimeout(t, co, 5*time.Second)
+	if m.Tag != comm.TagPeerDown || m.From != 1 {
+		t.Fatalf("got %+v, want peerDown from rank 1", m)
+	}
+	if co.hasPeer(1) {
+		t.Fatal("peer that forged its sender still in roster")
+	}
+}
+
 func TestFaultDropDelayDuplicate(t *testing.T) {
 	wOpts := quickOpts()
 	wOpts.Fault = NewFaultPlan(

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,9 +23,11 @@ type Config struct {
 	// process calls RunWorker against its own endpoint.
 	RemoteWorkers bool
 
-	RampUp          RampUpMode
-	RacingTime      float64 // seconds of racing before a winner is chosen
-	RacingNodeLimit int     // alt criterion: a solver's open nodes reach this
+	// RampUp selects normal or racing ramp-up. A race ends after
+	// RacingTime seconds, or earlier once a racer reports racingNodeLimit
+	// open nodes.
+	RampUp     RampUpMode
+	RacingTime float64 // seconds of racing before a winner is chosen (default 0.25)
 
 	TimeLimit float64 // seconds; 0 = none
 
@@ -45,9 +46,6 @@ type Config struct {
 	// InitialSolution seeds the incumbent (the paper's hc10p runs re-start
 	// from scratch with the previous best solution attached).
 	InitialSolution *Solution
-
-	// Pool watermarks for collect mode; zero values derive from Workers.
-	CollectLow, CollectHigh int
 
 	// StatusInterval/ShipInterval tune worker communication cadence in
 	// seconds (zero keeps the defaults: 20ms status, 2ms shipping).
@@ -75,6 +73,10 @@ type Config struct {
 	// set outside tests and scripts/postmortem_smoke.sh.
 	TestPanicRank int
 }
+
+// racingNodeLimit ends a race early: the first racer to report this many
+// open nodes has a tree worth distributing.
+const racingNodeLimit = 50
 
 // RunStats aggregates the statistics the paper's tables report.
 type RunStats struct {
@@ -142,34 +144,50 @@ func (h *subHeap) Pop() interface{} {
 	return it
 }
 
+// rankState is what the coordinator knows about one ParaSolver rank.
+type rankState struct {
+	sub      *Subproblem   // in flight; nil while the rank is idle
+	dead     bool          // lost to transport failure (TagPeerDown)
+	bound    float64       // last dual bound reported for sub
+	open     int           // last open-node count reported for sub
+	settings int           // settings index sub was dispatched with
+	since    time.Time     // when sub was dispatched
+	busy     time.Duration // time spent on subproblems already released
+}
+
+// racePhase is where a racing ramp-up stands.
+type racePhase int
+
+const (
+	raceOff     racePhase = iota // normal coordination
+	raceRunning                  // every rank races on the root, no winner yet
+	raceWindup                   // winner chosen; waiting for extraction and stops
+)
+
 // coordinator is the LoadCoordinator state (the paper's Algorithm 1).
 type coordinator struct {
 	cfg     Config
 	comm    comm.Comm
 	factory SolverFactory
 
-	pool    subHeap
-	running map[int]*Subproblem
-	idle    []int
-	dead    map[int]bool // ranks lost to transport failure (TagPeerDown)
+	pool subHeap
+	// ranks is indexed by rank (entry 0, the coordinator, stays empty),
+	// so every walk over the workers visits them in ascending rank order:
+	// racing tie-breaks, checkpoint layout and message order never depend
+	// on iteration randomness.
+	ranks  []rankState
+	active int   // ranks with a subproblem in flight
+	dead   int   // ranks lost to transport failure
+	idle   []int // LIFO: the rank that finished last gets the next subproblem
 
 	incumbent *Solution
 	nextSubID int64
 
-	workerBound map[int]float64
-	workerOpen  map[int]int
-	workerNodes map[int]int64
-
-	dispatchAt map[int]time.Time
-	busy       map[int]time.Duration
-
-	collectMode        bool
-	racing             bool
-	racingRootRequeued bool
-	racingIdx          map[int]int // rank → settings index
-	winnerRank         int
-	windingUp          bool // racing finished, waiting for extraction/stops
-	stopping           bool
+	collectMode  bool
+	race         racePhase
+	rootRequeued bool // the shared racing root is back in the pool
+	winnerRank   int
+	stopping     bool
 
 	start    time.Time
 	lastCkpt time.Time
@@ -210,17 +228,8 @@ func Run(factory SolverFactory, cfg Config) (*Result, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1.0
 	}
-	if cfg.CollectLow <= 0 {
-		cfg.CollectLow = cfg.Workers
-	}
-	if cfg.CollectHigh <= cfg.CollectLow {
-		cfg.CollectHigh = 2*cfg.CollectLow + 1
-	}
 	if cfg.RacingTime <= 0 {
 		cfg.RacingTime = 0.25
-	}
-	if cfg.RacingNodeLimit <= 0 {
-		cfg.RacingNodeLimit = 50
 	}
 
 	// Mailbox depth gauges: both built-in communicators support
@@ -247,14 +256,7 @@ func Run(factory SolverFactory, cfg Config) (*Result, error) {
 		cfg:         cfg,
 		comm:        c,
 		factory:     factory,
-		running:     map[int]*Subproblem{},
-		dead:        map[int]bool{},
-		workerBound: map[int]float64{},
-		workerOpen:  map[int]int{},
-		workerNodes: map[int]int64{},
-		dispatchAt:  map[int]time.Time{},
-		busy:        map[int]time.Duration{},
-		racingIdx:   map[int]int{},
+		ranks:       make([]rankState, cfg.Workers+1),
 		winnerRank:  -1,
 		rootRank:    -1,
 		trace:       cfg.Trace,
@@ -322,14 +324,12 @@ func (co *coordinator) run() (*Result, error) {
 
 	// Ramp-up.
 	if co.cfg.RampUp == RampUpRacing && !co.stats.Restarted && len(co.pool) == 1 {
-		co.racing = true
+		co.race = raceRunning
 		co.trace.Emit(obs.Event{Kind: obs.KindRacingStart, Open: co.factory.NumSettings()})
 		rootSub := co.pool[0]
 		co.pool = nil
 		for rank := 1; rank <= co.cfg.Workers; rank++ {
-			idx := (rank - 1) % co.factory.NumSettings()
-			co.racingIdx[rank] = idx
-			co.dispatchTo(rank, rootSub, comm.TagRacing, idx)
+			co.dispatchTo(rank, rootSub, comm.TagRacing, (rank-1)%co.factory.NumSettings())
 		}
 	} else {
 		for rank := 1; rank <= co.cfg.Workers; rank++ {
@@ -360,10 +360,10 @@ func (co *coordinator) run() (*Result, error) {
 		now := time.Now()
 		elapsed := now.Sub(co.start).Seconds()
 
-		if co.racing && !co.windingUp {
+		if co.race == raceRunning {
 			co.maybeEndRacing(elapsed)
 		}
-		if !co.racing {
+		if co.race == raceOff {
 			co.adjustCollectMode()
 			co.dispatchAll()
 		}
@@ -388,7 +388,7 @@ func (co *coordinator) run() (*Result, error) {
 		if co.finished() {
 			return co.finalize(), nil
 		}
-		if len(co.dead) >= co.cfg.Workers {
+		if co.dead >= co.cfg.Workers {
 			// Every worker is gone and work remains: nothing can make
 			// progress, so fail loudly rather than hang. The requeued
 			// subproblems are still in the pool (and any checkpoint).
@@ -404,18 +404,12 @@ func (co *coordinator) run() (*Result, error) {
 // cover the whole search, and the result reports an interrupted run.
 func (co *coordinator) abortClosed() {
 	co.stopping = true
-	co.trace.Emit(obs.Event{Kind: obs.KindRunStop, Open: len(co.running)})
-	for _, rank := range co.runningRanks() {
-		if sub := co.running[rank]; sub != nil && (!co.racing || !co.racingRootRequeued) {
-			if co.racing {
-				co.racingRootRequeued = true
-			}
-			co.pushPool(sub)
-		}
-		delete(co.running, rank)
+	co.trace.Emit(obs.Event{Kind: obs.KindRunStop, Open: co.active})
+	for rank := range co.ranks {
+		sub, _ := co.release(rank)
+		co.requeue(sub)
 	}
-	co.racing = false
-	co.windingUp = false
+	co.race = raceOff
 }
 
 // traceDualBound writes a dual-bound event when the global bound moved
@@ -438,7 +432,7 @@ func (co *coordinator) traceCheckpoint(err error) {
 	if !co.trace.Enabled() {
 		return
 	}
-	ev := obs.Event{Kind: obs.KindCkptSave, Open: len(co.pool) + len(co.running)}
+	ev := obs.Event{Kind: obs.KindCkptSave, Open: len(co.pool) + co.active}
 	if err != nil {
 		ev.Str = err.Error()
 	}
@@ -457,32 +451,50 @@ func (co *coordinator) pushPool(sub *Subproblem) {
 	co.poolGauge.Set(int64(len(co.pool)))
 }
 
-// runningRanks returns the ranks with an active subproblem in ascending
-// order. Iterating co.running directly visits ranks in Go's randomized
-// map order, which leaks into racing tie-breaks, checkpoint layout, and
-// message traces — everything deterministic replay needs stable.
-func (co *coordinator) runningRanks() []int {
-	ranks := make([]int, 0, len(co.running))
-	for rank := range co.running {
-		ranks = append(ranks, rank)
+// requeue returns an unfinished subproblem (nil: none) to the pool as a
+// primitive node. During racing every rank holds the same root, so it
+// goes back at most once.
+func (co *coordinator) requeue(sub *Subproblem) {
+	if sub == nil {
+		return
 	}
-	sort.Ints(ranks)
-	return ranks
+	if co.race != raceOff {
+		if co.rootRequeued {
+			return
+		}
+		co.rootRequeued = true
+	}
+	co.pushPool(sub)
+}
+
+// release is where a rank gives up its subproblem — finished,
+// interrupted, lost with its process, or abandoned with a closed
+// transport. It books the busy time and returns the subproblem (nil if
+// the rank held none) with the time spent on it.
+func (co *coordinator) release(rank int) (*Subproblem, time.Duration) {
+	r := &co.ranks[rank]
+	sub := r.sub
+	r.sub, r.open = nil, 0
+	if sub == nil {
+		return nil, 0
+	}
+	d := time.Since(r.since)
+	r.busy += d
+	co.active--
+	return sub, d
 }
 
 // dispatchTo sends one subproblem to a specific worker.
 func (co *coordinator) dispatchTo(rank int, sub *Subproblem, tag comm.Tag, settingsIdx int) {
-	co.running[rank] = sub
-	co.dispatchAt[rank] = time.Now()
-	co.workerBound[rank] = sub.Bound
-	co.workerOpen[rank] = 1
-	co.workerNodes[rank] = 0
+	r := &co.ranks[rank]
+	r.sub, r.bound, r.open, r.settings, r.since = sub, sub.Bound, 1, settingsIdx, time.Now()
+	co.active++
 	co.stats.Dispatched++
 	if co.rootRank < 0 {
 		co.rootRank = rank
 	}
-	if active := len(co.running); active > co.stats.MaxActive {
-		co.stats.MaxActive = active
+	if co.active > co.stats.MaxActive {
+		co.stats.MaxActive = co.active
 		co.stats.FirstMaxActiveTime = time.Since(co.start).Seconds()
 	}
 	payload := enc(workMsg{
@@ -507,6 +519,16 @@ func (co *coordinator) dispatchTo(rank int, sub *Subproblem, tag comm.Tag, setti
 	}
 }
 
+// sendRunning sends one message to every rank with a subproblem in
+// flight except skip, in ascending rank order.
+func (co *coordinator) sendRunning(tag comm.Tag, payload []byte, skip int) {
+	for rank := range co.ranks {
+		if co.ranks[rank].sub != nil && rank != skip {
+			co.comm.Send(rank, comm.Message{From: 0, Tag: tag, Payload: payload})
+		}
+	}
+}
+
 // dispatchAll matches idle workers with pooled subproblems.
 func (co *coordinator) dispatchAll() {
 	if co.stopping {
@@ -526,92 +548,81 @@ func (co *coordinator) dispatchAll() {
 }
 
 // adjustCollectMode implements the paper's dynamic load balancing: when
-// the pool runs low the coordinator asks active solvers to ship heavy
-// subproblems; when it is replenished it stops the collection.
+// the pool holds fewer subproblems than there are workers the
+// coordinator asks active solvers to ship heavy subproblems; once it
+// holds 2·Workers+1 it stops the collection.
 func (co *coordinator) adjustCollectMode() {
 	if co.stopping {
 		return
 	}
-	if !co.collectMode && len(co.pool) < co.cfg.CollectLow && len(co.running) > 0 {
+	if !co.collectMode && len(co.pool) < co.cfg.Workers && co.active > 0 {
 		co.collectMode = true
 		co.stats.CollectPhases++
 		co.trace.Emit(obs.Event{Kind: obs.KindCollectStart, Open: len(co.pool)})
-		for _, rank := range co.runningRanks() {
-			co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagStartCollect})
-		}
-	} else if co.collectMode && len(co.pool) >= co.cfg.CollectHigh {
+		co.sendRunning(comm.TagStartCollect, nil, -1)
+	} else if co.collectMode && len(co.pool) >= 2*co.cfg.Workers+1 {
 		co.collectMode = false
 		co.trace.Emit(obs.Event{Kind: obs.KindCollectStop, Open: len(co.pool)})
-		for _, rank := range co.runningRanks() {
-			co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagStopCollect})
-		}
+		co.sendRunning(comm.TagStopCollect, nil, -1)
 	}
 }
 
 // maybeEndRacing checks the racing termination criteria and, when met,
-// declares a winner: best dual bound, ties broken by more open nodes.
+// declares a winner: best dual bound, ties broken by more open nodes,
+// then by the lower rank.
 func (co *coordinator) maybeEndRacing(elapsed float64) {
 	trigger := elapsed >= co.cfg.RacingTime
-	if !trigger {
-		for _, open := range co.workerOpen {
-			if open >= co.cfg.RacingNodeLimit {
-				trigger = true
-				break
-			}
-		}
-	}
-	if !trigger {
-		return
-	}
-	// Visit ranks in ascending order so ties in bound and open-node
-	// count resolve to the lowest rank on every run, not whichever rank
-	// the map iterator happened to produce first.
-	ranks := co.runningRanks()
 	best := -1
-	for _, rank := range ranks {
-		if best < 0 {
-			best = rank
+	for rank := 1; rank < len(co.ranks); rank++ {
+		r := &co.ranks[rank]
+		trigger = trigger || r.open >= racingNodeLimit
+		if r.sub == nil {
 			continue
 		}
-		bb, bo := co.workerBound[best], co.workerOpen[best]
-		rb, ro := co.workerBound[rank], co.workerOpen[rank]
-		if num.Gt(rb, bb, num.OptTol) || (num.Eq(rb, bb, num.OptTol) && ro > bo) {
+		if best < 0 || num.Gt(r.bound, co.ranks[best].bound, num.OptTol) ||
+			(num.Eq(r.bound, co.ranks[best].bound, num.OptTol) && r.open > co.ranks[best].open) {
 			best = rank
 		}
 	}
-	if best < 0 {
-		return // all racing solvers already terminated
+	// best < 0: every racing solver has already terminated.
+	if trigger && best >= 0 {
+		co.declareWinner(best, false)
 	}
-	co.winnerRank = best
-	co.stats.RacingWinner = co.racingIdx[best]
-	co.stats.RacingWinnerName = co.factory.SettingsName(co.racingIdx[best])
-	co.windingUp = true
-	co.trace.Emit(obs.Event{Kind: obs.KindRacingWinner, Rank: best,
+}
+
+// declareWinner ends the race in favour of rank. A winner that solved
+// the instance has already released the root; any other winner is asked
+// to extract all its open nodes into the pool. Every other racer stops.
+func (co *coordinator) declareWinner(rank int, solved bool) {
+	co.race, co.winnerRank = raceWindup, rank
+	co.stats.SolvedInRacing = solved
+	co.stats.RacingWinner = co.ranks[rank].settings
+	co.stats.RacingWinnerName = co.factory.SettingsName(co.stats.RacingWinner)
+	co.trace.Emit(obs.Event{Kind: obs.KindRacingWinner, Rank: rank,
 		Sub: int64(co.stats.RacingWinner), Str: co.stats.RacingWinnerName})
-	co.comm.Send(best, comm.Message{From: 0, Tag: comm.TagExtractAll})
-	for _, rank := range ranks {
-		if rank != best {
-			co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagStop})
-		}
+	if !solved {
+		co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagExtractAll})
 	}
+	co.sendRunning(comm.TagStop, nil, rank)
 }
 
 // beginStop interrupts all running solvers (time limit reached).
 func (co *coordinator) beginStop() {
 	co.stopping = true
-	co.trace.Emit(obs.Event{Kind: obs.KindRunStop, Open: len(co.running)})
-	for _, rank := range co.runningRanks() {
-		co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagStop})
-	}
+	co.trace.Emit(obs.Event{Kind: obs.KindRunStop, Open: co.active})
+	co.sendRunning(comm.TagStop, nil, -1)
 }
 
 // handle processes one incoming message.
 func (co *coordinator) handle(m comm.Message) {
+	if m.From < 1 || m.From >= len(co.ranks) {
+		return // not a worker of this run
+	}
 	// A dead rank's queued solutions and collected nodes are still good
-	// data; its control messages (status, terminated) are not — acting on
-	// them would re-admit the rank to the idle set and strand the next
-	// subproblem dispatched to it.
-	if co.dead[m.From] && m.Tag != comm.TagSolution && m.Tag != comm.TagNode {
+	// data; its control messages (status, terminated, a second peer-down)
+	// are not — acting on them would re-admit the rank to the idle set and
+	// strand the next subproblem dispatched to it.
+	if co.ranks[m.From].dead && m.Tag != comm.TagSolution && m.Tag != comm.TagNode {
 		return
 	}
 	switch m.Tag {
@@ -625,11 +636,7 @@ func (co *coordinator) handle(m comm.Message) {
 			co.incumbent = &sol
 			co.trace.Emit(obs.Event{Kind: obs.KindIncumbent, Rank: m.From, Primal: sol.Obj})
 			// Broadcast to all running solvers and prune the pool.
-			for _, rank := range co.runningRanks() {
-				if rank != m.From {
-					co.comm.Send(rank, comm.Message{From: 0, Tag: comm.TagSolution, Payload: enc(sol)})
-				}
-			}
+			co.sendRunning(comm.TagSolution, enc(sol), m.From)
 			keep := co.pool[:0]
 			for _, sub := range co.pool {
 				if num.Lt(sub.Bound, co.incumbent.Obj, num.ZeroTol) {
@@ -652,9 +659,7 @@ func (co *coordinator) handle(m comm.Message) {
 	case comm.TagStatus:
 		var st StatusReport
 		dec(m.Payload, &st)
-		co.workerBound[m.From] = st.Bound
-		co.workerOpen[m.From] = st.Open
-		co.workerNodes[m.From] = st.Nodes
+		co.ranks[m.From].bound, co.ranks[m.From].open = st.Bound, st.Open
 		co.stats.StatusReports++
 		co.trace.Emit(obs.Event{Kind: obs.KindStatus, Rank: m.From,
 			Dual: st.Bound, Open: st.Open, Nodes: st.Nodes})
@@ -664,10 +669,7 @@ func (co *coordinator) handle(m comm.Message) {
 	case comm.TagTerminated:
 		var out Outcome
 		dec(m.Payload, &out)
-		sub := co.running[m.From]
-		delete(co.running, m.From)
-		delete(co.workerBound, m.From)
-		co.workerOpen[m.From] = 0
+		sub, d := co.release(m.From)
 		co.stats.TotalNodes += out.Nodes
 		co.stats.LPIterations += out.LPIterations
 		co.stats.CutsAdded += out.CutsAdded
@@ -675,9 +677,7 @@ func (co *coordinator) handle(m comm.Message) {
 		co.stats.PropFixings += out.PropFixings
 		co.stats.Phases.Add(out.Phases)
 		co.lpItersHist.Observe(float64(out.LPIterations))
-		if m.From >= 1 && m.From <= len(co.stats.PerWorkerNodes) {
-			co.stats.PerWorkerNodes[m.From-1] += out.Nodes
-		}
+		co.stats.PerWorkerNodes[m.From-1] += out.Nodes
 		if co.trace.Enabled() {
 			label := "interrupted"
 			if out.Completed {
@@ -687,18 +687,11 @@ func (co *coordinator) handle(m comm.Message) {
 				Nodes: out.Nodes, Open: out.OpenLeft, Str: label})
 			co.trace.Emit(obs.Event{Kind: obs.KindSolverIdle, Rank: m.From})
 		}
-		if t, ok := co.dispatchAt[m.From]; ok {
-			d := time.Since(t)
-			co.busy[m.From] += d
+		if sub != nil {
 			co.subSeconds.Observe(d.Seconds())
-			delete(co.dispatchAt, m.From)
 		}
 		if num.ExactZero(co.stats.RootTime) && m.From == co.rootRank && out.RootTime > 0 {
 			co.stats.RootTime = out.RootTime
-		}
-		if co.racing {
-			co.handleRacingTermination(m.From, out, sub)
-			return
 		}
 		if !out.Completed && sub != nil {
 			if co.stopping {
@@ -706,14 +699,23 @@ func (co *coordinator) handle(m comm.Message) {
 				// primitive node; its explored part is the restart overhead
 				// the paper describes.
 				co.stats.OpenAtEnd += out.OpenLeft
-				co.pushPool(sub)
-			} else {
-				// Interrupted for another reason (should not happen in
-				// normal mode); requeue defensively.
-				co.pushPool(sub)
+			}
+			// A racer stopped or extracted after the winner was chosen
+			// leaves nothing behind; only a stop can strand the root.
+			if co.race == raceOff || co.stopping {
+				co.requeue(sub)
 			}
 		}
 		co.idle = append(co.idle, m.From)
+		if out.Completed && co.race == raceRunning {
+			// A racing solver finished the whole instance: stop the race.
+			co.declareWinner(m.From, true)
+		}
+	}
+	if co.race != raceOff && co.active == 0 {
+		// Racing fully wound up; switch to normal coordination.
+		co.race = raceOff
+		co.trace.Emit(obs.Event{Kind: obs.KindRacingDone, Open: len(co.pool)})
 	}
 }
 
@@ -723,88 +725,33 @@ func (co *coordinator) handle(m comm.Message) {
 // node, and the run continues on the surviving workers. The run-loop
 // all-dead check turns total loss into an error instead of a hang.
 func (co *coordinator) handlePeerDown(rank int) {
-	if co.dead[rank] {
-		return
-	}
-	co.dead[rank] = true
+	co.ranks[rank].dead = true
+	co.dead++
 	co.trace.Emit(obs.Event{Kind: obs.KindCommPeerDown, Rank: rank})
-	sub := co.running[rank]
-	delete(co.running, rank)
-	delete(co.workerBound, rank)
-	co.workerOpen[rank] = 0
+	sub, _ := co.release(rank)
 	for i, r := range co.idle {
 		if r == rank {
 			co.idle = append(co.idle[:i], co.idle[i+1:]...)
 			break
 		}
 	}
-	if t, ok := co.dispatchAt[rank]; ok {
-		co.busy[rank] += time.Since(t)
-		delete(co.dispatchAt, rank)
-	}
-	if co.racing {
-		// Every racer works on the same root: requeue it only when the
-		// search would otherwise lose it — the chosen winner died, or the
-		// last racer is gone.
-		if !co.racingRootRequeued && sub != nil &&
-			(rank == co.winnerRank || len(co.running) == 0) {
-			co.racingRootRequeued = true
-			co.pushPool(sub)
-		}
-		if len(co.running) == 0 {
-			co.racing = false
-			co.windingUp = false
-			co.trace.Emit(obs.Event{Kind: obs.KindRacingDone, Open: len(co.pool)})
-		}
-		return
-	}
-	if sub != nil {
-		co.pushPool(sub)
-	}
-}
-
-// handleRacingTermination tracks racing solvers finishing or stopping.
-func (co *coordinator) handleRacingTermination(rank int, out Outcome, sub *Subproblem) {
-	co.idle = append(co.idle, rank)
-	if co.stopping && !out.Completed {
-		co.stats.OpenAtEnd += out.OpenLeft
-		if !co.racingRootRequeued && sub != nil {
-			// Time limit hit mid-race with no winner: requeue the shared
-			// root once so a checkpoint still covers the whole search.
-			co.racingRootRequeued = true
-			co.pushPool(sub)
-		}
-	}
-	if out.Completed && !co.windingUp {
-		// A racing solver finished the whole instance: stop the race.
-		co.stats.SolvedInRacing = true
-		co.stats.RacingWinner = co.racingIdx[rank]
-		co.stats.RacingWinnerName = co.factory.SettingsName(co.racingIdx[rank])
-		co.windingUp = true
-		co.winnerRank = rank
-		co.trace.Emit(obs.Event{Kind: obs.KindRacingWinner, Rank: rank,
-			Sub: int64(co.stats.RacingWinner), Str: co.stats.RacingWinnerName})
-		for r := range co.running {
-			co.comm.Send(r, comm.Message{From: 0, Tag: comm.TagStop})
-		}
-	}
-	if len(co.running) == 0 {
-		// Racing phase fully wound up; switch to normal coordination.
-		co.racing = false
-		co.windingUp = false
-		co.trace.Emit(obs.Event{Kind: obs.KindRacingDone, Open: len(co.pool)})
+	// Every racer works on the same root: requeue it only when the search
+	// would otherwise lose it — the chosen winner died, or the last racer
+	// is gone.
+	if co.race == raceOff || rank == co.winnerRank || co.active == 0 {
+		co.requeue(sub)
 	}
 }
 
 // finished reports whether the run is over.
 func (co *coordinator) finished() bool {
-	if co.racing {
+	if co.race != raceOff {
 		return false
 	}
 	if co.stopping {
-		return len(co.running) == 0
+		return co.active == 0
 	}
-	return len(co.pool) == 0 && len(co.running) == 0
+	return len(co.pool) == 0 && co.active == 0
 }
 
 // primalBound returns the incumbent objective (+Inf if none).
@@ -823,13 +770,9 @@ func (co *coordinator) dualBound() float64 {
 			lb = sub.Bound
 		}
 	}
-	// Ascending rank rather than map order: the min is the same either
-	// way, but the checkpointed/traced value should never even look
-	// order-dependent (walldet tracks this flow into run.end and
-	// Checkpoint.DualBound).
-	for _, rank := range co.runningRanks() {
-		if b, ok := co.workerBound[rank]; ok && b < lb {
-			lb = b
+	for _, r := range co.ranks {
+		if r.sub != nil && r.bound < lb {
+			lb = r.bound
 		}
 	}
 	if lb == inf {
@@ -838,7 +781,8 @@ func (co *coordinator) dualBound() float64 {
 	return lb
 }
 
-// finalize assembles the Result.
+// finalize assembles the Result. Every rank has released its subproblem
+// by now, so the busy times are complete.
 func (co *coordinator) finalize() *Result {
 	total := time.Since(co.start)
 	co.stats.Time = total.Seconds()
@@ -847,11 +791,7 @@ func (co *coordinator) finalize() *Result {
 	co.stats.OpenAtEnd += len(co.pool)
 	co.stats.IdleRatio = make([]float64, co.cfg.Workers)
 	for rank := 1; rank <= co.cfg.Workers; rank++ {
-		b := co.busy[rank]
-		if t, ok := co.dispatchAt[rank]; ok {
-			b += time.Since(t)
-		}
-		idle := 1 - b.Seconds()/total.Seconds()
+		idle := 1 - co.ranks[rank].busy.Seconds()/total.Seconds()
 		if idle < 0 {
 			idle = 0
 		}
