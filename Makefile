@@ -42,12 +42,16 @@ check:
 
 # trace-smoke runs a small instrumented Steiner solve and validates the
 # resulting JSONL event trace with ugtrace (the same gate CI applies),
-# including a racing ladder that names a winner.
+# including a racing ladder that names a winner, then a sequential solve
+# that branches and its bound trajectory.
 trace-smoke:
 	go run ./cmd/ugsteiner -instance cc3-4p -workers 2 -racing -trace /tmp/ug-smoke.trace -stats
 	go run ./cmd/ugtrace -validate /tmp/ug-smoke.trace
 	go run ./cmd/ugtrace /tmp/ug-smoke.trace
 	go run ./cmd/ugtrace -racing /tmp/ug-smoke.trace | grep -q '^winner: rank'
+	go run ./cmd/ugsteiner -instance hc6u -sequential -time 3 -trace /tmp/ug-smoke-seq.trace -stats
+	go run ./cmd/ugtrace -validate /tmp/ug-smoke-seq.trace
+	go run ./cmd/ugtrace -bounds /tmp/ug-smoke-seq.trace
 
 # net-smoke exercises the distributed path end to end: the coordinator
 # self-spawns two worker processes, solves a small STP instance over

@@ -26,16 +26,8 @@ type FuncNode struct {
 	Pkg  *Package
 
 	calls map[*FuncNode]bool // synchronous may-call edges (incl. references)
-	// returnedCalls are callees whose result is returned directly
-	// (`return f(...)`); OrderDep propagates through them.
-	returnedCalls []*FuncNode
 
 	sum Summary
-
-	// mapdet site cache: mapOrderSites is consulted by both the summary
-	// pass and the analyzer.
-	orderOnce  bool
-	orderSites []mapdetSite
 
 	// Dataflow layer results (dataflow.go): the converged taint
 	// summary, intrinsic-taint sink hits (walldet), and recorded
@@ -214,12 +206,6 @@ func (m *Module) collectEdges(n *FuncNode) {
 			}
 			for _, c := range m.calleesOf(info, x.Fun) {
 				n.calls[c] = true
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if call, ok := unparen(res).(*ast.CallExpr); ok {
-					n.returnedCalls = append(n.returnedCalls, m.calleesOf(info, call.Fun)...)
-				}
 			}
 		case *ast.FuncLit:
 			// A literal used as a value (stored, passed, returned): the

@@ -105,31 +105,16 @@ func TestCallGraphDeterministicRebuild(t *testing.T) {
 			t.Fatalf("node %d differs: %s vs %s", i, fa[i].Name(), fb[i].Name())
 		}
 		sa, sb := fa[i].Summary(), fb[i].Summary()
-		if sa.MayBlock != sb.MayBlock || sa.OrderDep != sb.OrderDep || sa.SortsArg != sb.SortsArg {
+		if sa.MayBlock != sb.MayBlock || sa.SortsArg != sb.SortsArg {
 			t.Errorf("summary of %s differs across rebuilds", fa[i].Name())
 		}
 	}
 }
 
-// TestOrderDepPropagation checks the mapdet-side summary bit: keyList
-// returns an unsorted key collection (OrderDep), relayKeys returns
-// keyList's result directly and inherits it, sortedKeys does not.
-func TestOrderDepPropagation(t *testing.T) {
+// SortsArg is the summary bit mapdet consults before accepting an
+// unsorted key collection handed to a module helper.
+func TestSortsArgSummary(t *testing.T) {
 	m := buildFixtureModule(t, "mapdet/internal/ug")
-	cases := map[string]bool{
-		".keyList":      true,
-		".relayKeys":    true,  // return keyList(m) propagates
-		".argmaxRank":   true,  // best is returned
-		".total":        true,  // float reduction is returned
-		".sortedKeys":   false, // sorted before returning
-		".helperSorted": false, // sorted via module helper
-		".minBound":     false, // value reduction, order-independent
-	}
-	for suffix, want := range cases {
-		if got := mustFunc(t, m, suffix).Summary().OrderDep; got != want {
-			t.Errorf("OrderDep(%s) = %v, want %v", suffix, got, want)
-		}
-	}
 	if !mustFunc(t, m, ".sortRanks").Summary().SortsArg {
 		t.Error("sortRanks should have SortsArg set")
 	}

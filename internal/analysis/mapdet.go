@@ -58,24 +58,15 @@ func runMapDet(p *Pass) {
 }
 
 // mapdetSite is one order-dependence finding inside a function.
-// reachesReturn marks sites whose tainted variable flows into the
-// function's return values — those set the OrderDep summary bit so the
-// dependence propagates to callers that return the result onward.
 type mapdetSite struct {
-	pos           token.Pos
-	msg           string
-	target        types.Object
-	reachesReturn bool
+	pos token.Pos
+	msg string
 }
 
-// mapOrderSites computes (and caches) the order-dependence sites of one
-// function: every range-over-map in its body analyzed for the patterns
-// documented on MapDet.
+// mapOrderSites computes the order-dependence sites of one function:
+// every range-over-map in its body analyzed for the patterns documented
+// on MapDet.
 func mapOrderSites(m *Module, n *FuncNode) []mapdetSite {
-	if n.orderOnce {
-		return n.orderSites
-	}
-	n.orderOnce = true
 	body := n.body()
 	if body == nil {
 		return nil
@@ -108,33 +99,6 @@ func mapOrderSites(m *Module, n *FuncNode) []mapdetSite {
 		seen[s.pos] = true
 		dedup = append(dedup, s)
 	}
-	if len(dedup) > 0 {
-		// A site reaches the return when its target is a named result
-		// (bare returns) or is referenced by a return statement.
-		returned := map[types.Object]bool{}
-		for _, o := range resultObjs(n) {
-			returned[o] = true
-		}
-		walkShallow(body, func(nd ast.Node) bool {
-			if ret, ok := nd.(*ast.ReturnStmt); ok {
-				for _, res := range ret.Results {
-					ast.Inspect(res, func(x ast.Node) bool {
-						if id, ok := x.(*ast.Ident); ok && info.Uses[id] != nil {
-							returned[info.Uses[id]] = true
-						}
-						return true
-					})
-				}
-			}
-			return true
-		})
-		for i := range dedup {
-			if dedup[i].target != nil && returned[dedup[i].target] {
-				dedup[i].reachesReturn = true
-			}
-		}
-	}
-	n.orderSites = dedup
 	return dedup
 }
 
@@ -207,9 +171,8 @@ func rangeOrderSites(m *Module, n *FuncNode, rs *ast.RangeStmt) []mapdetSite {
 		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 			if rhsTainted && isFloatExpr(info, lhs) {
 				sites = append(sites, mapdetSite{
-					pos:    s.Pos(),
-					msg:    "float accumulation into " + exprString(lhs) + " over map iteration is order-dependent (FP addition is not associative); iterate sorted keys",
-					target: obj,
+					pos: s.Pos(),
+					msg: "float accumulation into " + exprString(lhs) + " over map iteration is order-dependent (FP addition is not associative); iterate sorted keys",
 				})
 			}
 		case token.ASSIGN:
@@ -223,9 +186,8 @@ func rangeOrderSites(m *Module, n *FuncNode, rs *ast.RangeStmt) []mapdetSite {
 				return // min/max reduction: the guard compares the assigned value
 			}
 			sites = append(sites, mapdetSite{
-				pos:    s.Pos(),
-				msg:    exprString(lhs) + " is assigned from map-iteration state under a condition that does not compare it (argmax over random key order); iterate sorted keys for deterministic replay",
-				target: obj,
+				pos: s.Pos(),
+				msg: exprString(lhs) + " is assigned from map-iteration state under a condition that does not compare it (argmax over random key order); iterate sorted keys for deterministic replay",
 			})
 		}
 	}
@@ -337,9 +299,8 @@ func rangeOrderSites(m *Module, n *FuncNode, rs *ast.RangeStmt) []mapdetSite {
 	for _, c := range cands {
 		if !sortedAfter(m, n, rs, c.obj) {
 			sites = append(sites, mapdetSite{
-				pos:    c.pos,
-				msg:    c.obj.Name() + " collects map keys/values in iteration order and is never sorted; sort it before use for deterministic replay",
-				target: c.obj,
+				pos: c.pos,
+				msg: c.obj.Name() + " collects map keys/values in iteration order and is never sorted; sort it before use for deterministic replay",
 			})
 		}
 	}

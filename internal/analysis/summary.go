@@ -22,10 +22,6 @@ type Summary struct {
 	// transitively. Calling such a function while one of these is held
 	// is a self-deadlock candidate (lockhold).
 	Acquires map[types.Object]bool
-	// OrderDep: the function's return value depends on map-iteration
-	// order (an argmax over keys, unsorted key collection, or a float
-	// reduction over map values), directly or through a returned call.
-	OrderDep bool
 	// SortsArg: the function sorts a slice reachable from its
 	// parameters (sort.Slice/sort.Ints/slices.Sort/...). mapdet accepts
 	// handing an unsorted key collection to such a helper.
@@ -65,34 +61,6 @@ func computeSummaries(m *Module) {
 						n.sum.Acquires[obj] = true
 						changed = true
 					}
-				}
-			}
-		}
-	}
-	// OrderDep direct facts need the SortsArg bits above, so they are
-	// computed in a second phase, then propagated through returned calls.
-	for _, n := range m.nodes {
-		if n.body() == nil {
-			continue
-		}
-		for _, site := range mapOrderSites(m, n) {
-			if site.reachesReturn {
-				n.sum.OrderDep = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		m.Rounds++
-		for _, n := range m.nodes {
-			if n.sum.OrderDep {
-				continue
-			}
-			for _, rc := range n.returnedCalls {
-				if rc.sum.OrderDep {
-					n.sum.OrderDep = true
-					changed = true
-					break
 				}
 			}
 		}

@@ -28,9 +28,9 @@ func keyList(m map[string]int) []string {
 	return keys
 }
 
-// relayKeys itself contains no map range; the order dependence reaches
-// it through keyList's summary (asserted by the call-graph tests), so
-// no finding is expected on this line.
+// relayKeys itself contains no map range: mapdet is intraprocedural and
+// reports the order dependence once, at keyList's append, so no finding
+// is expected on this line.
 func relayKeys(m map[string]int) []string {
 	return keyList(m)
 }

@@ -3,9 +3,9 @@
 // of plugin constructors — to the UG framework's SolverFactory, so that
 // the solver can be parallelized without touching either the solver or
 // UG. This mirrors the paper's ScipUserPlugins mechanism: the per-problem
-// registration files (internal/steiner/plugins.go and
-// internal/misdp/plugins.go) stay under 200 lines, matching the paper's
-// headline measurement for stp_plugins.cpp and misdp_plugins.cpp.
+// registration files (internal/steiner/app.go and internal/misdp/app.go),
+// the glue the paper counts for stp_plugins.cpp and misdp_plugins.cpp,
+// stay under 200 lines.
 package core
 
 import (

@@ -139,9 +139,7 @@ func (s *Separator) Separate(ctx *scip.Ctx) scip.Result {
 // Relaxator solves the continuous SDP relaxation at every node — the
 // nonlinear branch-and-bound mode, with the penalty formulation handled
 // inside the sdp package.
-type Relaxator struct {
-	Opts sdp.Options
-}
+type Relaxator struct{}
 
 // Name implements scip.Relaxator.
 func (*Relaxator) Name() string { return "sdprelax" }
@@ -154,7 +152,7 @@ func (r *Relaxator) Relax(ctx *scip.Ctx) (float64, []float64, scip.Result) {
 		return math.Inf(-1), nil, scip.DidNotRun
 	}
 	p := ctx.Data.(*Instance).P
-	res := sdp.Solve(localProblem(ctx, p), r.Opts)
+	res := sdp.Solve(localProblem(ctx, p), sdp.Options{})
 	switch res.Status {
 	case sdp.Infeasible:
 		return math.Inf(1), nil, scip.Cutoff
@@ -171,9 +169,7 @@ func (r *Relaxator) Relax(ctx *scip.Ctx) (float64, []float64, scip.Result) {
 // Heuristic is SCIP-SDP's randomized rounding: round the relaxation's
 // integer values (nearest and randomized), fix them, re-solve the
 // continuous SDP over the remaining variables, and submit the result.
-type Heuristic struct {
-	Opts sdp.Options
-}
+type Heuristic struct{}
 
 // Name implements scip.Heuristic.
 func (*Heuristic) Name() string { return "fixround" }
@@ -218,7 +214,7 @@ func (h *Heuristic) Search(ctx *scip.Ctx) scip.Result {
 		}
 		var y []float64
 		if anyCont {
-			res := sdp.Solve(prob, h.Opts)
+			res := sdp.Solve(prob, sdp.Options{})
 			if res.Status != sdp.Solved {
 				continue
 			}

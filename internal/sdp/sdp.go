@@ -94,16 +94,20 @@ type Result struct {
 	Iters   int
 }
 
-// Options tune the solver.
-type Options struct {
-	Gamma   float64 // penalty weight (default 1e5 · scale)
-	MuInit  float64 // initial barrier weight (default from scale)
-	MuFinal float64 // final barrier weight (default 1e-7 · scale)
-	MaxIter int     // Newton iteration budget (default 2500)
+// maxNewtonIter is the Newton iteration budget of one solve.
+const maxNewtonIter = 6000
 
+// Options carries the solver's internal re-solve state; callers pass
+// Options{}. The barrier parameters derive from the problem's scale
+// (the largest |b_i|, at least 1): penalty weight 10·scale, barrier
+// weight from scale down to 1e-7·scale.
+type Options struct {
 	// phase1 marks an internal feasibility-certification run (objective
 	// zero); it must not recurse into another phase-1 run.
 	phase1 bool
+	// gamma, when positive, overrides the penalty weight: the phase-1
+	// rescue keeps the outer solve's.
+	gamma float64
 	// startY warm-starts the clean (no-slack) barrier from a known
 	// strictly feasible point (used by the phase-1 rescue).
 	startY []float64
@@ -225,18 +229,11 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 			scale = a
 		}
 	}
-	if opt.Gamma <= 0 {
-		opt.Gamma = 10 * scale
+	gamma := opt.gamma
+	if gamma <= 0 {
+		gamma = 10 * scale
 	}
-	if opt.MuInit <= 0 {
-		opt.MuInit = scale
-	}
-	if opt.MuFinal <= 0 {
-		opt.MuFinal = 1e-7 * scale
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 6000
-	}
+	muInit, muFinal := scale, 1e-7*scale
 
 	// Extended variable vector: [y; s] with s the identity slack.
 	y := make([]float64, m+1)
@@ -249,17 +246,17 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	}
 	res := &Result{Status: NumericTrouble, Y: append([]float64(nil), y[:m]...)}
 
-	mu := opt.MuInit
+	mu := muInit
 	iters := 0
 	converged := true
 	useS := !warmStarted
 	newtonStep := func(mu float64) float64 {
-		return ws.newtonStep(p, y, mu, opt.Gamma, useS)
+		return ws.newtonStep(p, y, mu, gamma, useS)
 	}
 	runLevel := func(mu float64, cap int) {
 		for step := 0; step < cap; step++ {
 			iters++
-			if iters > opt.MaxIter {
+			if iters > maxNewtonIter {
 				return
 			}
 			dec := newtonStep(mu)
@@ -267,7 +264,7 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 				return
 			}
 		}
-		if mu < 1e-3*opt.MuInit {
+		if mu < 1e-3*muInit {
 			converged = false
 		}
 	}
@@ -279,8 +276,8 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	// slack and the binding blocks vanish together and the Newton system
 	// loses all precision.
 	if useS {
-		switchAt := math.Max(opt.MuFinal, 1e-4*opt.MuInit)
-		for ; mu >= switchAt && iters <= opt.MaxIter; mu *= 0.2 {
+		switchAt := math.Max(muFinal, 1e-4*muInit)
+		for ; mu >= switchAt && iters <= maxNewtonIter; mu *= 0.2 {
 			runLevel(mu, 400)
 			if ws.strictlyFeasible(p, y, false) {
 				useS = false
@@ -293,11 +290,11 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	if !useS {
 		// Phase C: clean barrier on the original problem down to μ_final,
 		// then polish so the certified bound's residual term vanishes.
-		for ; mu >= opt.MuFinal && iters <= opt.MaxIter; mu *= 0.2 {
+		for ; mu >= muFinal && iters <= maxNewtonIter; mu *= 0.2 {
 			runLevel(mu, 60)
 		}
 		muF := mu / 0.2
-		for step := 0; step < 60 && iters <= opt.MaxIter; step++ {
+		for step := 0; step < 60 && iters <= maxNewtonIter; step++ {
 			iters++
 			dec := newtonStep(muF)
 			if dec < 0 || dec < 1e-16*(1+scale) {
@@ -322,7 +319,7 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 		// from there; if its certified upper bound on sup 0 is negative,
 		// no feasible point exists.
 		q := &Problem{M: p.M, B: make([]float64, p.M), Lo: p.Lo, Up: p.Up, Blocks: p.Blocks, Rows: p.Rows}
-		ph := solveFull(q, Options{Gamma: opt.Gamma, MaxIter: opt.MaxIter, phase1: true}, ws)
+		ph := solveFull(q, Options{phase1: true, gamma: gamma}, ws)
 		switch {
 		case ph.Penalty < 1e-8*(1+scale) && ws.strictlyFeasible(p, ph.Y, false):
 			o2 := opt

@@ -21,6 +21,7 @@ type Instance struct {
 	// these are globally valid, cuts for branching-added terminals only
 	// locally.
 	OrigTerminal []bool
+	arb          *arborescence
 }
 
 // clone deep-copies the node-local mutable part.
@@ -31,8 +32,15 @@ func (in *Instance) clone() *Instance {
 		VarArc:       in.VarArc,
 		ArcVar:       in.ArcVar,
 		OrigTerminal: in.OrigTerminal,
+		arb:          in.arb,
 	}
 }
+
+// colAlive implements arcModel: a column lives while its edge does.
+func (in *Instance) colAlive(j int) bool { return in.SPG.G.EdgeAlive(in.VarArc[j] / 2) }
+
+// globalCut implements arcModel.
+func (in *Instance) globalCut(t int) bool { return in.OrigTerminal[t] }
 
 // DecisionKind is the Decision.Kind for Steiner vertex branching.
 const DecisionKind = "stp-vertex"
@@ -41,10 +49,9 @@ const DecisionKind = "stp-vertex"
 // retains the presolve trace for retransforming solutions to the
 // original graph.
 type Def struct {
-	TraceOut  *Trace
-	StatsOut  *ReduceStats
-	NoReduce  bool // disable presolve reductions (for ablations)
-	MaxRounds int
+	TraceOut *Trace
+	StatsOut *ReduceStats
+	NoReduce bool // disable presolve reductions (for ablations)
 }
 
 // Presolve implements scip.ProblemDef: graph reductions with
@@ -57,18 +64,17 @@ func (d *Def) Presolve(data any, _ float64) (any, float64) {
 		d.StatsOut = &ReduceStats{}
 		return spg, 0
 	}
-	tr, st := Reduce(spg, d.MaxRounds)
+	tr, st := Reduce(spg, 0)
 	d.TraceOut = tr
 	d.StatsOut = st
 	return spg, tr.Offset
 }
 
 // BuildModel implements scip.ProblemDef: the flow-balance directed-cut
-// formulation (Formulation 1 of the paper). Binary arc variables carry
-// the edge cost; static rows are the flow-balance strengthenings (5) and
-// (6), in-degree bounds, and in-degree equalities for terminals. The
-// exponential family of directed Steiner cuts (4) is separated lazily by
-// the cut separator / constraint handler.
+// formulation (Formulation 1 of the paper) over an antiparallel arc
+// pair per alive edge, each carrying the edge cost, with the rows of
+// arborescence.addRows for every alive vertex. The LP is seeded with the
+// cuts of Wong's dual ascent; the rest are separated lazily.
 func (d *Def) BuildModel(data any) *scip.Prob {
 	spg := data.(*SPG)
 	root := spg.Root()
@@ -77,6 +83,7 @@ func (d *Def) BuildModel(data any) *scip.Prob {
 		Root:         root,
 		ArcVar:       make([]int, 2*spg.G.NumEdges()),
 		OrigTerminal: append([]bool(nil), spg.Terminal...),
+		arb:          newArborescence(spg.G.NumVertices(), root),
 	}
 	prob := &scip.Prob{Name: "stp:" + spg.Name, IntegralObj: integralCosts(spg), Data: inst}
 	for a := range inst.ArcVar {
@@ -91,11 +98,7 @@ func (d *Def) BuildModel(data any) *scip.Prob {
 		}
 		for o := 0; o < 2; o++ {
 			a := 2*e + o
-			up := 1.0
-			if spg.ArcHead(a) == root {
-				up = 0 // no arcs into the root of the arborescence
-			}
-			j := prob.AddVar(fmt.Sprintf("y_%d", a), 0, up, spg.G.Cost(e), scip.Binary)
+			j := inst.arb.addArc(prob, fmt.Sprintf("y_%d", a), spg.ArcTail(a), spg.ArcHead(a), spg.G.Cost(e))
 			inst.VarArc = append(inst.VarArc, a)
 			inst.ArcVar[a] = j
 		}
@@ -118,62 +121,8 @@ func (d *Def) BuildModel(data any) *scip.Prob {
 			}
 		}
 	}
-	n := spg.G.NumVertices()
-	for v := 0; v < n; v++ {
-		if !spg.G.VertexAlive(v) {
-			continue
-		}
-		inArcs, outArcs := inst.incidentArcs(v)
-		var inCoefs []lp.Nonzero
-		for _, j := range inArcs {
-			inCoefs = append(inCoefs, lp.Nonzero{Col: j, Val: 1})
-		}
-		if v == root {
-			continue
-		}
-		if spg.Terminal[v] {
-			// y(δ−(t)) = 1: every terminal is entered exactly once.
-			prob.AddRow(fmt.Sprintf("indeg_t%d", v), lp.EQ, 1, inCoefs)
-			continue
-		}
-		// y(δ−(v)) ≤ 1.
-		prob.AddRow(fmt.Sprintf("indeg_%d", v), lp.LE, 1, inCoefs)
-		// Flow balance (5): y(δ−(v)) − y(δ+(v)) ≤ 0.
-		coefs := append([]lp.Nonzero(nil), inCoefs...)
-		for _, j := range outArcs {
-			coefs = append(coefs, lp.Nonzero{Col: j, Val: -1})
-		}
-		prob.AddRow(fmt.Sprintf("fb_%d", v), lp.LE, 0, coefs)
-		// (6): y(a) ≤ y(δ−(v)) for each outgoing arc a.
-		for _, j := range outArcs {
-			coefs := []lp.Nonzero{{Col: j, Val: 1}}
-			for _, i := range inArcs {
-				coefs = append(coefs, lp.Nonzero{Col: i, Val: -1})
-			}
-			prob.AddRow(fmt.Sprintf("fb6_%d_%d", v, j), lp.LE, 0, coefs)
-		}
-	}
+	inst.arb.addRows(prob, spg.Terminal, spg.G.VertexAlive)
 	return prob
-}
-
-// incidentArcs returns the variable indices of arcs entering and leaving
-// v in the build-time graph.
-func (in *Instance) incidentArcs(v int) (inVars, outVars []int) {
-	in.SPG.G.Adj(v, func(e, w int) bool {
-		aIn := 2 * e
-		if in.SPG.ArcHead(aIn) != v {
-			aIn = 2*e + 1
-		}
-		aOut := aIn ^ 1
-		if j := in.ArcVar[aIn]; j >= 0 {
-			inVars = append(inVars, j)
-		}
-		if j := in.ArcVar[aOut]; j >= 0 {
-			outVars = append(outVars, j)
-		}
-		return true
-	})
-	return inVars, outVars
 }
 
 // CloneData implements scip.ProblemDef.

@@ -3,57 +3,12 @@ package steiner
 import (
 	"math"
 
-	"repro/internal/lp"
-	"repro/internal/maxflow"
 	"repro/internal/scip"
 )
 
 // This file contains the SCIP-Jack plugins: the Steiner-cut constraint
 // handler and separator, the reduced-cost/reduction propagator, the
 // shortest-path primal heuristic and the vertex brancher.
-
-// supportReach returns the vertices reachable from root using arcs with
-// x > 0.5 in the build-time graph, restricted to vertices alive in the
-// local graph.
-func supportReach(in *Instance, local *SPG, x []float64) []bool {
-	n := local.G.NumVertices()
-	seen := make([]bool, n)
-	if in.Root < 0 || !local.G.VertexAlive(in.Root) {
-		return seen
-	}
-	seen[in.Root] = true
-	stack := []int{in.Root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		local.G.Adj(v, func(e, w int) bool {
-			a := 2 * e
-			if local.ArcTail(a) != v {
-				a = 2*e + 1
-			}
-			j := in.ArcVar[a]
-			if j >= 0 && x[j] > 0.5 && !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-			return true
-		})
-	}
-	return seen
-}
-
-// cutRow builds the Steiner-cut row y(δ−(W)) ≥ 1 for the component mask
-// W (true = inside W) over the build-time arcs, so the row is valid
-// independent of local deletions.
-func cutRow(in *Instance, inW []bool) []lp.Nonzero {
-	var coefs []lp.Nonzero
-	for j, a := range in.VarArc {
-		if inW[in.SPG.ArcHead(a)] && !inW[in.SPG.ArcTail(a)] {
-			coefs = append(coefs, lp.Nonzero{Col: j, Val: 1})
-		}
-	}
-	return coefs
-}
 
 // Conshdlr enforces Steiner connectivity on integral candidates.
 type Conshdlr struct{}
@@ -67,13 +22,7 @@ func (*Conshdlr) Name() string { return "stp" }
 //ugo:coldpath connectivity check runs once per candidate incumbent, not per node
 func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 	inst := ctx.Data.(*Instance)
-	reach := supportReach(inst, inst.SPG, x)
-	for _, t := range inst.SPG.Terminals() {
-		if !reach[t] {
-			return false
-		}
-	}
-	return true
+	return inst.arb.check(inst, inst.SPG.Terminals(), x)
 }
 
 // Enforce implements scip.Conshdlr: add a violated Steiner cut for an
@@ -83,41 +32,13 @@ func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 //ugo:coldpath cut synthesis walks the support graph once per enforcement round; its working sets are instance-sized and audited separately from the node loop
 func (*Conshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
 	inst := ctx.Data.(*Instance)
-	local := inst.SPG
-	reach := supportReach(inst, local, x)
-	for _, t := range local.Terminals() {
-		if reach[t] {
-			continue
-		}
-		// W = everything not reachable from the root in the support.
-		inW := make([]bool, len(reach))
-		for v := range reach {
-			inW[v] = !reach[v]
-		}
-		coefs := cutRow(inst, inW)
-		if len(coefs) == 0 {
-			ctx.MarkInfeasible()
-			return scip.Cutoff
-		}
-		var added bool
-		if inst.OrigTerminal[t] {
-			added = ctx.AddCut(lp.GE, 1, coefs)
-		} else {
-			added = ctx.AddLocalCut(lp.GE, 1, coefs)
-		}
-		if added {
-			return scip.Separated
-		}
-	}
-	return scip.DidNothing
+	return inst.arb.enforce(ctx, inst, inst.SPG.Terminals(), x)
 }
 
 // Separator finds violated directed Steiner cuts on fractional LP
 // solutions via max-flow (the branch-and-cut engine of SCIP-Jack) and
 // performs LP reduced-cost fixing as a side effect.
-type Separator struct {
-	MaxCutsPerRound int
-}
+type Separator struct{}
 
 // Name implements scip.Separator.
 func (*Separator) Name() string { return "stpcuts" }
@@ -130,78 +51,11 @@ func (sep *Separator) Separate(ctx *scip.Ctx) scip.Result {
 		return scip.DidNotRun
 	}
 	inst := ctx.Data.(*Instance)
-	local := inst.SPG
-	x := ctx.LPSol.X
 	sep.redCostFixing(ctx, inst)
-	maxCuts := sep.MaxCutsPerRound
-	if maxCuts <= 0 {
-		maxCuts = 6
-	}
-	if left := ctx.CutBudgetLeft(); left < maxCuts {
-		maxCuts = left
-	}
-	added := 0
-	root := inst.Root
-	if root < 0 || !local.G.VertexAlive(root) {
+	if inst.Root < 0 || !inst.SPG.G.VertexAlive(inst.Root) {
 		return scip.DidNotRun
 	}
-	n := local.G.NumVertices()
-	for _, t := range local.Terminals() {
-		if t == root || added >= maxCuts {
-			continue
-		}
-		// Max-flow from root to t with capacities x on local alive arcs.
-		nw := maxflow.New(n)
-		for e := 0; e < local.G.NumEdges(); e++ {
-			if !local.G.EdgeAlive(e) {
-				continue
-			}
-			for o := 0; o < 2; o++ {
-				a := 2*e + o
-				j := inst.ArcVar[a]
-				if j < 0 {
-					continue
-				}
-				if x[j] > 1e-9 {
-					nw.AddArc(local.ArcTail(a), local.ArcHead(a), x[j])
-				}
-			}
-		}
-		flow := nw.MaxFlow(root, t)
-		if flow >= 1-1e-6 {
-			continue
-		}
-		src := nw.MinCutSource(root)
-		inW := make([]bool, n)
-		for v := 0; v < n; v++ {
-			inW[v] = !src[v]
-		}
-		coefs := cutRow(inst, inW)
-		if len(coefs) == 0 {
-			continue
-		}
-		// Skip if not actually violated (numerical safety).
-		var lhs float64
-		for _, nz := range coefs {
-			lhs += x[nz.Col]
-		}
-		if lhs >= 1-1e-6 {
-			continue
-		}
-		wasAdded := false
-		if inst.OrigTerminal[t] {
-			wasAdded = ctx.AddCut(lp.GE, 1, coefs)
-		} else {
-			wasAdded = ctx.AddLocalCut(lp.GE, 1, coefs)
-		}
-		if wasAdded {
-			added++
-		}
-	}
-	if added > 0 {
-		return scip.Separated
-	}
-	return scip.DidNothing
+	return inst.arb.separate(ctx, inst, inst.SPG.Terminals())
 }
 
 // redCostFixing fixes arc variables using LP reduced costs against the

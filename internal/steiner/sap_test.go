@@ -240,3 +240,52 @@ func TestSAPValueMapping(t *testing.T) {
 		t.Fatalf("offset value = %v", s2.Value(3))
 	}
 }
+
+// variantTrio builds one PCSTP, one RPCSTP (rooted at vertex 0) and one
+// MWCS instance over the same 14-vertex random graph; prizes and weights
+// are drawn from the graph's rng, one vertex at a time.
+func variantTrio(seed int64) [3]*SAP {
+	rng := rand.New(rand.NewSource(seed))
+	const n = 14
+	g := randomVariantGraph(rng, n)
+	prizes := make([]float64, n)
+	w := make([]float64, n)
+	for v := range prizes {
+		if rng.Float64() < 0.6 {
+			prizes[v] = float64(rng.Intn(10))
+		}
+		w[v] = float64(rng.Intn(13) - 6)
+	}
+	return [3]*SAP{TransformPCSTP(g, prizes), TransformRPCSTP(g, prizes, 0), TransformMWCS(g, w)}
+}
+
+// searchCounts is the nodes/LP iterations/cuts triple of one solve.
+func searchCounts(s *SAP) [3]int64 {
+	_, _, solver := SolveSAP(s, sapSettings())
+	return [3]int64{solver.Stats.Nodes, solver.Stats.LPIterations, solver.Stats.CutsAdded}
+}
+
+// Search pin: the variant pipeline's nodes, LP iterations and cuts on
+// one instance per transformation. A change to the shared cut engine
+// that moves one separated row, or one pivot, fails here.
+func TestSAPSearchPin(t *testing.T) {
+	want := [3][3]int64{{9, 389, 83}, {2, 204, 52}, {1, 52, 10}}
+	for i, s := range variantTrio(8) {
+		if got := searchCounts(s); got != want[i] {
+			t.Errorf("%s: nodes/LP iterations/cuts %v, pinned %v", s.Name, got, want[i])
+		}
+	}
+}
+
+// The variant pipeline replays: the heuristic connects equally distant
+// terminals in a fixed order, so repeated solves of one instance take the
+// same search. Seed 6's MWCS instance has such a tie.
+func TestSAPSolveReplays(t *testing.T) {
+	s := variantTrio(6)[2]
+	first := searchCounts(s)
+	for run := 1; run < 8; run++ {
+		if got := searchCounts(s); got != first {
+			t.Fatalf("run %d: nodes/LP iterations/cuts %v, run 0 %v", run, got, first)
+		}
+	}
+}

@@ -4,9 +4,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
-	"repro/internal/maxflow"
 	"repro/internal/num"
 	"repro/internal/scip"
 )
@@ -14,20 +14,18 @@ import (
 // SAPInstance is the model-level data for a SAP (the variant pipeline):
 // the instance is immutable during the search — variants branch on arc
 // variables, not on graph structure — so node clones share the pointer.
+// Column j is arc j of S.
 type SAPInstance struct {
-	S *SAP
-	// inArcs/outArcs index arcs (== variables) per vertex.
-	inArcs, outArcs [][]int
+	S   *SAP
+	arb *arborescence
 }
 
-func newSAPInstance(s *SAP) *SAPInstance {
-	in := &SAPInstance{S: s, inArcs: make([][]int, s.N), outArcs: make([][]int, s.N)}
-	for a, arc := range s.Arcs {
-		in.inArcs[arc.Head] = append(in.inArcs[arc.Head], a)
-		in.outArcs[arc.Tail] = append(in.outArcs[arc.Tail], a)
-	}
-	return in
-}
+// colAlive implements arcModel: every arc exists at every node.
+func (*SAPInstance) colAlive(int) bool { return true }
+
+// globalCut implements arcModel: variants have no branching-added
+// terminals, so every cut is global.
+func (*SAPInstance) globalCut(int) bool { return true }
 
 // SAPDef implements scip.ProblemDef for Steiner arborescence variants.
 type SAPDef struct{}
@@ -44,7 +42,7 @@ func (d *SAPDef) BuildModel(data any) *scip.Prob {
 	if err := s.validate(); err != nil {
 		panic(err)
 	}
-	inst := newSAPInstance(s)
+	inst := &SAPInstance{S: s, arb: newArborescence(s.N, s.Root)}
 	integral := true
 	for _, a := range s.Arcs {
 		if !num.Integral(a.Cost, 0) { // exact data integrality gates bound rounding
@@ -53,43 +51,9 @@ func (d *SAPDef) BuildModel(data any) *scip.Prob {
 	}
 	prob := &scip.Prob{Name: "sap:" + s.Name, Data: inst, IntegralObj: integral}
 	for a, arc := range s.Arcs {
-		up := 1.0
-		if arc.Head == s.Root {
-			up = 0
-		}
-		prob.AddVar(fmt.Sprintf("a_%d", a), 0, up, arc.Cost, scip.Binary)
+		inst.arb.addArc(prob, fmt.Sprintf("a_%d", a), arc.Tail, arc.Head, arc.Cost)
 	}
-	for v := 0; v < s.N; v++ {
-		if v == s.Root {
-			continue
-		}
-		var inCoefs []lp.Nonzero
-		for _, a := range inst.inArcs[v] {
-			inCoefs = append(inCoefs, lp.Nonzero{Col: a, Val: 1})
-		}
-		if len(inCoefs) == 0 {
-			continue
-		}
-		if s.Terminal[v] {
-			prob.AddRow(fmt.Sprintf("indeg_t%d", v), lp.EQ, 1, inCoefs)
-			continue
-		}
-		prob.AddRow(fmt.Sprintf("indeg_%d", v), lp.LE, 1, inCoefs)
-		// Flow balance (5): y(δ−(v)) ≤ y(δ+(v)) for non-terminals.
-		coefs := append([]lp.Nonzero(nil), inCoefs...)
-		for _, a := range inst.outArcs[v] {
-			coefs = append(coefs, lp.Nonzero{Col: a, Val: -1})
-		}
-		prob.AddRow(fmt.Sprintf("fb_%d", v), lp.LE, 0, coefs)
-		// (6): each outgoing arc needs inflow.
-		for _, a := range inst.outArcs[v] {
-			c6 := []lp.Nonzero{{Col: a, Val: 1}}
-			for _, ia := range inst.inArcs[v] {
-				c6 = append(c6, lp.Nonzero{Col: ia, Val: -1})
-			}
-			prob.AddRow(fmt.Sprintf("fb6_%d_%d", v, a), lp.LE, 0, c6)
-		}
-	}
+	inst.arb.addRows(prob, s.Terminal, func(v int) bool { return len(inst.arb.in[v]) > 0 })
 	if s.RootDegreeOne {
 		var coefs []lp.Nonzero
 		for a, arc := range s.Arcs {
@@ -109,25 +73,6 @@ func (d *SAPDef) CloneData(data any) any { return data }
 // variables only.
 func (d *SAPDef) ApplyDecision(any, scip.Decision) {}
 
-// sapReach computes vertices reachable from the root via arcs with
-// x > 0.5.
-func (in *SAPInstance) sapReach(x []float64) []bool {
-	seen := make([]bool, in.S.N)
-	seen[in.S.Root] = true
-	stack := []int{in.S.Root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range in.outArcs[v] {
-			if x[a] > 0.5 && !seen[in.S.Arcs[a].Head] {
-				seen[in.S.Arcs[a].Head] = true
-				stack = append(stack, in.S.Arcs[a].Head)
-			}
-		}
-	}
-	return seen
-}
-
 // SAPConshdlr enforces arborescence connectivity.
 type SAPConshdlr struct{}
 
@@ -139,108 +84,34 @@ func (*SAPConshdlr) Name() string { return "sap" }
 //ugo:coldpath reachability check runs once per candidate incumbent, not per node
 func (*SAPConshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 	inst := ctx.Data.(*SAPInstance)
-	reach := inst.sapReach(x)
-	for _, t := range inst.S.Terminals() {
-		if !reach[t] {
-			return false
-		}
-	}
-	return true
+	return inst.arb.check(inst, inst.S.Terminals(), x)
 }
 
 // Enforce implements scip.Conshdlr: add the cut of an unreached
-// terminal's component (all SAP cuts are globally valid — variants have
-// no branching-added terminals).
+// terminal's component.
 //
 //ugo:coldpath cut synthesis walks the arc support once per enforcement round; working sets are instance-sized and audited separately
 func (*SAPConshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
 	inst := ctx.Data.(*SAPInstance)
-	reach := inst.sapReach(x)
-	for _, t := range inst.S.Terminals() {
-		if reach[t] {
-			continue
-		}
-		// W = complement of the reached set; the violated Steiner cut is
-		// over the arcs entering W.
-		var coefs []lp.Nonzero
-		for a, arc := range inst.S.Arcs {
-			if !reach[arc.Head] && reach[arc.Tail] {
-				coefs = append(coefs, lp.Nonzero{Col: a, Val: 1})
-			}
-		}
-		if len(coefs) == 0 {
-			ctx.MarkInfeasible()
-			return scip.Cutoff
-		}
-		if ctx.AddCut(lp.GE, 1, coefs) {
-			return scip.Separated
-		}
-	}
-	return scip.DidNothing
+	return inst.arb.enforce(ctx, inst, inst.S.Terminals(), x)
 }
 
 // SAPSeparator separates directed cuts on fractional points via
 // max-flow, exactly as the SPG separator does.
-type SAPSeparator struct {
-	MaxCutsPerRound int
-}
+type SAPSeparator struct{}
 
 // Name implements scip.Separator.
 func (*SAPSeparator) Name() string { return "sapcuts" }
 
 // Separate implements scip.Separator.
 //
-//ugo:coldpath fractional-support separation is budget-capped by the solver and dominated by the reachability sweep
+//ugo:coldpath fractional-support separation is budget-capped by the solver and dominated by the max-flow solves
 func (sep *SAPSeparator) Separate(ctx *scip.Ctx) scip.Result {
 	if ctx.LPSol == nil {
 		return scip.DidNotRun
 	}
 	inst := ctx.Data.(*SAPInstance)
-	s := inst.S
-	x := ctx.LPSol.X
-	maxCuts := sep.MaxCutsPerRound
-	if maxCuts <= 0 {
-		maxCuts = 6
-	}
-	if left := ctx.CutBudgetLeft(); left < maxCuts {
-		maxCuts = left
-	}
-	added := 0
-	for _, t := range s.Terminals() {
-		if t == s.Root || added >= maxCuts {
-			continue
-		}
-		nw := maxflow.New(s.N)
-		ids := make([]int, len(s.Arcs))
-		for a, arc := range s.Arcs {
-			ids[a] = -1
-			if x[a] > 1e-9 {
-				ids[a] = nw.AddArc(arc.Tail, arc.Head, x[a])
-			}
-		}
-		if flow := nw.MaxFlow(s.Root, t); flow >= 1-1e-6 {
-			continue
-		}
-		src := nw.MinCutSource(s.Root)
-		var coefs []lp.Nonzero
-		var lhs float64
-		for a, arc := range s.Arcs {
-			if src[arc.Tail] && !src[arc.Head] {
-				coefs = append(coefs, lp.Nonzero{Col: a, Val: 1})
-				lhs += x[a]
-			}
-		}
-		if len(coefs) == 0 || lhs >= 1-1e-6 {
-			continue
-		}
-		if ctx.AddCut(lp.GE, 1, coefs) {
-			added++
-		}
-	}
-	if added > 0 {
-		return scip.Separated
-	}
-	return scip.DidNothing
+	return inst.arb.separate(ctx, inst, inst.S.Terminals())
 }
 
 // SAPHeuristic builds an arborescence by repeated shortest paths from
@@ -268,10 +139,10 @@ func (h *SAPHeuristic) Search(ctx *scip.Ctx) scip.Result {
 	inTree := make([]bool, s.N)
 	inTree[s.Root] = true
 	anchorUsed := false
-	remaining := map[int]bool{}
+	var remaining []int // ascending, so ties go to the lowest vertex
 	for _, t := range s.Terminals() {
 		if t != s.Root {
-			remaining[t] = true
+			remaining = append(remaining, t)
 		}
 	}
 	for len(remaining) > 0 {
@@ -295,7 +166,7 @@ func (h *SAPHeuristic) Search(ctx *scip.Ctx) scip.Result {
 			if it.d > dist[it.v]+1e-15 {
 				continue
 			}
-			for _, a := range inst.outArcs[it.v] {
+			for _, a := range inst.arb.out[it.v] {
 				arc := s.Arcs[a]
 				// x is this heuristic's own 0/1 arc indicator (assigned,
 				// never computed), so the exact test is sound.
@@ -309,13 +180,14 @@ func (h *SAPHeuristic) Search(ctx *scip.Ctx) scip.Result {
 				}
 			}
 		}
-		best := -1
-		for t := range remaining {
-			if best < 0 || dist[t] < dist[best] {
-				best = t
+		bi := 0
+		for i, t := range remaining {
+			if dist[t] < dist[remaining[bi]] {
+				bi = i
 			}
 		}
-		if best < 0 || math.IsInf(dist[best], 1) {
+		best := remaining[bi]
+		if math.IsInf(dist[best], 1) {
 			return scip.DidNothing
 		}
 		for v := best; !inTree[v]; {
@@ -330,7 +202,7 @@ func (h *SAPHeuristic) Search(ctx *scip.Ctx) scip.Result {
 			inTree[v] = true
 			v = s.Arcs[a].Tail
 		}
-		delete(remaining, best)
+		remaining = slices.Delete(remaining, bi, bi+1)
 	}
 	// Prune arcs not on a root→terminal path: repeatedly drop leaves.
 	pruneArborescence(inst, x)
@@ -350,7 +222,7 @@ func pruneArborescence(inst *SAPInstance, x []float64) {
 				continue
 			}
 			outUsed := false
-			for _, a := range inst.outArcs[v] {
+			for _, a := range inst.arb.out[v] {
 				if x[a] > 0.5 {
 					outUsed = true
 					break
@@ -359,7 +231,7 @@ func pruneArborescence(inst *SAPInstance, x []float64) {
 			if outUsed {
 				continue
 			}
-			for _, a := range inst.inArcs[v] {
+			for _, a := range inst.arb.in[v] {
 				if x[a] > 0.5 {
 					x[a] = 0
 					changed = true

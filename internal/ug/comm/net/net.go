@@ -28,24 +28,13 @@ type Options struct {
 	// wait for a full roster, and a worker's dial-retry window
 	// (default 30s).
 	RendezvousTimeout time.Duration
-	// RetryBase/RetryMax bound the exponential dial backoff
-	// (defaults 10ms and 1s). Jitter of up to half the current backoff
-	// is added from a generator seeded with Seed and the rank.
+	// RetryBase is the first dial backoff (default 10ms); it doubles up
+	// to retryMax. Jitter of up to half the current backoff is added
+	// from a generator seeded with Seed and the rank.
 	RetryBase time.Duration
-	// RetryMax caps the exponential dial backoff (default 1s).
-	RetryMax time.Duration
 	// CloseTimeout bounds the graceful drain in Close before remaining
 	// connections are forced shut (default 3s).
 	CloseTimeout time.Duration
-	// WriteTimeout bounds each frame write: peer.write arms a write
-	// deadline before putting the frame on the wire, so a remote that
-	// stops reading cannot wedge the send or heartbeat loop forever
-	// (default 5s).
-	WriteTimeout time.Duration
-	// OutboxSoftCap is the per-peer outgoing queue depth beyond which
-	// the comm.net.outbox.overflow counter ticks (default 4096). The
-	// queue itself stays unbounded so Send never blocks or drops.
-	OutboxSoftCap int
 	// Seed seeds the dial-retry jitter; runs with equal seeds retry on
 	// the same schedule.
 	Seed int64
@@ -68,6 +57,19 @@ type Options struct {
 	Capture *obs.Capturer
 }
 
+const (
+	// retryMax caps the exponential dial backoff.
+	retryMax = time.Second
+	// writeTimeout bounds each frame write: peer.write arms a write
+	// deadline before putting the frame on the wire, so a remote that
+	// stops reading cannot wedge the send or heartbeat loop forever.
+	writeTimeout = 5 * time.Second
+	// outboxSoftCap is the per-peer outgoing queue depth beyond which
+	// the comm.net.outbox.overflow counter ticks. The queue itself stays
+	// unbounded so Send never blocks or drops.
+	outboxSoftCap = 4096
+)
+
 func (o Options) withDefaults() Options {
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = 250 * time.Millisecond
@@ -81,17 +83,8 @@ func (o Options) withDefaults() Options {
 	if o.RetryBase <= 0 {
 		o.RetryBase = 10 * time.Millisecond
 	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = time.Second
-	}
 	if o.CloseTimeout <= 0 {
 		o.CloseTimeout = 3 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 5 * time.Second
-	}
-	if o.OutboxSoftCap <= 0 {
-		o.OutboxSoftCap = 4096
 	}
 	return o
 }
@@ -132,12 +125,10 @@ type peer struct {
 	lastIn atomic.Int64 // unix nanos of the last frame received
 	down   sync.Once
 	stop   chan struct{} // closed on teardown; ends the heartbeat loop
-	// writeTimeout arms a write deadline per frame (Options.WriteTimeout);
 	// readWindow arms a read deadline per recvLoop iteration, one
 	// heartbeat interval laxer than the heartbeat-timeout rule so the
 	// latter fires first and produces the richer peer-down cause.
-	writeTimeout time.Duration
-	readWindow   time.Duration
+	readWindow time.Duration
 }
 
 // write sends one frame and flushes. Frame writes from the send loop
@@ -145,7 +136,7 @@ type peer struct {
 func (p *peer) write(ftype byte, body []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+	_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	//lint:ignore lockhold frame writes are serialized under wmu by design; the write deadline above bounds how long backpressure can hold it
 	if err := writeFrame(p.bw, ftype, body); err != nil {
 		return err
@@ -367,9 +358,7 @@ func Dial(addr string, rank int, opts Options) (*NetComm, error) {
 		}
 		time.Sleep(sleep)
 		backoff *= 2
-		if backoff > opts.RetryMax {
-			backoff = opts.RetryMax
-		}
+		backoff = min(backoff, retryMax)
 	}
 }
 
@@ -421,14 +410,13 @@ func dialOnce(addr string, rank int, opts Options, deadline time.Time) (*NetComm
 // addPeer registers a handshaken connection and starts its loops.
 func (c *NetComm) addPeer(rank int, conn net.Conn, br *bufio.Reader) {
 	p := &peer{
-		rank:         rank,
-		conn:         conn,
-		br:           br,
-		bw:           bufio.NewWriterSize(conn, 32<<10),
-		out:          comm.NewMailbox(),
-		stop:         make(chan struct{}),
-		writeTimeout: c.opts.WriteTimeout,
-		readWindow:   time.Duration(c.opts.HeartbeatMiss+1) * c.opts.HeartbeatEvery,
+		rank:       rank,
+		conn:       conn,
+		br:         br,
+		bw:         bufio.NewWriterSize(conn, 32<<10),
+		out:        comm.NewMailbox(),
+		stop:       make(chan struct{}),
+		readWindow: time.Duration(c.opts.HeartbeatMiss+1) * c.opts.HeartbeatEvery,
 	}
 	p.lastIn.Store(time.Now().UnixNano())
 	c.mu.Lock()
@@ -658,7 +646,7 @@ func (c *NetComm) Send(to int, m comm.Message) {
 		return
 	}
 	p.out.Put(m)
-	if p.out.Depth() > c.opts.OutboxSoftCap {
+	if p.out.Depth() > outboxSoftCap {
 		c.ins.Load().overflow.Inc()
 	}
 }

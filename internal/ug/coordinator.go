@@ -630,7 +630,9 @@ func (co *coordinator) handle(m comm.Message) {
 		co.handlePeerDown(m.From)
 	case comm.TagSolution:
 		var sol Solution
-		dec(m.Payload, &sol)
+		if !co.decode(m, &sol) {
+			break
+		}
 		co.stats.TransferBytes += int64(len(m.Payload))
 		if co.incumbent == nil || num.Lt(sol.Obj, co.incumbent.Obj, num.ZeroTol) {
 			co.incumbent = &sol
@@ -649,7 +651,9 @@ func (co *coordinator) handle(m comm.Message) {
 		}
 	case comm.TagNode:
 		var sub Subproblem
-		dec(m.Payload, &sub)
+		if !co.decode(m, &sub) {
+			break
+		}
 		co.nextSubID++
 		sub.ID = co.nextSubID
 		co.stats.Collected++
@@ -658,7 +662,9 @@ func (co *coordinator) handle(m comm.Message) {
 		co.pushPool(&sub)
 	case comm.TagStatus:
 		var st StatusReport
-		dec(m.Payload, &st)
+		if !co.decode(m, &st) {
+			break
+		}
 		co.ranks[m.From].bound, co.ranks[m.From].open = st.Bound, st.Open
 		co.stats.StatusReports++
 		co.trace.Emit(obs.Event{Kind: obs.KindStatus, Rank: m.From,
@@ -668,7 +674,9 @@ func (co *coordinator) handle(m comm.Message) {
 		}
 	case comm.TagTerminated:
 		var out Outcome
-		dec(m.Payload, &out)
+		if !co.decode(m, &out) {
+			break
+		}
 		sub, d := co.release(m.From)
 		co.stats.TotalNodes += out.Nodes
 		co.stats.LPIterations += out.LPIterations
@@ -717,6 +725,19 @@ func (co *coordinator) handle(m comm.Message) {
 		co.race = raceOff
 		co.trace.Emit(obs.Event{Kind: obs.KindRacingDone, Open: len(co.pool)})
 	}
+}
+
+// decode decodes a worker's payload into out. Over a process transport
+// those bytes come from another process: a payload that does not decode
+// is dropped, and a sender still alive is treated as lost.
+func (co *coordinator) decode(m comm.Message, out any) bool {
+	if decode(m.Payload, out) == nil {
+		return true
+	}
+	if !co.ranks[m.From].dead {
+		co.handlePeerDown(m.From)
+	}
+	return false
 }
 
 // handlePeerDown absorbs the loss of a worker process (synthesized

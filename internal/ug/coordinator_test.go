@@ -484,6 +484,41 @@ func TestCoordinatorScript(t *testing.T) {
 	}
 }
 
+// A worker payload that does not gob-decode must not bring the
+// coordinator down: the message is dropped, and its sender, alive until
+// then, is treated as lost, so its subproblem goes to another rank.
+func TestCoordinatorDropsUndecodablePayload(t *testing.T) {
+	for _, tag := range []comm.Tag{comm.TagSolution, comm.TagNode, comm.TagStatus, comm.TagTerminated} {
+		t.Run(tag.String(), func(t *testing.T) {
+			s := startScript(t, Config{Workers: 3})
+			s.c.Send(0, comm.Message{From: 3, Tag: tag, Payload: []byte("not gob")})
+			s.settle()
+			s.send(2, comm.TagTerminated, done(1))
+			_, evs, tags := s.finish()
+			want := []string{
+				"run.start r0 s0 d0 p0 o3 \"\"",
+				"dispatch r3 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r3 s0 d0 p0 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
+				"comm.peerdown r3 s0 d0 p0 o0 \"\"",
+				"dispatch r2 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r2 s0 d0 p0 o0 \"\"",
+				"outcome r2 s0 d0 p0 o0 \"completed\"",
+				"solver.idle r2 s0 d0 p0 o0 \"\"",
+				"dual r0 s0 d+Inf p+Inf o0 \"\"",
+				"run.end r0 s0 d+Inf p+Inf o0 \"\"",
+			}
+			if got := strings.Join(evs, "\n"); got != strings.Join(want, "\n") {
+				t.Errorf("events:\n%s", goldenList(evs))
+			}
+			wantTags := []string{"r1: termination", "r2: subproblem startCollect termination", "r3: subproblem startCollect termination"}
+			if got := strings.Join(tags, "\n"); got != strings.Join(wantTags, "\n") {
+				t.Errorf("tags:\n%s", goldenList(tags))
+			}
+		})
+	}
+}
+
 // goldenList renders got as a Go string-slice literal for a failure
 // message.
 func goldenList(got []string) string {

@@ -109,9 +109,14 @@ func enc(v any) []byte {
 	return buf.Bytes()
 }
 
-// dec gob-decodes into out.
+// decode gob-decodes into out.
+func decode(b []byte, out any) error {
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(out)
+}
+
+// dec is decode for payloads the coordinator built, panicking on failure.
 func dec(b []byte, out any) {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
+	if err := decode(b, out); err != nil {
 		panic(fmt.Sprintf("ug: gob decode %T: %v", out, err))
 	}
 }

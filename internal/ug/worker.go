@@ -28,8 +28,6 @@ type Session struct {
 	shipEvery    time.Duration
 	bestReported float64 // objective of the best solution this session reported/knows
 
-	shipped int // nodes shipped during this session
-
 	// trace records ParaSolver-side events (node shipping, solution
 	// reports). Nil disables it; the Poll hot path then pays only a
 	// pointer nil-check per event site.
@@ -117,7 +115,6 @@ func (s *Session) Poll(st StatusReport) Command {
 // ShipNode sends one open node to the coordinator (collect mode or
 // racing-winner extraction).
 func (s *Session) ShipNode(sub Subproblem) {
-	s.shipped++
 	s.trace.Emit(obs.Event{Kind: obs.KindWorkerShip, Rank: s.rank, Dual: sub.Bound, Open: sub.Depth})
 	s.comm.Send(0, comm.Message{From: s.rank, Tag: comm.TagNode, Payload: enc(sub)})
 }
