@@ -32,7 +32,9 @@ func (w countingWorker) Solve(sub *ug.Subproblem, sess *ug.Session) ug.Outcome {
 
 // App.MakePlugins runs exactly once per WorkerSolver.Solve, first thing,
 // even though the worker reuses its scip solver: decorators that hand
-// per-solve state to the plugin set rely on it.
+// per-solve state to the plugin set rely on it. Racing ramp-up sends the
+// root to every worker, so the run dispatches at least once per worker
+// however fast one of them finishes the tree.
 func TestMakePluginsOncePerSolve(t *testing.T) {
 	// Strongly correlated knapsack: an exploding tree that is shared out.
 	rng := rand.New(rand.NewSource(41))
@@ -55,7 +57,8 @@ func TestMakePluginsOncePerSolve(t *testing.T) {
 		return &scip.Plugins{}
 	}
 	f := &countingFactory{Factory: NewFactory(app)}
-	res, err := ug.Run(f, ug.Config{Workers: 3, StatusInterval: 1e-4, ShipInterval: 1e-4})
+	res, err := ug.Run(f, ug.Config{Workers: 3, RampUp: ug.RampUpRacing, RacingTime: 0.01,
+		StatusInterval: 1e-4, ShipInterval: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

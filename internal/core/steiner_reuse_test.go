@@ -13,7 +13,11 @@ import (
 
 // A reset solver keeps the global Steiner cuts of its earlier
 // subproblems in the LP: after solving one child of the root, it
-// separates fewer cuts on the other child than a fresh solver does.
+// separates fewer cuts on the other child than a fresh solver does. It
+// keeps the LP basis too: handed the second child straight after the
+// root, it re-solves from the root's basis and spends fewer LP
+// iterations than a fresh solver that starts from the all-slack one,
+// and both reach the same optimum.
 func TestResetSolverSeparatesFewerCuts(t *testing.T) {
 	app := steiner.NewApp(puc.HypercubeT(4, 7, true, 3))
 	prob, _, err := core.Presolve(app)
@@ -21,15 +25,20 @@ func TestResetSolverSeparatesFewerCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := app.Settings[0]
-	set.NodeLimit = 1
-	s := scip.NewSolver(prob, set, app.MakePlugins())
-	s.SolveSubprob(&scip.Subprob{Bound: math.Inf(-1)})
-	kids := s.ExtractAllOpen()
-	if len(kids) != 2 {
-		t.Fatalf("root left %d open children, want 2", len(kids))
+	solveRoot := func() (*scip.Solver, []*scip.Subprob) {
+		rootSet := set
+		rootSet.NodeLimit = 1
+		s := scip.NewSolver(prob, rootSet, app.MakePlugins())
+		s.SolveSubprob(&scip.Subprob{Bound: math.Inf(-1)})
+		kids := s.ExtractAllOpen()
+		if len(kids) != 2 {
+			t.Fatalf("root left %d open children, want 2", len(kids))
+		}
+		s.Set.NodeLimit = 0
+		return s, kids
 	}
-	set.NodeLimit = 0
-	s.Set.NodeLimit = 0
+
+	s, kids := solveRoot()
 	s.Reset(app.MakePlugins())
 	s.SolveSubprob(kids[0])
 	s.Reset(app.MakePlugins())
@@ -39,6 +48,22 @@ func TestResetSolverSeparatesFewerCuts(t *testing.T) {
 	if s.Stats.CutsAdded >= fresh.Stats.CutsAdded {
 		t.Fatalf("second child: %d cuts on the reset solver, %d on a fresh one",
 			s.Stats.CutsAdded, fresh.Stats.CutsAdded)
+	}
+
+	s, kids = solveRoot()
+	inc := s.Incumbent()
+	s.Reset(app.MakePlugins())
+	s.SolveSubprob(kids[1])
+	fresh = scip.NewSolver(prob, set, app.MakePlugins())
+	fresh.InjectSolution(inc)
+	fresh.SolveSubprob(kids[1])
+	if s.Stats.LPIterations >= fresh.Stats.LPIterations {
+		t.Fatalf("second child after the root: %d LP iterations on the reset solver, %d on a fresh one",
+			s.Stats.LPIterations, fresh.Stats.LPIterations)
+	}
+	if s.Incumbent().Obj != fresh.Incumbent().Obj {
+		t.Fatalf("second child after the root: optimum %v on the reset solver, %v on a fresh one",
+			s.Incumbent().Obj, fresh.Incumbent().Obj)
 	}
 }
 

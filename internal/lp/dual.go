@@ -6,7 +6,8 @@ import "math"
 // This is the re-solve path after cutting planes are added or variable
 // bounds are tightened during branch-and-bound: both operations keep the
 // previous optimal basis dual feasible while possibly making it primal
-// infeasible. Reduced costs are maintained incrementally (refreshed
+// infeasible. Any other basis reaches it through makeDualFeasible, and
+// then runs on shifted costs. Reduced costs are maintained incrementally (refreshed
 // after refactorizations) so an iteration costs one btran of a unit
 // vector, the nonzeros of the rows its result touches, O(n + m) of
 // pricing and ratio test, and one ftran against the basis factor.

@@ -1,8 +1,9 @@
 // Package lp implements a self-contained linear-programming solver: a
-// bounded-variable revised simplex method with primal phase-1/phase-2,
-// a dual simplex for warm-started re-solves, and dynamic row addition
-// for cutting-plane loops. It stands in for the commercial LP engines
-// (CPLEX, SoPlex) that the original SCIP-based stack links against.
+// bounded-variable revised simplex method with a dual simplex that
+// starts from any basis and a primal phase 2, dynamic row addition for
+// cutting-plane loops, and row deletion that keeps the basis. It stands
+// in for the commercial LP engines (CPLEX, SoPlex) that the original
+// SCIP-based stack links against.
 //
 // Problems are stated as
 //
@@ -23,12 +24,19 @@
 // support of its right-hand side, which for a pivot row e_rᵀB⁻¹ is a few
 // positions. AddRow only records the row, by column and by row: its
 // slack is basic, and the next Solve rebuilds the factor once for all
-// rows added since the last one. A basis the factor finds singular is
-// abandoned for the all-slack basis, from which the phases restart.
+// rows added since the last one. DeleteRows first pivots the nonbasic
+// slacks of the deleted rows into the basis, then drops the rows and
+// refactors once. A basis the factor finds singular is abandoned for the
+// all-slack basis, from which the phases restart.
 //
-// Every product yᵀA — the pivot row, the reduced costs, phase-1 pricing
-// — runs over the row copy, touching only the rows with y_i ≠ 0, and
-// adds each column's terms in increasing row order, so it equals the
+// A Solve from a basis that is not primal feasible runs the dual
+// simplex, after bound flips and cost shifts have made the basis dual
+// feasible; the shifts are undone and primal phase 2 finishes. There is
+// no primal phase 1.
+//
+// Every product yᵀA — the pivot row and the reduced costs — runs over
+// the row copy, touching only the rows with y_i ≠ 0, and adds each
+// column's terms in increasing row order, so it equals the
 // column-by-column dot products it replaced.
 //
 // Solver.Deadline bounds a Solve in time as MaxIters bounds it in

@@ -169,158 +169,3 @@ func (s *Solver) primalPhase2() Status {
 		}
 	}
 }
-
-// primalPhase1 drives the total bound violation of the basic variables to
-// zero using the composite (piecewise-linear) phase-1 objective: basic
-// variables above their upper bound get cost +1, below their lower bound
-// cost −1. Returns Optimal when a primal feasible basis is found,
-// Infeasible when the phase-1 optimum is positive.
-//
-//ugo:hotpath driver
-func (s *Solver) primalPhase1() Status {
-	limit := s.maxIters()
-	noProgress := 0
-	for {
-		if s.outOfBudget(limit) {
-			return IterLimit
-		}
-		s.iters++
-		inf := s.primalInfeasibility()
-		if inf <= feasTol {
-			return Optimal
-		}
-		// Phase-1 cost on basics (reused buffer; zero it first because
-		// only violated rows get a nonzero cost).
-		s.posBuf = grow(s.posBuf, s.m)
-		cb := s.posBuf
-		clear(cb)
-		for i, j := range s.basis {
-			if s.xb[i] > s.up[j]+feasTol {
-				cb[i] = 1
-			} else if s.xb[i] < s.lo[j]-feasTol {
-				cb[i] = -1
-			}
-		}
-		s.btranBuf = grow(s.btranBuf, s.m)
-		s.fac.btran(cb, s.btranBuf)
-		s.alphaBuf = grow(s.alphaBuf, s.n+s.m)
-		ya := s.alphaBuf
-		s.timesA(s.btranBuf, ya)
-		bland := noProgress > 2*(s.n+s.m)+200
-		// Price nonbasic columns: d_j = −yᵀA_j (phase-1 costs of nonbasics
-		// are zero).
-		enter := -1
-		var dir, best float64
-		for j, yaj := range ya {
-			if s.state[j] == stBasic {
-				continue
-			}
-			dj := -yaj
-			dd, ok := s.enterDir(j, dj, bland)
-			if !ok {
-				continue
-			}
-			if bland {
-				enter, dir = j, dd
-				break
-			}
-			if v := math.Abs(dj); v > best {
-				best = v
-				enter, dir = j, dd
-			}
-		}
-		if enter < 0 {
-			return Infeasible
-		}
-		w := s.ftran(enter)
-		t, r, leaveState := s.phase1RatioTest(enter, dir, w)
-		if r == -2 {
-			// The phase-1 objective is bounded below by 0, so an unbounded
-			// ray cannot occur with a correct blocking rule; report as a
-			// numerical failure rather than claiming infeasibility.
-			return IterLimit
-		}
-		if r == -1 {
-			s.applyStep(enter, dir, t, w)
-			if s.state[enter] == stLower {
-				s.state[enter] = stUpper
-			} else {
-				s.state[enter] = stLower
-			}
-		} else {
-			s.applyStep(enter, dir, t, w)
-			newVal := s.nonbasicValue(enter) + dir*t
-			s.xb[r] = newVal
-			s.pricing = priceStale // phase 1 prices its own costs, not s.d
-			if s.pivot(r, enter, w, leaveState) {
-				s.computeXB()
-			}
-		}
-		if t > 1e-10 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-	}
-}
-
-// phase1RatioTest is the phase-1 variant of the ratio test: currently
-// infeasible basic variables block only at the bound they violate (at
-// which point they become feasible); feasible basics block as usual.
-func (s *Solver) phase1RatioTest(enter int, dir float64, w []float64) (t float64, r int, leaveState int8) {
-	t = math.Inf(1)
-	r = -2
-	if rangeLen := s.up[enter] - s.lo[enter]; !math.IsInf(rangeLen, 1) {
-		t = rangeLen
-		r = -1
-	}
-	for i := 0; i < s.m; i++ {
-		delta := -dir * w[i]
-		if math.Abs(delta) < pivotTol {
-			continue
-		}
-		bj := s.basis[i]
-		xi := s.xb[i]
-		var lim float64
-		var st int8
-		switch {
-		case xi > s.up[bj]+feasTol: // infeasible above
-			if delta < 0 { // moving down: blocks when reaching upper bound
-				lim = (s.up[bj] - xi) / delta
-				st = stUpper
-			} else {
-				continue // moving further up: no block (cost handles it)
-			}
-		case xi < s.lo[bj]-feasTol: // infeasible below
-			if delta > 0 {
-				lim = (s.lo[bj] - xi) / delta
-				st = stLower
-			} else {
-				continue
-			}
-		default: // feasible: standard blocking
-			if delta > 0 {
-				if math.IsInf(s.up[bj], 1) {
-					continue
-				}
-				lim = (s.up[bj] - xi) / delta
-				st = stUpper
-			} else {
-				if math.IsInf(s.lo[bj], -1) {
-					continue
-				}
-				lim = (s.lo[bj] - xi) / delta
-				st = stLower
-			}
-		}
-		if lim < -1e-12 {
-			lim = 0
-		}
-		if lim < t-1e-12 || (lim < t+1e-12 && r >= 0 && math.Abs(w[i]) > math.Abs(w[r])) {
-			t = lim
-			r = i
-			leaveState = st
-		}
-	}
-	return t, r, leaveState
-}

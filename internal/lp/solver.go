@@ -61,17 +61,21 @@ type Solver struct {
 	// Per-iteration simplex scratch, reused across pivots and re-solves.
 	// Every user fully overwrites its buffer before reading it; alphaBuf,
 	// ftranBuf and btranBuf are distinct because an iteration holds an
-	// alpha row (in phase 1, its yᵀA) and an ftran column live at the
-	// same time, and timesA reads a btran result while it writes the
-	// alpha row. posBuf (indexed by basis position) and
-	// rowBuf (indexed by row) are the right-hand sides the factor's
-	// solves consume.
+	// alpha row and an ftran column live at the same time, and timesA
+	// reads a btran result while it writes the alpha row. posBuf (indexed
+	// by basis position) and rowBuf (indexed by row) are the right-hand
+	// sides the factor's solves consume.
 	alphaBuf []float64
 	ftranBuf []float64
 	btranBuf []float64
 	posBuf   []float64
 	rowBuf   []float64
 	rowAcc   []float64 // AddRow's per-column accumulator, all zero between calls
+
+	// shiftCol[k] is a column whose cost makeDualFeasible shifted, and
+	// shiftCost[k] its cost before the shift.
+	shiftCol  []int
+	shiftCost []float64
 }
 
 // priceState says how far the cached reduced costs can be trusted.
@@ -176,6 +180,7 @@ func NewSolver(prob *Problem) *Solver {
 	s.lo = append([]float64(nil), prob.Lo...)
 	s.up = append([]float64(nil), prob.Up...)
 	s.cols = make([][]colEntry, n)
+	s.state = make([]int8, n, n+m) // one per column; AddRow appends the slacks'
 	s.rowAcc = make([]float64, n)
 	for i := 0; i < m; i++ {
 		r := prob.Rows[i]
@@ -315,16 +320,117 @@ func (s *Solver) RowEnabled(i int) bool {
 	return !(math.IsInf(s.lo[j], -1) && math.IsInf(s.up[j], 1))
 }
 
-// Row returns a copy of row i as AddRow stored it: duplicate columns
-// summed, zero sums dropped.
+// DeleteRows removes every row i with del[i] set, together with its
+// slack column, and keeps the basis. A deleted row whose slack is
+// nonbasic first has that slack pivoted into the basis, at the position
+// with the largest |(B⁻¹eᵢ)ᵣ| that does not hold another deleted slack;
+// the column leaving there goes to its nearer bound. With every deleted
+// slack basic, dropping those rows and positions leaves a basis of the
+// remaining rows, which is refactored once. del has one entry per row;
+// rows after a deleted one move down, and the next Solve starts from
+// the kept basis.
 //
-//ugo:coldpath copies one row, for callers that rebuild an LP
-func (s *Solver) Row(i int) RowDef {
-	coefs := make([]Nonzero, len(s.rows[i]))
-	for k, e := range s.rows[i] {
-		coefs[k] = Nonzero{Col: e.col, Val: e.val}
+//ugo:coldpath once per dispatched subproblem, when a ParaSolver drops its local cuts
+func (s *Solver) DeleteRows(del []bool) {
+	if s.hasBasis {
+		if s.fac.m != s.m {
+			s.refactor()
+		}
+		s.computeXB()
+		for i, d := range del {
+			if !d || s.state[s.n+i] == stBasic {
+				continue
+			}
+			s.pivotInSlack(i, del)
+		}
 	}
-	return RowDef{Sense: s.sense[i], RHS: s.b[i], Coefs: coefs}
+	// Compact rows and slack columns; newRow maps an old row to its new
+	// index, −1 when deleted.
+	newRow := make([]int, s.m)
+	k := 0
+	for i := 0; i < s.m; i++ {
+		if del[i] {
+			newRow[i] = -1
+			continue
+		}
+		newRow[i] = k
+		s.rows[k], s.b[k], s.sense[k] = s.rows[i], s.b[i], s.sense[i]
+		j, jk := s.n+i, s.n+k
+		s.lo[jk], s.up[jk], s.c[jk], s.state[jk] = s.lo[j], s.up[j], s.c[j], s.state[j]
+		k++
+	}
+	clear(s.rows[k:])
+	s.rows, s.b, s.sense = s.rows[:k], s.b[:k], s.sense[:k]
+	s.lo, s.up, s.c, s.state = s.lo[:s.n+k], s.up[:s.n+k], s.c[:s.n+k], s.state[:s.n+k]
+	for j, col := range s.cols {
+		kept := col[:0]
+		for _, e := range col {
+			if r := newRow[e.row]; r >= 0 {
+				kept = append(kept, colEntry{row: r, val: e.val})
+			}
+		}
+		s.cols[j] = kept
+	}
+	if s.hasBasis {
+		p := 0
+		for _, j := range s.basis {
+			if j >= s.n {
+				if newRow[j-s.n] < 0 {
+					continue
+				}
+				j = s.n + newRow[j-s.n]
+			}
+			s.basis[p] = j
+			p++
+		}
+		s.basis, s.xb = s.basis[:p], s.xb[:p]
+	}
+	s.m = k
+	s.pricing = priceStale
+	if s.hasBasis {
+		s.refactor()
+	}
+}
+
+// pivotInSlack makes the nonbasic slack of row i basic in place of the
+// column at the position with the largest |(B⁻¹eᵢ)ᵣ| among those that
+// hold no slack of a row marked in del. The leaving column goes to its
+// nearer bound and the basic values follow the step.
+func (s *Solver) pivotInSlack(i int, del []bool) {
+	enter := s.n + i
+	w := s.ftran(enter)
+	r := -1
+	for p, j := range s.basis {
+		if j >= s.n && del[j-s.n] {
+			continue
+		}
+		if r < 0 || math.Abs(w[p]) > math.Abs(w[r]) {
+			r = p
+		}
+	}
+	leave := s.basis[r]
+	v, leaveState := s.nearerBound(leave, s.xb[r])
+	// x_B(t) = xb − t·w with the slack moving up by t from its bound.
+	t := (s.xb[r] - v) / w[r]
+	s.applyStep(enter, 1, t, w)
+	s.xb[r] = s.nonbasicValue(enter) + t
+	if s.pivot(r, enter, w, leaveState) {
+		s.computeXB()
+	}
+}
+
+// nearerBound returns the bound of column j nearer to x, and the
+// nonbasic state that pegs j there: 0 and stFree for a free column.
+func (s *Solver) nearerBound(j int, x float64) (float64, int8) {
+	lo, up := s.lo[j], s.up[j]
+	switch {
+	case math.IsInf(lo, -1) && math.IsInf(up, 1):
+		return 0, stFree
+	case math.IsInf(up, 1) || !math.IsInf(lo, -1) && x-lo <= up-x:
+		return lo, stLower
+	default:
+		return up, stUpper
+	}
 }
 
 // SetObj updates an objective coefficient. An optimal basis stays primal
@@ -415,9 +521,6 @@ func (s *Solver) resetSlackBasis() {
 	s.basis = make([]int, s.m)
 	s.xb = make([]float64, s.m)
 	total := s.n + s.m
-	if len(s.state) < total {
-		s.state = make([]int8, total)
-	}
 	for j := 0; j < total; j++ {
 		switch {
 		case j >= s.n: // slack, basic
@@ -481,29 +584,6 @@ func (s *Solver) primalInfeasibility() float64 {
 	return inf
 }
 
-// dualInfeasible reports whether any nonbasic reduced cost violates its
-// required sign.
-func (s *Solver) dualInfeasible(d []float64) bool {
-	total := s.n + s.m
-	for j := 0; j < total; j++ {
-		switch s.state[j] {
-		case stLower:
-			if d[j] < -dualTol {
-				return true
-			}
-		case stUpper:
-			if d[j] > dualTol {
-				return true
-			}
-		case stFree:
-			if math.Abs(d[j]) > dualTol {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func (s *Solver) maxIters() int {
 	if s.MaxIters > 0 {
 		return s.MaxIters
@@ -520,7 +600,11 @@ func (s *Solver) outOfBudget(limit int) bool {
 }
 
 // Solve optimizes from the current basis (or from the all-slack basis on
-// the first call), automatically choosing primal or dual simplex.
+// the first call). A primal feasible basis goes straight to primal phase
+// 2. Any other starts the dual simplex: makeDualFeasible first repairs
+// the reduced costs with bound flips and cost shifts, the dual simplex
+// then reaches a primal feasible basis or proves infeasibility, and
+// primal phase 2 finishes on the true costs.
 func (s *Solver) Solve() *Solution {
 	if !s.hasBasis || len(s.basis) != s.m {
 		s.resetSlackBasis()
@@ -533,22 +617,74 @@ func (s *Solver) Solve() *Solution {
 		if s.pricing == priceStale {
 			s.refreshPricing()
 		}
-		if !s.dualInfeasible(s.d) {
-			// The dual's Infeasible is returned as is. After its IterLimit
-			// the primal phases below find the budget spent at their
-			// first check.
-			if st := s.dualSimplex(); st == Infeasible {
-				return s.finish(Infeasible)
-			}
-		}
-		if s.primalInfeasibility() > feasTol {
-			if st := s.primalPhase1(); st != Optimal {
-				return s.finish(st)
-			}
+		s.makeDualFeasible()
+		st := s.dualSimplex()
+		s.unshiftCosts()
+		// The dual's Infeasible is a Farkas proof: it never reads a cost,
+		// so the shifts cannot have caused it.
+		if st != Optimal {
+			return s.finish(st)
 		}
 	}
-	st := s.primalPhase2()
-	return s.finish(st)
+	return s.finish(s.primalPhase2())
+}
+
+// makeDualFeasible makes the current basis dual feasible, so that any
+// basis can start the dual simplex. A nonbasic column whose reduced cost
+// has the wrong sign moves to its other bound when both are finite; any
+// other has its cost shifted by −dⱼ, which zeroes its reduced cost and
+// leaves the row duals as they are. Flips move the basic values, which
+// are then recomputed. The shifts are recorded in shiftCol/shiftCost for
+// unshiftCosts. On a dual feasible basis it changes nothing.
+func (s *Solver) makeDualFeasible() {
+	s.shiftCol, s.shiftCost = s.shiftCol[:0], s.shiftCost[:0]
+	flipped := false
+	for j, dj := range s.d[:s.n+s.m] {
+		switch s.state[j] {
+		case stLower:
+			if dj >= -dualTol {
+				continue
+			}
+		case stUpper:
+			if dj <= dualTol {
+				continue
+			}
+		case stFree:
+			if math.Abs(dj) <= dualTol {
+				continue
+			}
+		default:
+			continue
+		}
+		if !math.IsInf(s.lo[j], -1) && !math.IsInf(s.up[j], 1) {
+			if dj > 0 {
+				s.state[j] = stLower
+			} else {
+				s.state[j] = stUpper
+			}
+			flipped = true
+			continue
+		}
+		s.shiftCol = append(s.shiftCol, j)
+		s.shiftCost = append(s.shiftCost, s.c[j])
+		s.c[j] -= dj
+		s.d[j] = 0
+	}
+	if flipped {
+		s.computeXB()
+	}
+}
+
+// unshiftCosts restores the costs makeDualFeasible shifted; the reduced
+// costs are then stale.
+func (s *Solver) unshiftCosts() {
+	if len(s.shiftCol) == 0 {
+		return
+	}
+	for k, j := range s.shiftCol {
+		s.c[j] = s.shiftCost[k]
+	}
+	s.pricing = priceStale
 }
 
 // finish assembles a Solution from the current state. The Solution and

@@ -36,9 +36,9 @@ func resetProb() *Prob {
 func rootSub() *Subprob { return &Subprob{Bound: math.Inf(-1)} }
 
 // Reset drops the previous subproblem's open nodes, statistics, Poll
-// hook and local cuts, and starts the LP from the model rows plus the
+// hook and local cuts, and keeps the LP with the model rows plus the
 // pool of global cuts.
-func TestResetRebuildsLPFromGlobalCutPool(t *testing.T) {
+func TestResetKeepsLPWithGlobalCutPool(t *testing.T) {
 	p := resetProb()
 	s := NewSolver(p, DefaultSettings(), &Plugins{Separators: []Separator{&rootCutSepa{}}})
 	if !s.InjectSolution(&Sol{X: []float64{0, 0, 0}}) {
@@ -53,23 +53,33 @@ func TestResetRebuildsLPFromGlobalCutPool(t *testing.T) {
 		t.Fatalf("first solve: %d cuts, %d open; want 2 cuts and open children", s.Stats.CutsAdded, s.NumOpen())
 	}
 	inc := s.Incumbent()
+	lps := s.lps
 
 	s.Reset(&Plugins{Separators: []Separator{&rootCutSepa{}}})
-	if pooled := len(s.lpProb.Rows) - len(p.Rows); pooled != 1 {
-		t.Fatalf("pool holds %d cuts, want the 1 global cut", pooled)
+	if s.lps != lps {
+		t.Fatal("Reset replaced the LP")
 	}
-	if got, want := s.lps.NumRows(), len(p.Rows)+1; got != want {
-		t.Fatalf("LP rows after Reset = %d, want %d model + 1 pooled", got, len(p.Rows))
+	if got, want := s.lps.NumRows(), len(p.Rows)+1; got != want || s.baseRows != want {
+		t.Fatalf("LP rows after Reset = %d (%d base), want %d model + 1 pooled", got, s.baseRows, len(p.Rows))
 	}
 	for i := 0; i < s.lps.NumRows(); i++ {
 		if !s.lps.RowEnabled(i) {
 			t.Fatalf("row %d disabled after Reset", i)
 		}
 	}
-	local := string(s.cutKey(lp.LE, 1, []lp.Nonzero{{Col: 1, Val: 1}, {Col: 2, Val: 1}}))
-	for _, r := range s.lpProb.Rows {
-		if string(s.cutKey(r.Sense, r.RHS, r.Coefs)) == local {
-			t.Fatal("the local cut survived Reset")
+	// The kept rows are the model row and the global cut x0 + x1 ≤ 1, not
+	// the local cut x1 + x2 ≤ 1: the model row admits both (0, ¾, ¾),
+	// which only the local cut cuts off, and (¾, ¾, 0), which only the
+	// global cut does.
+	for _, tc := range []struct {
+		x    [3]float64
+		want lp.Status
+	}{{[3]float64{0, 0.75, 0.75}, lp.Optimal}, {[3]float64{0.75, 0.75, 0}, lp.Infeasible}} {
+		for j, v := range tc.x {
+			s.lps.SetBound(j, v, v)
+		}
+		if st := s.lps.Solve().Status; st != tc.want {
+			t.Fatalf("LP fixed at %v is %v, want %v: the local cut survived or the global cut is gone", tc.x, st, tc.want)
 		}
 	}
 	if len(s.cutOrigin) != 0 || s.NumOpen() != 0 || s.Poll != nil || s.Stats != (Stats{}) {

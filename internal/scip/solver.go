@@ -102,8 +102,7 @@ type Solver struct {
 	Trace *obs.Tracer
 
 	lps       *lp.Solver
-	lpProb    *lp.Problem // model rows, then the pool of global cuts of earlier subproblems
-	baseRows  int
+	baseRows  int     // LP rows that are no cut of this subproblem: model rows, then earlier subproblems' global cuts
 	cutOrigin []int64 // origin node ID per cut row (-1 = globally valid)
 	cutKeys   map[string]bool
 	cutSort   cutSorter
@@ -163,27 +162,20 @@ func NewSolver(prob *Prob, set Settings, plug *Plugins) *Solver {
 		}
 	}
 	if set.UseLP {
-		s.lpProb = lp.NewProblem()
+		lpProb := lp.NewProblem()
 		for _, v := range prob.Vars {
-			s.lpProb.AddVar(v.Lo, v.Up, v.Obj)
+			lpProb.AddVar(v.Lo, v.Up, v.Obj)
 		}
 		for _, r := range prob.Rows {
-			s.lpProb.AddRow(r.Sense, r.RHS, r.Coefs)
+			lpProb.AddRow(r.Sense, r.RHS, r.Coefs)
 		}
-		s.buildLP()
+		s.lps = lp.NewSolver(lpProb)
+		if set.MaxLPIterations > 0 {
+			s.lps.MaxIters = set.MaxLPIterations
+		}
+		s.baseRows = s.lps.NumRows()
 	}
 	return s
-}
-
-// buildLP starts a fresh LP from lpProb: the model rows and every global
-// cut pooled so far are its base rows, and no local cut survives.
-func (s *Solver) buildLP() {
-	s.lps = lp.NewSolver(s.lpProb)
-	if s.Set.MaxLPIterations > 0 {
-		s.lps.MaxIters = s.Set.MaxLPIterations
-	}
-	s.baseRows = s.lpProb.NumRows()
-	s.cutOrigin = s.cutOrigin[:0]
 }
 
 // Reset readies the solver for another subproblem of the same model
@@ -191,10 +183,10 @@ func (s *Solver) buildLP() {
 // nodes left by an interrupt go back to the node pool; statistics, the
 // node counter and the Poll hook start over. The incumbent, the
 // pseudocosts, scratch buffers and the global-cut fingerprints stay.
-// The global cuts of the finished subproblem join the pool, and the LP
-// is rebuilt from the model rows plus the pool, so the local cuts of
-// the previous subproblem are gone. Solvers that are never reset keep
-// no copy of their cuts.
+// The LP stays too, with its basis: the rows of the previous
+// subproblem's local cuts are deleted, and its global cuts become base
+// rows, so the next subproblem's first LP re-solves from the last basis
+// instead of from the all-slack one.
 //
 //ugo:coldpath once per dispatched subproblem
 func (s *Solver) Reset(plug *Plugins) {
@@ -210,12 +202,13 @@ func (s *Solver) Reset(plug *Plugins) {
 	s.curBound = 0
 	s.nextNodeID = 0
 	if s.Set.UseLP {
+		del := make([]bool, s.lps.NumRows())
 		for k, origin := range s.cutOrigin {
-			if origin < 0 {
-				s.lpProb.Rows = append(s.lpProb.Rows, s.lps.Row(s.baseRows+k))
-			}
+			del[s.baseRows+k] = origin >= 0
 		}
-		s.buildLP()
+		s.lps.DeleteRows(del)
+		s.baseRows = s.lps.NumRows()
+		s.cutOrigin = s.cutOrigin[:0]
 	}
 }
 
