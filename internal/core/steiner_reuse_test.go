@@ -11,13 +11,31 @@ import (
 	"repro/internal/ug"
 )
 
+// firstLP wraps a separator and records the objective and simplex
+// iterations of the first LP it is handed.
+type firstLP struct {
+	scip.Separator
+	obj   float64
+	iters int
+	seen  bool
+}
+
+func (f *firstLP) Separate(ctx *scip.Ctx) scip.Result {
+	if !f.seen {
+		f.seen, f.obj, f.iters = true, ctx.LPSol.Obj, ctx.LPSol.Iters
+	}
+	return f.Separator.Separate(ctx)
+}
+
 // A reset solver keeps the global Steiner cuts of its earlier
-// subproblems in the LP: after solving one child of the root, it
-// separates fewer cuts on the other child than a fresh solver does. It
-// keeps the LP basis too: handed the second child straight after the
-// root, it re-solves from the root's basis and spends fewer LP
-// iterations than a fresh solver that starts from the all-slack one,
-// and both reach the same optimum.
+// subproblems in the LP: after solving one child of the root, its first
+// LP on the other child holds every row a fresh solver's does plus those
+// cuts, and its bound is higher. It keeps the LP basis too: handed the
+// second child straight after the root, its first LP re-solves from the
+// root's basis in fewer iterations than a fresh solver's first LP from
+// the all-slack one, and both reach the same optimum. The cuts and LP
+// iterations of the whole subtree solve depend on the vertices each
+// simplex visits, so they are only logged.
 func TestResetSolverSeparatesFewerCuts(t *testing.T) {
 	app := steiner.NewApp(puc.HypercubeT(4, 7, true, 3))
 	prob, _, err := core.Presolve(app)
@@ -37,29 +55,43 @@ func TestResetSolverSeparatesFewerCuts(t *testing.T) {
 		s.Set.NodeLimit = 0
 		return s, kids
 	}
+	watched := func() (*scip.Plugins, *firstLP) {
+		plug := app.MakePlugins()
+		f := &firstLP{Separator: plug.Separators[0]}
+		plug.Separators[0] = f
+		return plug, f
+	}
 
 	s, kids := solveRoot()
 	s.Reset(app.MakePlugins())
 	s.SolveSubprob(kids[0])
-	s.Reset(app.MakePlugins())
+	plug, resetLP := watched()
+	s.Reset(plug)
 	s.SolveSubprob(kids[1])
-	fresh := scip.NewSolver(prob, set, app.MakePlugins())
+	plug, freshLP := watched()
+	fresh := scip.NewSolver(prob, set, plug)
 	fresh.SolveSubprob(kids[1])
-	if s.Stats.CutsAdded >= fresh.Stats.CutsAdded {
-		t.Fatalf("second child: %d cuts on the reset solver, %d on a fresh one",
-			s.Stats.CutsAdded, fresh.Stats.CutsAdded)
+	t.Logf("second child: first LP %v, %d cuts on the reset solver; %v, %d on a fresh one",
+		resetLP.obj, s.Stats.CutsAdded, freshLP.obj, fresh.Stats.CutsAdded)
+	if !resetLP.seen || !freshLP.seen || resetLP.obj <= freshLP.obj+1e-6 {
+		t.Fatalf("second child: first LP %v on the reset solver, not above %v on a fresh one",
+			resetLP.obj, freshLP.obj)
 	}
 
 	s, kids = solveRoot()
 	inc := s.Incumbent()
-	s.Reset(app.MakePlugins())
+	plug, resetLP = watched()
+	s.Reset(plug)
 	s.SolveSubprob(kids[1])
-	fresh = scip.NewSolver(prob, set, app.MakePlugins())
+	plug, freshLP = watched()
+	fresh = scip.NewSolver(prob, set, plug)
 	fresh.InjectSolution(inc)
 	fresh.SolveSubprob(kids[1])
-	if s.Stats.LPIterations >= fresh.Stats.LPIterations {
-		t.Fatalf("second child after the root: %d LP iterations on the reset solver, %d on a fresh one",
-			s.Stats.LPIterations, fresh.Stats.LPIterations)
+	t.Logf("second child after the root: first LP %d of %d LP iterations on the reset solver, %d of %d on a fresh one",
+		resetLP.iters, s.Stats.LPIterations, freshLP.iters, fresh.Stats.LPIterations)
+	if !resetLP.seen || !freshLP.seen || resetLP.iters >= freshLP.iters {
+		t.Fatalf("second child after the root: first LP %d iterations on the reset solver, %d on a fresh one",
+			resetLP.iters, freshLP.iters)
 	}
 	if s.Incumbent().Obj != fresh.Incumbent().Obj {
 		t.Fatalf("second child after the root: optimum %v on the reset solver, %v on a fresh one",

@@ -49,9 +49,10 @@ func BenchmarkLPResolve(b *testing.B) {
 	}
 }
 
-// The factor's per-pivot operations and the yᵀA product run on arenas
-// that persist across refactors: once those have grown to their working
-// size, a solve, an eta update or a pricing product allocates nothing.
+// The factor's per-pivot operations, the yᵀA product and the dual
+// steepest-edge update run on arenas that persist across refactors: once
+// those have grown to their working size, a solve, an eta update, a
+// pricing product or a weight update allocates nothing.
 func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 	p, n := resolveProblem()
 	s := NewSolver(p)
@@ -96,6 +97,7 @@ func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 			f.update(r, w)
 		}},
 		{"eta update", stack},
+		{"dual steepest-edge update", func() { s.btranUnit(r); s.updateDSE(r, w) }},
 	} {
 		if allocs := testing.AllocsPerRun(50, op.run); allocs != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", op.name, allocs)

@@ -7,10 +7,14 @@ import "math"
 // bounds are tightened during branch-and-bound: both operations keep the
 // previous optimal basis dual feasible while possibly making it primal
 // infeasible. Any other basis reaches it through makeDualFeasible, and
-// then runs on shifted costs. Reduced costs are maintained incrementally (refreshed
-// after refactorizations) so an iteration costs one btran of a unit
-// vector, the nonzeros of the rows its result touches, O(n + m) of
-// pricing and ratio test, and one ftran against the basis factor.
+// then runs on shifted costs. The leaving row is chosen by dual steepest
+// edge (Forrest–Goldfarb): infeasibility² over the weight dse[r] ≈
+// ‖e_rᵀB⁻¹‖², which updateDSE carries across every pivot. Reduced
+// costs are maintained incrementally (refreshed after refactorizations)
+// so an iteration costs one btran of a unit vector, the nonzeros of the
+// rows its result touches, O(n + m) of pricing and ratio test, and two
+// ftrans against the basis factor: the entering column, and the
+// weights' τ = B⁻¹ρ.
 //
 //ugo:hotpath driver
 func (s *Solver) dualSimplex() Status {
@@ -23,23 +27,24 @@ func (s *Solver) dualSimplex() Status {
 		if s.pricing == priceStale {
 			s.refreshPricing()
 		}
-		// Leaving variable: most violated basic.
+		// Leaving variable: dual steepest edge, the basic whose
+		// infeasibility² per unit of its weight ‖e_rᵀB⁻¹‖² is largest.
 		r := -1
-		var viol float64
+		var best float64
 		var below bool
 		for i, j := range s.basis {
-			if v := s.lo[j] - s.xb[i]; v > viol+1e-12 {
-				viol = v
-				r = i
-				below = true
+			v, lower := s.lo[j]-s.xb[i], true
+			if u := s.xb[i] - s.up[j]; u > v {
+				v, lower = u, false
 			}
-			if v := s.xb[i] - s.up[j]; v > viol+1e-12 {
-				viol = v
-				r = i
-				below = false
+			if v <= feasTol {
+				continue
+			}
+			if score := v * v / s.dse[i]; score > best {
+				best, r, below = score, i, lower
 			}
 		}
-		if r < 0 || viol <= feasTol {
+		if r < 0 {
 			return Optimal
 		}
 		alpha := s.alphaRow(r)
@@ -119,6 +124,7 @@ func (s *Solver) dualSimplex() Status {
 		s.applyStep(enter, dir, t, w)
 		newVal := s.nonbasicValue(enter) + dir*t
 		s.xb[r] = newVal
+		s.updateDSE(r, w)
 		if s.pivot(r, enter, w, leaveState) {
 			s.computeXB()
 		} else {

@@ -34,6 +34,14 @@
 // feasible; the shifts are undone and primal phase 2 finishes. There is
 // no primal phase 1.
 //
+// The dual simplex prices by dual steepest edge (Forrest–Goldfarb): it
+// leaves on the row maximising infeasibility² ÷ ‖e_rᵀB⁻¹‖². The Solver
+// keeps one weight per basis position across pivots and re-solves, and
+// every pivot, dual, primal or DeleteRows', updates them at the cost of
+// one ftran. The slack basis has every weight exactly 1, a row added by
+// AddRow starts at 1, and DeleteRows compacts the weights with the
+// basis; refactors and cost shifts leave them as they are.
+//
 // Every product yᵀA — the pivot row and the reduced costs — runs over
 // the row copy, touching only the rows with y_i ≠ 0, and adds each
 // column's terms in increasing row order, so it equals the

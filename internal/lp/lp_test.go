@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // verifyOptimal checks a full optimality certificate for a claimed optimal
@@ -426,6 +427,20 @@ func TestIterLimit(t *testing.T) {
 	sol := s.Solve()
 	if sol.Status == Optimal && sol.Iters > 1 {
 		t.Fatalf("iteration limit not respected: %d iters", sol.Iters)
+	}
+}
+
+// A Deadline already past stops a Solve at its first clock check, after
+// at most 64 iterations, on an LP that needs more than that.
+func TestDeadlineStopsSolve(t *testing.T) {
+	p := randomFeasibleLP(rand.New(rand.NewSource(11)), 60, 100)
+	if sol := NewSolver(p).Solve(); sol.Status != Optimal || sol.Iters <= 64 {
+		t.Fatalf("without a deadline: status %v after %d iterations, want optimal after more than 64", sol.Status, sol.Iters)
+	}
+	s := NewSolver(p)
+	s.Deadline = time.Now().Add(-time.Second)
+	if sol := s.Solve(); sol.Status != IterLimit || sol.Iters > 64 {
+		t.Fatalf("past deadline: status %v after %d iterations, want iterlimit within 64", sol.Status, sol.Iters)
 	}
 }
 

@@ -156,6 +156,7 @@ func (s *Solver) primalPhase2() Status {
 			s.applyStep(enter, dir, t, w)
 			newVal := s.nonbasicValue(enter) + dir*t
 			s.xb[r] = newVal
+			s.updateDSE(r, w)
 			if s.pivot(r, enter, w, leaveState) {
 				s.computeXB()
 			} else {

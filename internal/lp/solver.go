@@ -72,6 +72,13 @@ type Solver struct {
 	rowBuf   []float64
 	rowAcc   []float64 // AddRow's per-column accumulator, all zero between calls
 
+	// dse[p] is the dual steepest-edge weight of basis position p, an
+	// estimate of ‖e_pᵀB⁻¹‖²: exact for the slack basis, carried across
+	// pivots by updateDSE, compacted with the basis by DeleteRows and
+	// untouched by refactors. tauBuf holds updateDSE's τ = B⁻¹ρ.
+	dse    []float64
+	tauBuf []float64
+
 	// shiftCol[k] is a column whose cost makeDualFeasible shifted, and
 	// shiftCost[k] its cost before the shift.
 	shiftCol  []int
@@ -121,14 +128,53 @@ func (s *Solver) timesA(y, out []float64) {
 // of the full tableau). The result aliases s.alphaBuf and is valid until
 // the next call.
 func (s *Solver) alphaRow(r int) []float64 {
+	s.btranUnit(r)
+	s.alphaBuf = grow(s.alphaBuf, s.n+s.m)
+	s.timesA(s.btranBuf, s.alphaBuf)
+	return s.alphaBuf
+}
+
+// btranUnit computes ρ = e_rᵀB⁻¹, row r of the basis inverse, into
+// s.btranBuf.
+func (s *Solver) btranUnit(r int) {
 	s.posBuf = grow(s.posBuf, s.m)
 	clear(s.posBuf)
 	s.posBuf[r] = 1
 	s.btranBuf = grow(s.btranBuf, s.m)
 	s.fac.btran(s.posBuf, s.btranBuf)
-	s.alphaBuf = grow(s.alphaBuf, s.n+s.m)
-	s.timesA(s.btranBuf, s.alphaBuf)
-	return s.alphaBuf
+}
+
+// dseMin is the floor of a dual steepest-edge weight: the update can
+// round a weight down to zero or below, which would make its row win
+// every pricing.
+const dseMin = 1e-4
+
+// updateDSE carries the dual steepest-edge weights across the pivot
+// that makes the column with ftran image w basic at position r. It must
+// run before the pivot, with ρ = e_rᵀB⁻¹ in btranBuf: the new weight of
+// r is ‖ρ‖²/w_r², and each other position i with w_i ≠ 0 gains
+// κ·(κ·‖ρ‖² − 2τ_i), κ = w_i/w_r, where τ = B⁻¹ρ.
+//
+//ugo:hotpath
+func (s *Solver) updateDSE(r int, w []float64) {
+	rho := s.btranBuf[:s.m]
+	var rr float64
+	for _, v := range rho {
+		rr += v * v
+	}
+	s.rowBuf = grow(s.rowBuf, s.m)
+	copy(s.rowBuf, rho)
+	s.tauBuf = grow(s.tauBuf, s.m)
+	s.fac.ftran(s.rowBuf, s.tauBuf)
+	wr := w[r]
+	for i, wi := range w[:s.m] {
+		if i == r || num.ExactZero(wi) {
+			continue
+		}
+		k := wi / wr
+		s.dse[i] = max(s.dse[i]+k*(k*rr-2*s.tauBuf[i]), dseMin)
+	}
+	s.dse[r] = max(rr/(wr*wr), dseMin)
 }
 
 // updatePricing applies the standard reduced-cost update after a pivot:
@@ -242,11 +288,13 @@ func (s *Solver) AddRow(sense Sense, rhs float64, coefs []Nonzero) int {
 	s.state = append(s.state, stBasic)
 	s.pricing = priceStale
 	if s.hasBasis {
-		// The new slack is basic. The factor is now one row short, which
-		// the next Solve notices and answers with one rebuild for however
-		// many rows were added.
+		// The new slack is basic, with dual steepest-edge weight 1 (exact
+		// only when no basic structural has a coefficient in the row). The
+		// factor is now one row short, which the next Solve notices and
+		// answers with one rebuild for however many rows were added.
 		s.basis = append(s.basis, s.n+s.m-1)
 		s.xb = append(s.xb, 0)
+		s.dse = append(s.dse, 1)
 	}
 	return row
 }
@@ -373,17 +421,17 @@ func (s *Solver) DeleteRows(del []bool) {
 	}
 	if s.hasBasis {
 		p := 0
-		for _, j := range s.basis {
+		for q, j := range s.basis {
 			if j >= s.n {
 				if newRow[j-s.n] < 0 {
 					continue
 				}
 				j = s.n + newRow[j-s.n]
 			}
-			s.basis[p] = j
+			s.basis[p], s.dse[p] = j, s.dse[q]
 			p++
 		}
-		s.basis, s.xb = s.basis[:p], s.xb[:p]
+		s.basis, s.xb, s.dse = s.basis[:p], s.xb[:p], s.dse[:p]
 	}
 	s.m = k
 	s.pricing = priceStale
@@ -414,6 +462,8 @@ func (s *Solver) pivotInSlack(i int, del []bool) {
 	t := (s.xb[r] - v) / w[r]
 	s.applyStep(enter, 1, t, w)
 	s.xb[r] = s.nonbasicValue(enter) + t
+	s.btranUnit(r)
+	s.updateDSE(r, w)
 	if s.pivot(r, enter, w, leaveState) {
 		s.computeXB()
 	}
@@ -520,6 +570,7 @@ func (s *Solver) computeXB() {
 func (s *Solver) resetSlackBasis() {
 	s.basis = make([]int, s.m)
 	s.xb = make([]float64, s.m)
+	s.dse = make([]float64, s.m)
 	total := s.n + s.m
 	for j := 0; j < total; j++ {
 		switch {
@@ -535,6 +586,7 @@ func (s *Solver) resetSlackBasis() {
 	}
 	for i := 0; i < s.m; i++ {
 		s.basis[i] = s.n + i
+		s.dse[i] = 1 // B = I: every row of B⁻¹ is a unit vector
 	}
 	s.hasBasis = true
 	s.pricing = priceStale

@@ -156,3 +156,93 @@ func TestFractionalCapacities(t *testing.T) {
 		t.Fatalf("flow = %v, want 0.25", f)
 	}
 }
+
+// randomArcs returns up to 4n random arcs with fractional capacities,
+// the shape of an LP support graph.
+func randomArcs(rng *rand.Rand, n int) []arcDef {
+	var arcs []arcDef
+	for i := 0; i < 4*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			arcs = append(arcs, arcDef{u, v, rng.Float64()})
+		}
+	}
+	return arcs
+}
+
+// One network reset between sinks routes exactly the flows a freshly
+// built network routes: same value, same flow on every arc, same cut.
+func TestResetFlowMatchesFreshNetwork(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(12)
+		arcs := randomArcs(rng, n)
+		reused := buildRandom(rng, n, arcs)
+		for sink := 1; sink < n; sink++ {
+			reused.ResetFlow()
+			fresh := buildRandom(rng, n, arcs)
+			got, want := reused.MaxFlow(0, sink), fresh.MaxFlow(0, sink)
+			if got != want {
+				t.Fatalf("seed %d sink %d: flow %v after ResetFlow, %v fresh", seed, sink, got, want)
+			}
+			for k := range arcs {
+				if reused.Flow(2*k) != fresh.Flow(2*k) {
+					t.Fatalf("seed %d sink %d arc %d: flow %v after ResetFlow, %v fresh",
+						seed, sink, k, reused.Flow(2*k), fresh.Flow(2*k))
+				}
+			}
+			a, b := reused.MinCutSource(0), fresh.MinCutSource(0)
+			for v := range a {
+				if a[v] != b[v] {
+					t.Fatalf("seed %d sink %d: cuts differ at vertex %d", seed, sink, v)
+				}
+			}
+		}
+	}
+}
+
+// Once its buffers exist, a network computes a max-flow and resets it
+// without allocating.
+func TestResetFlowMaxFlowDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 30
+	nw := buildRandom(rng, n, randomArcs(rng, n))
+	nw.MaxFlow(0, n-1)
+	if allocs := testing.AllocsPerRun(50, func() {
+		nw.ResetFlow()
+		nw.MaxFlow(0, n-1)
+	}); allocs != 0 {
+		t.Fatalf("%v allocs per ResetFlow+MaxFlow, want 0", allocs)
+	}
+}
+
+// BenchmarkMaxFlowReset measures one separation round's kernel: a
+// max-flow to every sink over one network, reset between sinks.
+// BenchmarkMaxFlowFresh is the same round with a network built per
+// sink, as the Steiner separator did before ResetFlow.
+func BenchmarkMaxFlowReset(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	n := 32
+	nw := buildRandom(rng, n, randomArcs(rng, n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for sink := 1; sink < n; sink++ {
+			nw.ResetFlow()
+			nw.MaxFlow(0, sink)
+		}
+	}
+}
+
+func BenchmarkMaxFlowFresh(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	n := 32
+	arcs := randomArcs(rng, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for sink := 1; sink < n; sink++ {
+			buildRandom(rng, n, arcs).MaxFlow(0, sink)
+		}
+	}
+}

@@ -31,7 +31,8 @@ func solver(p *misdp.MISDP, set scip.Settings) *scip.Solver {
 }
 
 // Iterate pin: node counts and LP iterations of two LP-mode solves,
-// recorded before the LP kernels were last rewritten. Kernel changes that
+// recorded when dual steepest edge replaced Dantzig's rule as the dual
+// simplex's leaving-row choice. Kernel changes that
 // only reorder exact zeros leave every pivot, and so these counts, alone;
 // one that moves a pivot fails here.
 func TestLPIteratePin(t *testing.T) {
@@ -40,8 +41,8 @@ func TestLPIteratePin(t *testing.T) {
 		p            *misdp.MISDP
 		nodes, iters int64
 	}{
-		{"mkp 10,4,3", MkP(10, 4, 3), 53, 6464},
-		{"ttd 4,8,2,8", TTD(4, 8, 2, 8), 137, 2596},
+		{"mkp 10,4,3", MkP(10, 4, 3), 41, 3096},
+		{"ttd 4,8,2,8", TTD(4, 8, 2, 8), 137, 2386},
 	} {
 		s := solver(tc.p, misdp.LPSettings())
 		if st := s.Solve(); st != scip.StatusOptimal {

@@ -170,20 +170,26 @@ func (ar *arborescence) enforce(ctx *scip.Ctx, m arcModel, terms []int, x []floa
 // separate adds up to maxCutsPerRound violated directed cuts on the
 // fractional LP point: a max-flow from the root to each terminal over
 // the alive columns, capacities x, and the minimum cut of any flow
-// below 1.
+// below 1. The support network is built once per call and its flow
+// reset before each terminal.
 func (ar *arborescence) separate(ctx *scip.Ctx, m arcModel, terms []int) scip.Result {
 	x := ctx.LPSol.X
 	maxCuts := min(maxCutsPerRound, ctx.CutBudgetLeft())
 	added := 0
+	var nw *maxflow.Network
 	for _, t := range terms {
 		if t == ar.root || added >= maxCuts {
 			continue
 		}
-		nw := maxflow.New(len(ar.in))
-		for j, tl := range ar.tail {
-			if x[j] > 1e-9 && m.colAlive(j) {
-				nw.AddArc(tl, ar.head[j], x[j])
+		if nw == nil {
+			nw = maxflow.New(len(ar.in))
+			for j, tl := range ar.tail {
+				if x[j] > 1e-9 && m.colAlive(j) {
+					nw.AddArc(tl, ar.head[j], x[j])
+				}
 			}
+		} else {
+			nw.ResetFlow()
 		}
 		if nw.MaxFlow(ar.root, t) >= 1-1e-6 {
 			continue

@@ -8,19 +8,17 @@ import (
 )
 
 // Iterate pin: the node count and LP iterations of one sequential solve,
-// recorded when the any-basis dual start replaced primal phase 1 (a
-// basis that is neither primal nor dual feasible, here after a local
-// cut's slack is freed, now re-solves with bound flips, cost shifts and
-// the dual simplex). Kernel changes that only reorder exact zeros leave
-// every pivot, and so these counts, alone; one that moves a pivot fails
-// here.
+// recorded when dual steepest edge replaced Dantzig's rule as the dual
+// simplex's leaving-row choice. Kernel changes that only reorder exact
+// zeros leave every pivot, and so these counts, alone; one that moves a
+// pivot fails here.
 func TestLPIteratePin(t *testing.T) {
 	s := sequential(t, HypercubeSpread(5, 16, 100, 170, 4), 0)
 	if st := s.Solve(); st != scip.StatusOptimal {
 		t.Fatalf("status %v", st)
 	}
-	if s.Stats.Nodes != 21 || s.Stats.LPIterations != 3885 {
-		t.Fatalf("hc 5,16,100,170,4: %d nodes / %d LP iterations, pinned 21 / 3885", s.Stats.Nodes, s.Stats.LPIterations)
+	if s.Stats.Nodes != 29 || s.Stats.LPIterations != 2334 {
+		t.Fatalf("hc 5,16,100,170,4: %d nodes / %d LP iterations, pinned 29 / 2334", s.Stats.Nodes, s.Stats.LPIterations)
 	}
 }
 

@@ -3,10 +3,11 @@
 # ledger that pairs with the hotalloc analyzer (ugolint -hot).
 #
 # Runs the allocation benchmarks (internal/scip, internal/lp,
-# internal/sdp, internal/ug/comm/net, internal/obs) twice — once in an exported copy of a
-# baseline ref (default HEAD~1, override with $1) and once in the
-# current tree — and writes the ns/op, B/op and allocs/op pairs (and
-# iters/op where a benchmark reports it) side by side. A benchmark
+# internal/sdp, internal/maxflow, internal/ug/comm/net, internal/obs)
+# twice — once in an exported copy of a baseline ref (default HEAD~1,
+# override with $1) and once in the current tree — and writes the
+# ns/op, B/op and allocs/op pairs (and iters/op where a benchmark
+# reports it) side by side. A benchmark
 # missing at the baseline (or an unresolvable baseline ref, e.g. a root
 # commit) records "baseline": null, unless BASE_OVERLAY names its file:
 # those files are copied from the current tree into the baseline copy,
@@ -22,6 +23,8 @@
 # BenchmarkSDPNewtonStep has no baseline before the commit that made the
 # step a function; BenchmarkSDPNewtonStepDenseReference, the same system
 # from the test oracle's dense formulas, is its "before" in the same run.
+# Likewise BenchmarkMaxFlowFresh, which builds a network per sink, is the
+# same-run "before" of BenchmarkMaxFlowReset.
 #
 # The committed BENCH_hotpath.json is the record of what the hotalloc
 # fixes bought; CI regenerates it as a build artifact. allocs/op is the
@@ -32,8 +35,8 @@ cd "$(dirname "$0")/.."
 
 BASE_REF="${1:-HEAD~1}"
 BENCHTIME="${BENCHTIME:-2000x}"
-PKGS="./internal/scip ./internal/lp ./internal/sdp ./internal/ug/comm/net ./internal/obs"
-BENCHES='^(BenchmarkProcessNode|BenchmarkSolveKnapsack|BenchmarkNodeHeap|BenchmarkLPResolve|BenchmarkSDPNewtonStep|BenchmarkSDPNewtonStepDenseReference|BenchmarkFrameRoundTrip|BenchmarkRecorderEmit)$'
+PKGS="./internal/scip ./internal/lp ./internal/sdp ./internal/maxflow ./internal/ug/comm/net ./internal/obs"
+BENCHES='^(BenchmarkProcessNode|BenchmarkSolveKnapsack|BenchmarkNodeHeap|BenchmarkLPResolve|BenchmarkSDPNewtonStep|BenchmarkSDPNewtonStepDenseReference|BenchmarkMaxFlowReset|BenchmarkMaxFlowFresh|BenchmarkFrameRoundTrip|BenchmarkRecorderEmit)$'
 # Whole cut loops, a tenth of a second to seconds per op: a few
 # iterations each, not BENCHTIME.
 LOOP_BENCHES='^(BenchmarkLPSteinerCutLoop|BenchmarkLPDenseCutResolve)$'
