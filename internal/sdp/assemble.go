@@ -155,7 +155,7 @@ type rowWork struct {
 // workspace is everything a solve evaluates the barrier in: the
 // coefficient matrices and rows compiled to their nonzero structure,
 // and every matrix and vector a Newton step writes. It is built once per
-// Solve — the scan is O(m·n²) against some eighty Newton steps — and
+// Solve — the scan is O(m·n²) against thirty to sixty Newton steps — and
 // shared by the phase-1 rescue runs, which see the same blocks and rows.
 type workspace struct {
 	blocks []blockWork
@@ -165,6 +165,15 @@ type workspace struct {
 	hessBuf, cholBuf         []float64
 	hess                     linalg.Sym  // order ext, backed by hessBuf
 	hchol                    linalg.Chol // order ext, backed by cholBuf
+
+	// logs is the barrier's log sum at the point barrierValue last
+	// evaluated. factored marks that this point is the iterate
+	// newtonStep last accepted, so every block's chol holds the factor
+	// of Z there and the next gradHess takes both over instead of
+	// evaluating them again. Only the acceptance sets it; every other
+	// path that factors or moves the iterate clears it.
+	factored bool
+	logs     float64
 }
 
 // newWorkspace compiles p's blocks and rows and allocates the scratch.
@@ -397,8 +406,16 @@ func (ws *workspace) setExt(ext int) {
 // gradHess evaluates, at a strictly feasible (y,s), the barrier
 // objective f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + box/row/s barriers]
 // (returned), its gradient (ws.grad) and −Hessian (ws.hess, SPD for
-// Cholesky); ok=false when (y,s) is not strictly feasible.
+// Cholesky); ok=false when (y,s) is not strictly feasible. The block
+// factors and the log sum come from barrierValue at y, unless the
+// workspace is already factored there.
 func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS bool) (f float64, ok bool) {
+	if !ws.factored {
+		if _, ok := ws.barrierValue(p, y, mu, gamma, useS); !ok {
+			return 0, false
+		}
+	}
+	ws.factored = false
 	m := p.M
 	ext := m
 	if useS {
@@ -414,15 +431,10 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 		f += p.B[i] * y[i]
 	}
 	s := 0.0
-	logs := 0.0
 	if useS {
 		// s ≥ 0 barrier and penalty.
 		s = y[m]
-		if s < 1e-300 {
-			return 0, false
-		}
 		f -= gamma * s
-		logs = math.Log(s)
 		grad[m] = -gamma + mu/s
 		hess[m*ext+m] += mu / (s * s)
 	}
@@ -431,19 +443,11 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 	for i := 0; i < m; i++ {
 		if !math.IsInf(p.Lo[i], -1) {
 			d := y[i] - p.Lo[i]
-			if d <= 0 {
-				return 0, false
-			}
-			logs += math.Log(d)
 			grad[i] += mu / d
 			hess[i*ext+i] += mu / (d * d)
 		}
 		if !math.IsInf(p.Up[i], 1) {
 			d := p.Up[i] - y[i]
-			if d <= 0 {
-				return 0, false
-			}
-			logs += math.Log(d)
 			grad[i] -= mu / d
 			hess[i*ext+i] += mu / (d * d)
 		}
@@ -453,10 +457,6 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 	for k := range ws.rows {
 		rw := &ws.rows[k]
 		slack := rw.slack(y, s)
-		if slack <= 0 {
-			return 0, false
-		}
-		logs += math.Log(slack)
 		nz := len(rw.idx)
 		if !useS {
 			nz--
@@ -478,10 +478,6 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 	// H_ij = −μ tr(Zinv A_i Zinv A_j), so −H is PSD.
 	for k := range ws.blocks {
 		bw := &ws.blocks[k]
-		if !bw.factor(y, s) {
-			return 0, false
-		}
-		logs += bw.chol.LogDet()
 		bw.chol.InverseInto(bw.zinv)
 		bw.fill()
 		for ki, i := range bw.live {
@@ -509,12 +505,13 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 			hess[m*ext+m] += mu * bw.zinv.InnerProd(bw.zinv)
 		}
 	}
-	return f + mu*logs, true
+	return f + mu*ws.logs, true
 }
 
 // barrierValue evaluates the penalty-barrier objective
-// f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + log s + box/row logs];
-// ok=false when (y,s) is not strictly feasible.
+// f(y,s) = bᵀy − Γs + μ[Σ logdet(Z_k+sI) + log s + box/row logs],
+// leaving every block's chol factored at (y,s) and the log sum in
+// ws.logs; ok=false when (y,s) is not strictly feasible.
 func (ws *workspace) barrierValue(p *Problem, y []float64, mu, gamma float64, useS bool) (float64, bool) {
 	m := p.M
 	s := 0.0
@@ -561,15 +558,23 @@ func (ws *workspace) barrierValue(p *Problem, y []float64, mu, gamma float64, us
 		}
 		logs += bw.chol.LogDet()
 	}
+	ws.logs = logs
 	return f + mu*logs, true
 }
 
 // newtonStep performs one damped Newton iteration on y at the given mu,
 // with an Armijo condition on the barrier value so the iterate tracks
 // the central path. Returns the Newton decrement (−1 on failure).
+func (ws *workspace) newtonStep(p *Problem, y []float64, mu, gamma float64, useS bool) float64 {
+	return ws.newtonStepFrom(p, y, mu, gamma, useS, 1)
+}
+
+// newtonStepFrom is newtonStep with the line search's first trial at
+// step length t0 instead of the full step. An accepted trial leaves
+// every block factored at the new y (ws.factored).
 //
 //ugo:hotpath
-func (ws *workspace) newtonStep(p *Problem, y []float64, mu, gamma float64, useS bool) float64 {
+func (ws *workspace) newtonStepFrom(p *Problem, y []float64, mu, gamma float64, useS bool, t0 float64) float64 {
 	f0, dec, ok := ws.direction(p, y, mu, gamma, useS)
 	if !ok {
 		return -1
@@ -577,13 +582,14 @@ func (ws *workspace) newtonStep(p *Problem, y []float64, mu, gamma float64, useS
 	ext := len(ws.delta)
 	cand := ws.cand
 	copy(cand, y)
-	for t := 1.0; t > 1e-13; t *= 0.5 {
+	for t := t0; t > 1e-13; t *= 0.5 {
 		for i := 0; i < ext; i++ {
 			cand[i] = y[i] + t*ws.delta[i]
 		}
 		fv, ok := ws.barrierValue(p, cand, mu, gamma, useS)
 		if ok && fv >= f0+0.1*t*dec {
 			copy(y, cand)
+			ws.factored = true
 			return dec
 		}
 	}
@@ -622,6 +628,7 @@ func (ws *workspace) direction(p *Problem, y []float64, mu, gamma float64, useS 
 // slack; useS=false checks the original system (s treated as 0, y has
 // length m).
 func (ws *workspace) strictlyFeasible(p *Problem, y []float64, useS bool) bool {
+	ws.factored = false
 	m := p.M
 	s := 0.0
 	if useS {

@@ -479,3 +479,70 @@ func TestNewtonStepDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// An accepted Newton step leaves every block factored at the new y, and
+// the next gradHess takes the factors and the log sum over instead of
+// computing them again. It must return what a freshly compiled
+// workspace computes at the same point, to the bit, also at the next
+// level's μ. After any other evaluation that factors — at s = 0, or a
+// line-search trial after the gradient took the factors over — the
+// next gradHess must factor afresh.
+func TestGradHessReusesAcceptedFactor(t *testing.T) {
+	shapes := []int{shapeSparse, shapeRankOneDense, shapeNil, shapeRankOneSparse, shapeDense, shapeSparse}
+	for _, orders := range [][]int{{5}, {5, 3}} {
+		for _, useS := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(13))
+			blockShapes := make([][]int, len(orders))
+			for k := range blockShapes {
+				blockShapes[k] = shapes
+			}
+			p, y := randProblem(rng, orders, blockShapes, 3)
+			ws := newWorkspace(p)
+			const gamma = 5.0
+			mu := 1.0
+			between := []struct {
+				name    string
+				factors func()
+			}{
+				{"nothing", func() {}},
+				{"strictlyFeasible", func() { ws.strictlyFeasible(p, y, false) }},
+				{"rigorousUpperBound", func() { ws.rigorousUpperBound(p, y[:p.M], 0, mu) }},
+				{"a gradient and a rejected trial", func() {
+					ws.gradHess(p, y, mu, gamma, useS)
+					trial := append([]float64(nil), y...)
+					for i := range trial {
+						trial[i] += 1e-3
+					}
+					ws.barrierValue(p, trial, mu, gamma, useS)
+				}},
+			}
+			for step := 0; step < 8; step++ {
+				if ws.newtonStep(p, y, mu, gamma, useS) < 0 {
+					t.Fatalf("blocks %v useS=%v step %d: Newton step failed", orders, useS, step)
+				}
+				if !ws.factored {
+					t.Fatalf("blocks %v useS=%v step %d: accepted step did not mark the factors", orders, useS, step)
+				}
+				mu *= sigma
+				b := between[step%len(between)]
+				b.factors()
+				f, ok := ws.gradHess(p, y, mu, gamma, useS)
+				fresh := newWorkspace(p)
+				want, wantOK := fresh.gradHess(p, y, mu, gamma, useS)
+				if !ok || !wantOK || !num.ExactEq(f, want) {
+					t.Fatalf("blocks %v useS=%v step %d after %s: value %v (ok=%v), fresh %v (ok=%v)", orders, useS, step, b.name, f, ok, want, wantOK)
+				}
+				for i, g := range fresh.grad {
+					if !num.ExactEq(ws.grad[i], g) {
+						t.Fatalf("blocks %v useS=%v step %d after %s: grad[%d] = %v, fresh %v", orders, useS, step, b.name, i, ws.grad[i], g)
+					}
+				}
+				for i, h := range fresh.hess.A {
+					if !num.ExactEq(ws.hess.A[i], h) {
+						t.Fatalf("blocks %v useS=%v step %d after %s: hess cell %d = %v, fresh %v", orders, useS, step, b.name, i, ws.hess.A[i], h)
+					}
+				}
+			}
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 // — just weaker — bound. If some variable with a nonzero residual has an
 // infinite bound the certificate degenerates to +Inf (no pruning).
 func (ws *workspace) rigorousUpperBound(p *Problem, y []float64, s, mu float64) float64 {
+	ws.factored = false
 	m := p.M
 	resid := ws.resid
 	copy(resid, p.B)

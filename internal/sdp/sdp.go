@@ -5,7 +5,10 @@
 //	s.t. C_k − Σ_i A_{k,i} y_i ⪰ 0   for every block k,
 //	     lo ≤ y ≤ up,   aᵀy ≤ rhs (linear rows),
 //
-// via a log-det barrier method with damped Newton steps. It stands in
+// via a log-det barrier method with damped Newton steps on a long-step μ
+// schedule: loose centring between μ-levels, a tangent-length first
+// step at each new level, tight centring only at the iterates the
+// caller reads (sigma, theta). It stands in
 // for the interior-point engines (Mosek) the original SCIP-SDP links
 // against. The paper's penalty formulation — which SCIP-SDP uses to
 // retain solvability when branching destroys the Slater condition — is
@@ -33,10 +36,12 @@
 // its factor, the direction and the line-search candidate — lives in one
 // workspace allocated with the compiled form, so a step allocates
 // nothing; the factor of Z that the gradient needs also yields the
-// barrier value the line search starts from. The form is rebuilt per
-// Solve rather than cached on the Problem: the scan is O(m·n²) once
-// against some eighty Newton steps, branch and bound hands every node a
-// different reduced problem, and ParaSolvers share the Blocks.
+// barrier value the line search starts from, and the factors and
+// value of the trial the line search accepts are the next gradient's.
+// The form is rebuilt per Solve rather than cached on the Problem: the
+// scan is O(m·n²) once against thirty to sixty Newton steps, branch and
+// bound hands every node a different reduced problem, and ParaSolvers
+// share the Blocks.
 package sdp
 
 import (
@@ -96,6 +101,16 @@ type Result struct {
 
 // maxNewtonIter is the Newton iteration budget of one solve.
 const maxNewtonIter = 6000
+
+// The μ schedule: μ falls by the factor sigma per level. A level opens
+// with a tangent-length step (the line search's first trial at
+// t = sigma) and ends once the Newton decrement falls below theta·μ.
+// Only the iterates the caller reads are centred tightly: the last
+// penalty level's, reported when the slack stays, and the μ_F polish.
+const (
+	sigma = 0.2
+	theta = 0.1
+)
 
 // Options carries the solver's internal re-solve state; callers pass
 // Options{}. The barrier parameters derive from the problem's scale
@@ -237,6 +252,7 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 
 	// Extended variable vector: [y; s] with s the identity slack.
 	y := make([]float64, m+1)
+	ws.factored = false // y is set below without a Newton step
 	ws.startPoint(p, y)
 	warmStarted := false
 	if opt.startY != nil && ws.strictlyFeasible(p, opt.startY, false) {
@@ -250,19 +266,26 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	iters := 0
 	converged := true
 	useS := !warmStarted
-	newtonStep := func(mu float64) float64 {
-		return ws.newtonStep(p, y, mu, gamma, useS)
-	}
-	runLevel := func(mu float64, cap int) {
+	// runLevel centres y at mu, to λ² = dec/μ < theta or, when tight,
+	// < 1e-9. At the previous level's centre the Newton direction at
+	// σμ is ((1−σ)/σ) times the tangent to the central path, so the
+	// first step tries t = σ, the tangent step, before halving.
+	runLevel := func(mu float64, cap int, tight bool) {
+		tol := theta
+		if tight {
+			tol = 1e-9
+		}
+		t0 := sigma
 		for step := 0; step < cap; step++ {
 			iters++
 			if iters > maxNewtonIter {
 				return
 			}
-			dec := newtonStep(mu)
-			if dec < 0 || dec < 1e-9*mu+1e-12 {
+			dec := ws.newtonStepFrom(p, y, mu, gamma, useS, t0)
+			if dec < 0 || dec < tol*mu+1e-12 {
 				return
 			}
+			t0 = 1
 		}
 		if mu < 1e-3*muInit {
 			converged = false
@@ -277,12 +300,15 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	// loses all precision.
 	if useS {
 		switchAt := math.Max(muFinal, 1e-4*muInit)
-		for ; mu >= switchAt && iters <= maxNewtonIter; mu *= 0.2 {
-			runLevel(mu, 400)
+		for ; mu >= switchAt && iters <= maxNewtonIter; mu *= sigma {
+			// The last level's iterate is the one finishAt reports when
+			// the slack stays.
+			runLevel(mu, 400, mu*sigma < switchAt)
 			if ws.strictlyFeasible(p, y, false) {
 				useS = false
 				y[m] = 0
-				mu *= 0.2
+				ws.factored = false
+				mu *= sigma
 				break
 			}
 		}
@@ -290,13 +316,13 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	if !useS {
 		// Phase C: clean barrier on the original problem down to μ_final,
 		// then polish so the certified bound's residual term vanishes.
-		for ; mu >= muFinal && iters <= maxNewtonIter; mu *= 0.2 {
-			runLevel(mu, 60)
+		for ; mu >= muFinal && iters <= maxNewtonIter; mu *= sigma {
+			runLevel(mu, 60, false)
 		}
-		muF := mu / 0.2
+		muF := mu / sigma
 		for step := 0; step < 60 && iters <= maxNewtonIter; step++ {
 			iters++
-			dec := newtonStep(muF)
+			dec := ws.newtonStep(p, y, muF, gamma, useS)
 			if dec < 0 || dec < 1e-16*(1+scale) {
 				break
 			}
@@ -309,7 +335,7 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	}
 	// The slack could not be dropped within phase P.
 	res.Iters = iters
-	finishAt(p, ws, res, y, mu/0.2)
+	finishAt(p, ws, res, y, mu/sigma)
 	res.Status = Solved
 	if res.Penalty > 1e-4*(1+math.Abs(res.Obj)/math.Max(1, scale)) && !opt.phase1 {
 		// The identity slack would not go to zero: either the problem is
