@@ -52,7 +52,8 @@ func BenchmarkLPResolve(b *testing.B) {
 // The factor's per-pivot operations, the yᵀA product and the dual
 // steepest-edge update run on arenas that persist across refactors: once
 // those have grown to their working size, a solve, an eta update, a
-// pricing product or a weight update allocates nothing.
+// pricing product or a weight update allocates nothing. Neither does a
+// basis snapshot into a reused Basis, nor reloading it.
 func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 	p, n := resolveProblem()
 	s := NewSolver(p)
@@ -84,6 +85,7 @@ func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 	stack() // grow the arenas once
 	w := append([]float64(nil), s.ftran(n-1)...)
 	r := largest(w)
+	var snap Basis
 	for _, op := range []struct {
 		name string
 		run  func()
@@ -98,6 +100,12 @@ func TestFactorHotOpsDoNotAllocate(t *testing.T) {
 		}},
 		{"eta update", stack},
 		{"dual steepest-edge update", func() { s.btranUnit(r); s.updateDSE(r, w) }},
+		{"basis snapshot", func() { s.Basis(&snap) }},
+		{"basis reload", func() {
+			if !s.SetBasis(&snap) {
+				t.Fatal("the snapshot of a factored basis was not reloaded")
+			}
+		}},
 	} {
 		if allocs := testing.AllocsPerRun(50, op.run); allocs != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", op.name, allocs)

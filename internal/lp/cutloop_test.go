@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -158,4 +159,74 @@ func BenchmarkLPDenseCutResolve(b *testing.B) {
 		b.Fatalf("cut loop stopped at %d rows, want 100", rows)
 	}
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}
+
+// mostFractional returns the column of x nearest to ½ other than skip.
+func mostFractional(x []float64, skip int) int {
+	best, dist := -1, 1.0
+	for j, v := range x {
+		if d := math.Abs(v - 0.5); j != skip && d < dist {
+			best, dist = j, d
+		}
+	}
+	return best
+}
+
+// BenchmarkLPNodeJump is the LP of a best-first search that jumps
+// between two subtrees. After the root cut loop of a PUC analogue (300
+// cut rows), the root's most fractional arc is fixed to 0 and to 1: two
+// sibling nodes, each solved from the root's basis and snapshotted. An
+// op is the LP of a child of one sibling, the two siblings in turn: the
+// sibling's own most fractional arc fixed to 0 or 1. In reload the
+// sibling's snapshot is installed first; in carry the LP starts from
+// the basis the previous op left, the other subtree's, as the node loop
+// did before it kept snapshots. iters/op is the deterministic counter.
+func BenchmarkLPNodeJump(b *testing.B) {
+	sap, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
+	s := lp.NewSolver(p)
+	sol := s.Solve()
+	for s.NumRows() < p.NumRows()+300 && sol.Status == lp.Optimal {
+		cuts := steinerCuts(sap, sol.X, len(sap.Arcs))
+		if len(cuts) == 0 {
+			break
+		}
+		for _, c := range cuts {
+			s.AddRow(lp.GE, 1, c)
+		}
+		sol = s.Solve()
+	}
+	root := s.Basis(&lp.Basis{})
+	arc := mostFractional(sol.X, -1)
+	var sibling [2]struct {
+		snap  lp.Basis
+		child int
+	}
+	for k := range sibling {
+		s.SetBasis(root)
+		s.SetBound(arc, float64(k), float64(k))
+		x := s.Solve()
+		if x.Status != lp.Optimal {
+			b.Fatalf("sibling %d: %v", k, x.Status)
+		}
+		s.Basis(&sibling[k].snap)
+		sibling[k].child = mostFractional(x.X, arc)
+	}
+	for _, mode := range []string{"reload", "carry"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			iters := 0
+			for i := 0; i < b.N; i++ {
+				k, v := i%2, float64(i/2%2)
+				sib := &sibling[k]
+				s.SetBound(sibling[1-k].child, 0, 1)
+				s.SetBound(arc, float64(k), float64(k))
+				s.SetBound(sib.child, v, v)
+				if mode == "reload" {
+					s.SetBasis(&sib.snap)
+				}
+				iters += s.Solve().Iters
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		})
+	}
 }

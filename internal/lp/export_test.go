@@ -5,8 +5,8 @@ import "math"
 // Hooks for the external tests (package lp_test), which may import the
 // Steiner and MISDP packages this package must not.
 
-// Basis returns the column basic at each position.
-func (s *Solver) Basis() []int { return s.basis }
+// BasicCols returns the column basic at each position.
+func (s *Solver) BasicCols() []int { return s.basis }
 
 // ForceBasis installs basis without factoring it: every other column goes
 // nonbasic at a finite bound, and the factor is marked out of date so

@@ -62,7 +62,7 @@ func (md *model) dense(basis []int) (b, bt []float64) {
 func checkAgainstOracle(t *testing.T, what string, s *lp.Solver, md *model, rng *rand.Rand) {
 	t.Helper()
 	m := len(md.rows)
-	b, bt := md.dense(s.Basis())
+	b, bt := md.dense(s.BasicCols())
 	lu, err := linalg.FactorLU(m, b)
 	if err != nil {
 		t.Fatalf("%s: oracle cannot factor the basis: %v", what, err)
@@ -107,7 +107,7 @@ func bringIn(t *testing.T, what string, s *lp.Solver, md *model, rng *rand.Rand)
 	for tries := 0; tries <= 100*total; tries++ {
 		enter := rng.Intn(total)
 		basic := false
-		for _, j := range s.Basis() {
+		for _, j := range s.BasicCols() {
 			basic = basic || j == enter
 		}
 		if basic || enter < md.n && !md.hasColumn(enter) {
@@ -160,7 +160,7 @@ func (md *model) hasColumn(j int) bool {
 
 func basicStructurals(s *lp.Solver, n int) int {
 	k := 0
-	for _, j := range s.Basis() {
+	for _, j := range s.BasicCols() {
 		if j < n {
 			k++
 		}
@@ -362,7 +362,7 @@ func TestSingularBasisIsReportedAndRecovered(t *testing.T) {
 			t.Fatalf("%s: recovered solve gives %v %v, a fresh solve %v %v", c.name, got.Status, got.Obj, want.Status, want.Obj)
 		}
 		if k := basicStructurals(s, 2); k == 2 {
-			t.Fatalf("%s: final basis %v still holds both parallel columns", c.name, s.Basis())
+			t.Fatalf("%s: final basis %v still holds both parallel columns", c.name, s.BasicCols())
 		}
 	}
 }

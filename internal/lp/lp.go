@@ -42,6 +42,17 @@
 // AddRow starts at 1, and DeleteRows compacts the weights with the
 // basis; refactors and cost shifts leave them as they are.
 //
+// A basis is also a value. Basis(dst) writes a compact snapshot into
+// buffers the caller reuses: two bits of state per column, slacks
+// included, and the float32 steepest-edge weight of each basic column,
+// in ascending column order; positions are not kept. SetBasis installs a
+// snapshot: the basic columns take the positions in ascending order,
+// rows added since get basic slacks of weight 1, nonbasic columns are
+// pegged to the bounds they have now, and the basis is factored once,
+// giving way to the all-slack basis if it is singular. A snapshot taken
+// before a DeleteRows is refused. A search tree keeps one per node with
+// children, for a child whose LP starts after the search jumped.
+//
 // Every product yᵀA — the pivot row and the reduced costs — runs over
 // the row copy, touching only the rows with y_i ≠ 0, and adds each
 // column's terms in increasing row order, so it equals the

@@ -41,6 +41,7 @@ type Solver struct {
 
 	basis    []int // basis[i] = column basic at position i
 	state    []int8
+	epoch    int       // DeleteRows calls so far: a Basis from an earlier epoch has other rows
 	fac      factor    // sparse factorization of the basis matrix
 	xb       []float64 // basic variable values
 	hasBasis bool
@@ -305,32 +306,8 @@ func (s *Solver) AddRow(sense Sense, rhs float64, coefs []Nonzero) int {
 func (s *Solver) SetBound(j int, lo, up float64) {
 	s.lo[j] = lo
 	s.up[j] = up
-	if !s.hasBasis {
-		return
-	}
-	switch s.state[j] {
-	case stLower:
-		if math.IsInf(lo, -1) {
-			if math.IsInf(up, 1) {
-				s.state[j] = stFree
-			} else {
-				s.state[j] = stUpper
-			}
-		}
-	case stUpper:
-		if math.IsInf(up, 1) {
-			if math.IsInf(lo, -1) {
-				s.state[j] = stFree
-			} else {
-				s.state[j] = stLower
-			}
-		}
-	case stFree:
-		if !math.IsInf(lo, -1) {
-			s.state[j] = stLower
-		} else if !math.IsInf(up, 1) {
-			s.state[j] = stUpper
-		}
+	if s.hasBasis {
+		s.peg(j)
 	}
 }
 
@@ -434,6 +411,7 @@ func (s *Solver) DeleteRows(del []bool) {
 		s.basis, s.xb, s.dse = s.basis[:p], s.xb[:p], s.dse[:p]
 	}
 	s.m = k
+	s.epoch++
 	s.pricing = priceStale
 	if s.hasBasis {
 		s.refactor()

@@ -83,10 +83,15 @@ func startInfeasibility(s *Solver) (primal, dual bool) {
 // bounds, in status and in objective to 1e-7 relative, and every
 // Optimal answer carries a KKT certificate. A step applies one or two
 // edits, so some warm starts are both primal and dual infeasible; the
-// test asserts that some were.
+// test asserts that some were. Some steps reload a snapshot Basis taken
+// after an earlier step, after this step's edits, as a search tree that
+// jumps reloads a parent's basis; a snapshot taken before a DeleteRows
+// must be refused. The reload decisions draw from a second source, so
+// they do not shift the stream the edits draw from.
 func TestWarmEditsMatchFreshSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	var both, deletedNonbasic, solves int
+	reload := rand.New(rand.NewSource(36))
+	var both, deletedNonbasic, solves, reloads, refused int
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(8)
 		p := randomFeasibleLP(rng, n, 1+rng.Intn(8))
@@ -96,6 +101,8 @@ func TestWarmEditsMatchFreshSolve(t *testing.T) {
 			w.cut = append(w.cut, false)
 		}
 		s := NewSolver(p)
+		var snap *Basis
+		deletedSince := false
 		last := &Solution{Status: IterLimit}
 		if trial%4 != 0 { // every fourth run starts editing before any basis exists
 			last = s.Solve()
@@ -156,6 +163,7 @@ func TestWarmEditsMatchFreshSolve(t *testing.T) {
 					}
 					s.DeleteRows(del)
 					w.deleteRows(del)
+					deletedSince = true
 				case 3: // move a bound, sometimes to infinity
 					j := rng.Intn(n)
 					lo, up := p.Lo[j], p.Up[j]
@@ -182,6 +190,17 @@ func TestWarmEditsMatchFreshSolve(t *testing.T) {
 					s.SetObj(j, w.p.Obj[j])
 				}
 			}
+			if snap != nil && reload.Intn(3) == 0 {
+				if deletedSince {
+					if s.SetBasis(snap) {
+						t.Fatalf("trial %d step %d: a snapshot taken before DeleteRows was installed", trial, step)
+					}
+					snap = nil
+					refused++
+				} else if s.SetBasis(snap) {
+					reloads++
+				}
+			}
 			if pr, du := startInfeasibility(s); pr && du {
 				both++
 			}
@@ -200,11 +219,17 @@ func TestWarmEditsMatchFreshSolve(t *testing.T) {
 				verifyOptimal(t, q, fresh)
 			}
 			last = warm
+			if reload.Intn(3) == 0 {
+				snap = s.Basis(&Basis{})
+				deletedSince = false
+			}
 		}
 	}
-	t.Logf("%d solves, %d started primal and dual infeasible, %d nonbasic slacks deleted", solves, both, deletedNonbasic)
-	if both == 0 || deletedNonbasic == 0 {
-		t.Fatalf("no start was both primal and dual infeasible (%d) or no nonbasic slack was deleted (%d)", both, deletedNonbasic)
+	t.Logf("%d solves, %d started primal and dual infeasible, %d nonbasic slacks deleted, %d snapshots reloaded, %d refused",
+		solves, both, deletedNonbasic, reloads, refused)
+	if both == 0 || deletedNonbasic == 0 || reloads == 0 || refused == 0 {
+		t.Fatalf("no start was both primal and dual infeasible (%d), no nonbasic slack was deleted (%d), or no snapshot was reloaded (%d) or refused (%d)",
+			both, deletedNonbasic, reloads, refused)
 	}
 }
 

@@ -21,6 +21,13 @@ type Node struct {
 	kids int32
 	done bool
 
+	// snap is 1 + the index in Solver.snaps of the LP basis the node
+	// ended with, 0 for none: a node with children keeps it until each
+	// child's LP has started (unstarted counts those that have not), for
+	// a child whose LP starts after the search jumped.
+	snap      int32
+	unstarted int32
+
 	// ownChg is inline storage for the builtin brancher's single bound
 	// change, so a steady-state branch needs no per-child slice.
 	ownChg [1]BoundChg

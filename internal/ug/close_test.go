@@ -15,8 +15,10 @@ import (
 // closed-and-drained comm reports "nothing pending", which is
 // indistinguishable from a quiet moment mid-search.
 func TestRunExitsWhenCommClosedMidRun(t *testing.T) {
-	// A large instance so the solve is still in flight when Close hits.
-	ff := &fakeFactory{lo: 0, hi: 1 << 40, chunk: 100}
+	// A large instance so the solve is still in flight when Close hits,
+	// and a bound below every objective, so the requeued root's reported
+	// bound cannot close the gap against the incumbent.
+	ff := &fakeFactory{lo: 0, hi: 1 << 40, chunk: 100, bound: -1}
 	c := comm.NewChannelComm(3)
 	type runRes struct {
 		res *Result

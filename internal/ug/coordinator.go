@@ -407,7 +407,7 @@ func (co *coordinator) abortClosed() {
 	co.trace.Emit(obs.Event{Kind: obs.KindRunStop, Open: co.active})
 	for rank := range co.ranks {
 		sub, _ := co.release(rank)
-		co.requeue(sub)
+		co.requeue(rank, sub)
 	}
 	co.race = raceOff
 }
@@ -451,10 +451,13 @@ func (co *coordinator) pushPool(sub *Subproblem) {
 	co.poolGauge.Set(int64(len(co.pool)))
 }
 
-// requeue returns an unfinished subproblem (nil: none) to the pool as a
-// primitive node. During racing every rank holds the same root, so it
-// goes back at most once.
-func (co *coordinator) requeue(sub *Subproblem) {
+// requeue returns the unfinished subproblem rank held (nil: none) to the
+// pool as a primitive node. Its bound rises to the rank's last reported
+// one when that is finite and higher: the rank's dual bound holds for
+// the whole subtree, and the root's dispatch bound is −Inf. During
+// racing every rank holds the same root, so it goes back at most once,
+// with the best bound any racer still holding it has reported.
+func (co *coordinator) requeue(rank int, sub *Subproblem) {
 	if sub == nil {
 		return
 	}
@@ -463,8 +466,21 @@ func (co *coordinator) requeue(sub *Subproblem) {
 			return
 		}
 		co.rootRequeued = true
+		for _, r := range co.ranks {
+			if r.sub == sub {
+				raiseBound(sub, r.bound)
+			}
+		}
 	}
+	raiseBound(sub, co.ranks[rank].bound)
 	co.pushPool(sub)
+}
+
+// raiseBound lifts sub's bound to b when b is finite and higher.
+func raiseBound(sub *Subproblem, b float64) {
+	if b > sub.Bound && !math.IsInf(b, 1) {
+		sub.Bound = b
+	}
 }
 
 // release is where a rank gives up its subproblem — finished,
@@ -711,7 +727,7 @@ func (co *coordinator) handle(m comm.Message) {
 			// A racer stopped or extracted after the winner was chosen
 			// leaves nothing behind; only a stop can strand the root.
 			if co.race == raceOff || co.stopping {
-				co.requeue(sub)
+				co.requeue(m.From, sub)
 			}
 		}
 		co.idle = append(co.idle, m.From)
@@ -760,7 +776,7 @@ func (co *coordinator) handlePeerDown(rank int) {
 	// would otherwise lose it — the chosen winner died, or the last racer
 	// is gone.
 	if co.race == raceOff || rank == co.winnerRank || co.active == 0 {
-		co.requeue(sub)
+		co.requeue(rank, sub)
 	}
 }
 

@@ -141,7 +141,8 @@ func interrupted(nodes int64, open int) Outcome { return Outcome{Nodes: nodes, O
 // its trace event sequence, the tags every rank receives and the run's
 // result — on scripted three-rank runs covering dispatch, collect mode,
 // incumbent broadcast, racing (node-limit winner, a racer that solves the
-// instance, the winner lost during wind-up), cancellation and a closed
+// instance, the winner lost during wind-up), cancellation (a stopped
+// rank's reported bound goes back with its subproblem) and a closed
 // transport. RacingTime is an hour, so only a status report with at least
 // 50 open nodes ends a race.
 func TestCoordinatorScript(t *testing.T) {
@@ -261,12 +262,11 @@ func TestCoordinatorScript(t *testing.T) {
 				"solver.idle r2 s0 d0 p0 o0 \"\"",
 				"dual r0 s0 d2 p+Inf o0 \"\"",
 				"comm.peerdown r1 s0 d0 p0 o0 \"\"",
-				"dual r0 s0 d-Inf p+Inf o0 \"\"",
 				"collect.node r1 s3 d5 p0 o0 \"\"",
 				"outcome r3 s0 d0 p0 o49 \"interrupted\"",
 				"solver.idle r3 s0 d0 p0 o0 \"\"",
 				"racing.done r0 s0 d0 p0 o4 \"\"",
-				"dispatch r3 s0 d-Inf p0 o0 \"\"",
+				"dispatch r3 s0 d2 p0 o0 \"\"", // the winner's bound went back with the root
 				"solver.busy r3 s0 d0 p0 o0 \"\"",
 				"dispatch r2 s1 d3 p0 o0 \"\"",
 				"solver.busy r2 s0 d0 p0 o0 \"\"",
@@ -378,6 +378,36 @@ func TestCoordinatorScript(t *testing.T) {
 			wantResult: "optimal=false infeasible=false obj=0 dual=-Inf open=11 dispatched=3 collected=3 collectPhases=1 maxActive=3 winner=-1 \"\" solvedInRacing=false",
 		},
 		{
+			// The stopped rank's last reported bound, not the root's −Inf,
+			// goes back to the pool with the root and is the final bound.
+			name: "stop-keeps-reported-bound",
+			cfg:  normal,
+			script: func(s *coordScript) {
+				s.send(3, comm.TagStatus, StatusReport{Bound: 5, Open: 2, Nodes: 3})
+				close(s.cancel)
+				s.settle()
+				s.send(3, comm.TagTerminated, interrupted(4, 2))
+			},
+			wantEvents: []string{
+				"run.start r0 s0 d0 p0 o3 \"\"",
+				"dispatch r3 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r3 s0 d0 p0 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
+				"status r3 s0 d5 p0 o2 \"\"",
+				"dual r0 s0 d5 p+Inf o0 \"\"",
+				"run.stop r0 s0 d0 p0 o1 \"\"",
+				"outcome r3 s0 d0 p0 o2 \"interrupted\"",
+				"solver.idle r3 s0 d0 p0 o0 \"\"",
+				"run.end r0 s0 d5 p+Inf o0 \"\"",
+			},
+			wantTags: []string{
+				"r1: termination",
+				"r2: termination",
+				"r3: subproblem startCollect stop termination",
+			},
+			wantResult: "optimal=false infeasible=false obj=0 dual=5 open=3 dispatched=1 collected=0 collectPhases=1 maxActive=1 winner=-1 \"\" solvedInRacing=false",
+		},
+		{
 			name: "cancel-mid-race",
 			cfg:  racing,
 			script: func(s *coordScript) {
@@ -439,6 +469,8 @@ func TestCoordinatorScript(t *testing.T) {
 			wantResult: "optimal=false infeasible=false obj=0 dual=-Inf open=2 dispatched=2 collected=1 collectPhases=1 maxActive=2 winner=-1 \"\" solvedInRacing=false",
 		},
 		{
+			// Rank 1 is released first and never reported; rank 2's
+			// bound 1 still goes back with the shared root.
 			name: "closed-comm-mid-race",
 			cfg:  racing,
 			script: func(s *coordScript) {
@@ -456,14 +488,14 @@ func TestCoordinatorScript(t *testing.T) {
 				"solver.busy r3 s0 d0 p0 o0 \"\"",
 				"status r2 s0 d1 p0 o3 \"\"",
 				"run.stop r0 s0 d0 p0 o3 \"\"",
-				"run.end r0 s0 d-Inf p+Inf o0 \"\"",
+				"run.end r0 s0 d1 p+Inf o0 \"\"",
 			},
 			wantTags: []string{
 				"r1: racing",
 				"r2: racing",
 				"r3: racing",
 			},
-			wantResult: "optimal=false infeasible=false obj=0 dual=-Inf open=1 dispatched=3 collected=0 collectPhases=0 maxActive=3 winner=-1 \"\" solvedInRacing=false",
+			wantResult: "optimal=false infeasible=false obj=0 dual=1 open=1 dispatched=3 collected=0 collectPhases=0 maxActive=3 winner=-1 \"\" solvedInRacing=false",
 		},
 	}
 	for _, tc := range cases {

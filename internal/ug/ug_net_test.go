@@ -77,7 +77,10 @@ func TestDistributedWorkerDeathRequeues(t *testing.T) {
 			Tag: comm.TagStatus, Nth: 3, Action: netcomm.FaultDisconnect})},
 	}
 	sink := &obs.MemSink{}
-	res, err := runDistributed(t, &fakeFactory{lo: lo, hi: hi, chunk: chunk}, 2,
+	// A bound below every objective: the lost rank's reported bound goes
+	// back with the root and must not close the gap, so the root is
+	// dispatched again.
+	res, err := runDistributed(t, &fakeFactory{lo: lo, hi: hi, chunk: chunk, bound: -1}, 2,
 		Config{StatusInterval: 1e-4, ShipInterval: 1e-4, Trace: obs.NewTracer(sink)}, wOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +253,9 @@ func TestDistributedAllWorkersDeadErrors(t *testing.T) {
 		1: {Fault: netcomm.NewFaultPlan(netcomm.FaultRule{
 			Tag: comm.TagStatus, Nth: 2, Action: netcomm.FaultDisconnect})},
 	}
-	_, err := runDistributed(t, &fakeFactory{lo: 0, hi: 200000, chunk: 50}, 1,
+	// A bound below every objective, so the lost root, requeued with it,
+	// is still work left.
+	_, err := runDistributed(t, &fakeFactory{lo: 0, hi: 200000, chunk: 50, bound: -1}, 1,
 		Config{StatusInterval: 1e-4, ShipInterval: 1e-4}, wOpts)
 	if err == nil {
 		t.Fatal("coordinator reported success with all workers dead")

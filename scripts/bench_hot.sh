@@ -24,7 +24,9 @@
 # step a function; BenchmarkSDPNewtonStepDenseReference, the same system
 # from the test oracle's dense formulas, is its "before" in the same run.
 # Likewise BenchmarkMaxFlowFresh, which builds a network per sink, is the
-# same-run "before" of BenchmarkMaxFlowReset.
+# same-run "before" of BenchmarkMaxFlowReset, and BenchmarkLPNodeJump/carry,
+# which re-solves from the other subtree's basis, that of
+# BenchmarkLPNodeJump/reload, which reloads the parent's snapshot first.
 #
 # The committed BENCH_hotpath.json is the record of what the hotalloc
 # fixes bought; CI regenerates it as a build artifact. allocs/op is the
@@ -52,6 +54,8 @@ run_bench() {
     (cd "$1" &&
         go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "$BENCHTIME" $PKGS 2>/dev/null &&
         go test -run '^$' -bench "$LOOP_BENCHES" -benchmem -benchtime "$LOOP_BENCHTIME" ./internal/lp 2>/dev/null &&
+        # Node LPs after a jump in the search tree, milliseconds per op.
+        go test -run '^$' -bench '^BenchmarkLPNodeJump$' -benchmem -benchtime 200x ./internal/lp 2>/dev/null &&
         go test -run '^$' -bench "$SOLVE_BENCHES" -benchmem -benchtime "$SOLVE_BENCHTIME" ./internal/sdp 2>/dev/null) |
         awk '/^pkg:/ { pkg = $2 }
              $1 ~ /^Benchmark/ && $NF == "allocs/op" {

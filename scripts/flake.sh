@@ -16,7 +16,7 @@ COUNT="${COUNT:-20}"
 if [ "$#" -gt 0 ]; then
     PKGS="$*"
 else
-    PKGS="./internal/serve ./internal/sdp ./internal/linalg ./internal/lp ./internal/misdp ./internal/ug ./internal/ug/comm/... ./internal/core ./internal/obs ./internal/cli"
+    PKGS="./internal/serve ./internal/sdp ./internal/linalg ./internal/lp ./internal/scip ./internal/misdp ./internal/ug ./internal/ug/comm/... ./internal/core ./internal/obs ./internal/cli"
 fi
 
 # shellcheck disable=SC2086  # PKGS is a word list
