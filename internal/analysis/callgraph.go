@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the module-level call graph that powers the
-// interprocedural analyzers (lockhold, mapdet, and the dataflow layer).
+// interprocedural analyzers (lockhold and the dataflow layer).
 // The graph is deliberately conservative in the may-call direction: a
 // function value or method value that is merely referenced is treated
 // as potentially called, and an interface method call fans out to every
@@ -30,12 +30,13 @@ type FuncNode struct {
 	sum Summary
 
 	// Dataflow layer results (dataflow.go): the converged taint
-	// summary, intrinsic-taint sink hits (walldet), and recorded
-	// obs.Event construction sites (tracekind).
+	// summary, intrinsic-taint sink hits (walldet), recorded obs.Event
+	// construction sites (tracekind), and map-order sites (mapdet).
 	taint      taintSummary
 	taintSites []taintSite
 	evLits     []eventLitSite
 	evAssigns  []eventAssignSite
+	orderSites []orderSite
 
 	// ctxdeadline's I/O-parameter summary: which parameters the
 	// function performs raw network-style reads/writes on.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -124,5 +125,18 @@ func TestSortsArgSummary(t *testing.T) {
 // that were folded into lockhold (its call-summary rules) and floatcmp
 // (its literal rule); the tests are named after the fixture directory.
 func TestLockBlockFixture(t *testing.T) { checkFixture(t, LockHold, "lockblock/internal/ug") }
-func TestMapDetFixture(t *testing.T)    { checkFixture(t, MapDet, "mapdet/internal/ug") }
 func TestTolConstFixture(t *testing.T)  { checkFixture(t, FloatCmp, "tolconst/internal/scip") }
+
+// TestMapDetFixture also pins one finding per position: nestedPick's
+// assignment carries the order of both of its map ranges.
+func TestMapDetFixture(t *testing.T) {
+	checkFixture(t, MapDet, "mapdet/internal/ug")
+	seen := map[string]bool{}
+	for _, f := range RunPackage(loadFixture(t, "mapdet/internal/ug"), []*Analyzer{MapDet}) {
+		key := fmt.Sprintf("%s:%d:%d", f.Pos.Filename, f.Pos.Line, f.Pos.Column)
+		if seen[key] {
+			t.Errorf("mapdet reported %s twice", key)
+		}
+		seen[key] = true
+	}
+}

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// This file is the value-level dataflow layer under walldet, tracekind
-// and (via the shared control-flow driver) ctxdeadline, lockhold and
-// hotalloc. It
-// adds to the boolean summaries of summary.go an intraprocedural
+// This file is the value-level dataflow layer under walldet, tracekind,
+// mapdet and (via the shared control-flow driver) ctxdeadline, lockhold
+// and hotalloc. It adds to the boolean summaries of summary.go an intraprocedural
 // abstract interpretation over go/ast+go/types: every local variable
 // carries an element of a small taint lattice, statements are transfer
 // functions, and control-flow merge points join environments. Each
@@ -174,13 +173,21 @@ type flowState interface {
 }
 
 // loopAware is an optional flowState extension: a client implementing
-// it is told when the driver enters and leaves a loop body, bracketing
-// the two body runs. hotalloc (allocations per iteration) and lockhold
-// (the Cond.Wait rule) use this to track syntactic loop depth without
-// re-implementing the statement dispatch.
+// it is told when the driver enters and leaves a loop body (a ForStmt or
+// RangeStmt), bracketing the two body runs. hotalloc and lockhold track
+// loop depth with it, the taint walk the innermost map range.
 type loopAware interface {
-	enterLoop()
+	enterLoop(loop ast.Stmt)
 	exitLoop()
+}
+
+// guardAware is an optional flowState extension: a client implementing
+// it is told the condition of each if statement, bracketing both arms
+// (a for loop's condition reaches it through loopAware). The taint walk
+// reads the guards for mapdet's min/max exemption.
+type guardAware interface {
+	enterGuard(cond ast.Expr)
+	exitGuard()
 }
 
 // flowStmts runs the driver over a statement list.
@@ -201,12 +208,19 @@ func flowStmt(st ast.Stmt, env flowState) {
 			flowStmt(s.Init, env)
 		}
 		env.expr(s.Cond)
+		ga, _ := env.(guardAware)
+		if ga != nil {
+			ga.enterGuard(s.Cond)
+		}
 		then := env.fork()
 		flowStmts(s.Body.List, then)
 		if s.Else != nil {
 			alt := env.fork()
 			flowStmt(s.Else, alt)
 			env.merge(alt)
+		}
+		if ga != nil {
+			ga.exitGuard()
 		}
 		env.merge(then)
 	case *ast.ForStmt:
@@ -218,7 +232,7 @@ func flowStmt(st ast.Stmt, env flowState) {
 		}
 		la, _ := env.(loopAware)
 		if la != nil {
-			la.enterLoop()
+			la.enterLoop(s)
 		}
 		for i := 0; i < 2; i++ {
 			it := env.fork()
@@ -238,7 +252,7 @@ func flowStmt(st ast.Stmt, env flowState) {
 		env.leaf(s) // header: range expression + key/value binding
 		la, _ := env.(loopAware)
 		if la != nil {
-			la.enterLoop()
+			la.enterLoop(s)
 		}
 		for i := 0; i < 2; i++ {
 			it := env.fork()
@@ -304,11 +318,12 @@ func flowClauses(body *ast.BlockStmt, env flowState) {
 
 // taintPropagators are non-module packages treated as pure data
 // transformations: taint flows from arguments (and stdlib-typed
-// receivers) through to results. Any other non-module call returns
-// untainted data — deliberately an under-approximation, so a dial
-// error does not drag the wall-clock deadline that timed it out into
-// every error message (the over-approximate alternative drowns real
-// findings in suppressions).
+// receivers) through to results. Any other non-module call returns only
+// the map-iteration order of its arguments — deliberately an
+// under-approximation for the clock, so a dial error does not drag the
+// wall-clock deadline that timed it out into every error message (the
+// over-approximate alternative drowns real findings in suppressions),
+// while filepath.Base(k) is still chosen by the order k was visited in.
 var taintPropagators = map[string]bool{
 	"fmt": true, "strconv": true, "strings": true, "bytes": true,
 	"math": true, "errors": true, "time": true, "sort": true,
@@ -333,6 +348,15 @@ type taintWalker struct {
 	// wall→trace path and must not become sink summaries that alarm
 	// every Emit caller.
 	exempt bool
+
+	// mapdet's view of the walk (mapdet.go): the innermost map range
+	// and the scopes it shadows, the outer slices appended to from
+	// map-ordered values, and the last position at which each object
+	// was handed to a sorter.
+	scope     orderScope
+	outer     []orderScope
+	collected []collection
+	sortedAt  map[types.Object]token.Pos
 }
 
 // taintEnv maps local objects to taint; kinds tracks which event kind
@@ -434,17 +458,27 @@ func (e *taintEnv) leaf(st ast.Stmt) {
 func (e *taintEnv) rangeHeader(s *ast.RangeStmt) {
 	t := e.eval(s.X)
 	keyT, valT := t, t
-	if tv, ok := e.w.info.Types[s.X]; ok && tv.Type != nil {
-		switch tv.Type.Underlying().(type) {
-		case *types.Map:
-			keyT |= TaintMapOrder
-			valT |= TaintMapOrder
-		case *types.Chan:
+	if rangesMap(e.w.info, s) {
+		keyT |= TaintMapOrder
+		valT |= TaintMapOrder
+	} else if tv := e.w.info.Types[s.X]; tv.Type != nil {
+		if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 			valT = 0 // channel payloads are not modeled
 		}
 	}
 	e.bindLoopVar(s.Key, keyT)
 	e.bindLoopVar(s.Value, valT)
+}
+
+// rangesMap reports whether s ranges over a map: where map-iteration
+// order enters the walk.
+func rangesMap(info *types.Info, s *ast.RangeStmt) bool {
+	tv := info.Types[s.X]
+	if tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 func (e *taintEnv) bindLoopVar(x ast.Expr, t Taint) {
@@ -469,6 +503,7 @@ func (e *taintEnv) assign(s *ast.AssignStmt) {
 		// precision is not worth a tuple lattice here).
 		t := e.eval(s.Rhs[0])
 		for _, l := range s.Lhs {
+			e.checkOrder(s, l, s.Rhs[0], t)
 			e.assignTo(l, nil, t, compound)
 		}
 		return
@@ -479,6 +514,7 @@ func (e *taintEnv) assign(s *ast.AssignStmt) {
 		if i < len(s.Rhs) {
 			val = s.Rhs[i]
 			t = e.eval(val)
+			e.checkOrder(s, l, val, t)
 		}
 		e.assignTo(l, val, t, compound)
 		if id, ok := l.(*ast.Ident); ok && !compound {
@@ -837,7 +873,7 @@ func (e *taintEnv) call(call *ast.CallExpr) Taint {
 		if taintPropagators[pkgPath] {
 			return joinAll()
 		}
-		return 0
+		return joinAll() & TaintMapOrder
 	}
 
 	// Method and local calls: module summaries first.
@@ -863,10 +899,11 @@ func (e *taintEnv) call(call *ast.CallExpr) Taint {
 			}
 		}
 	}
-	return 0
+	return joinAll() & TaintMapOrder
 }
 
-// sanitizeArg clears map-order taint from the root object of argument i.
+// sanitizeArg clears map-order taint from the root object of argument
+// i, and records where it was sorted for mapdet's collection rule.
 func (e *taintEnv) sanitizeArg(call *ast.CallExpr, i int) {
 	if i >= len(call.Args) {
 		return
@@ -875,6 +912,7 @@ func (e *taintEnv) sanitizeArg(call *ast.CallExpr, i int) {
 	if root := rootIdent(call.Args[i]); root != nil {
 		if obj := e.objOf(root); obj != nil {
 			e.vars[obj] &^= TaintMapOrder
+			e.w.sortedAt[obj] = max(e.w.sortedAt[obj], call.Pos())
 		}
 	}
 }
@@ -911,7 +949,7 @@ func (e *taintEnv) applySummaries(call *ast.CallExpr, callees []*FuncNode, taint
 			}
 		}
 		// A callee that sorts its argument hands back order-independent
-		// data (mapdet's SortsArg, reused as a sanitizer).
+		// data.
 		if c.sum.SortsArg {
 			e.sanitizeArg(call, 0)
 		}
@@ -1008,26 +1046,29 @@ func computeTaintSummaries(m *Module) {
 
 // walkTaint runs one abstract interpretation of n's body and merges the
 // result into its summary; reports whether the summary grew. Recorded
-// sites (taintSites, evLits, evAssigns) are rebuilt on every walk — the
-// final round leaves the converged set in place.
+// sites (taintSites, evLits, evAssigns, orderSites) are rebuilt on every
+// walk — the final round leaves the converged set in place.
 func walkTaint(m *Module, n *FuncNode) bool {
 	n.taintSites = nil
 	n.evLits = nil
 	n.evAssigns = nil
+	n.orderSites = nil
 	w := &taintWalker{
-		m:       m,
-		n:       n,
-		info:    n.Pkg.Info,
-		params:  paramList(n),
-		results: resultObjs(n),
-		sinks:   map[SinkFlow]bool{},
-		exempt:  strings.HasSuffix(n.Pkg.PkgPath, "internal/obs"),
+		m:        m,
+		n:        n,
+		info:     n.Pkg.Info,
+		params:   paramList(n),
+		results:  resultObjs(n),
+		sinks:    map[SinkFlow]bool{},
+		exempt:   strings.HasSuffix(n.Pkg.PkgPath, "internal/obs"),
+		sortedAt: map[types.Object]token.Pos{},
 	}
 	env := &taintEnv{w: w, vars: map[types.Object]Taint{}, kinds: map[types.Object]string{}}
 	for i, obj := range w.params {
 		env.vars[obj] = paramBit(i)
 	}
 	flowStmts(n.body().List, env)
+	w.unsortedCollections()
 
 	// Loop bodies are interpreted twice and closures may be walked both
 	// inline and standalone, so recorded sites can repeat: collapse by

@@ -231,12 +231,12 @@ type allocWalker struct {
 // the walker; only the loop depth is flow state.
 type allocEnv struct{ w *allocWalker }
 
-func (e allocEnv) fork() flowState  { return e }
-func (e allocEnv) merge(flowState)  {}
-func (e allocEnv) enterLoop()       { e.w.depth++ }
-func (e allocEnv) exitLoop()        { e.w.depth-- }
-func (e allocEnv) expr(x ast.Expr)  { e.w.scanExpr(x) }
-func (e allocEnv) leaf(st ast.Stmt) { e.w.leafStmt(st) }
+func (e allocEnv) fork() flowState    { return e }
+func (e allocEnv) merge(flowState)    {}
+func (e allocEnv) enterLoop(ast.Stmt) { e.w.depth++ }
+func (e allocEnv) exitLoop()          { e.w.depth-- }
+func (e allocEnv) expr(x ast.Expr)    { e.w.scanExpr(x) }
+func (e allocEnv) leaf(st ast.Stmt)   { e.w.leafStmt(st) }
 
 func (w *allocWalker) inExit(pos token.Pos) bool {
 	for _, s := range w.exitRegions {

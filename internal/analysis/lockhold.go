@@ -92,8 +92,8 @@ func (e *heldEnv) merge(other flowState) {
 	}
 }
 
-func (e *heldEnv) enterLoop() { e.w.loops++ }
-func (e *heldEnv) exitLoop()  { e.w.loops-- }
+func (e *heldEnv) enterLoop(ast.Stmt) { e.w.loops++ }
+func (e *heldEnv) exitLoop()          { e.w.loops-- }
 
 func (e *heldEnv) leaf(st ast.Stmt) {
 	switch s := st.(type) {

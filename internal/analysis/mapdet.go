@@ -14,9 +14,9 @@ import (
 // over map values (FP addition is not associative) all break UG's
 // deterministic-replay contract. Three patterns are reported:
 //
-//   - an outer variable conditionally assigned from iteration state,
-//     unless the assigned value is itself compared in the guard (a
-//     min/max reduction over *values* is order-independent);
+//   - an outer variable assigned from iteration state, unless a guard
+//     inside the range compares the assigned value (a min/max
+//     reduction over *values* is order-independent);
 //   - map keys/values appended to an outer slice that is never sorted
 //     afterwards (directly via sort/slices, or by a module helper whose
 //     summary says it sorts its argument);
@@ -24,17 +24,20 @@ import (
 //     over the iteration.
 //
 // Writes keyed by the iteration key itself (res[k] = v) are order-
-// independent and never reported. The analyzer applies to the
+// independent and never reported, and constants carry no taint. The
+// taint walk (dataflow.go) does the tracking: map-iteration order is the
+// taint rangeHeader binds, sorting is the sanitizer that clears it, and
+// the walk records the three sites while it interprets each function,
+// so order laundered through a local, a tuple, a closure or a callee's
+// return value is still followed. The analyzer applies to the
 // coordination and solver-core packages (internal/ug..., internal/scip),
 // where deterministic replay is a stated property; kernel packages own
 // their algorithm-specific iteration strategies.
 var MapDet = &Analyzer{
-	Name: "mapdet",
-	Doc:  "map iteration order flowing into solver decisions (argmax over keys, unsorted key collection, float reduction)",
-	Applies: func(pkgPath string) bool {
-		return isSolverCore(pkgPath)
-	},
-	Run: runMapDet,
+	Name:    "mapdet",
+	Doc:     "map iteration order flowing into solver decisions (argmax over keys, unsorted key collection, float reduction)",
+	Applies: isSolverCore,
+	Run:     runMapDet,
 }
 
 // isSolverCore scopes determinism/tolerance discipline to the parallel
@@ -44,307 +47,125 @@ func isSolverCore(pkgPath string) bool {
 }
 
 func runMapDet(p *Pass) {
-	if p.Mod == nil {
-		return
-	}
+	seen := map[token.Pos]bool{}
 	for _, n := range p.Mod.Funcs() {
 		if n.Pkg.PkgPath != p.PkgPath {
 			continue
 		}
-		for _, s := range mapOrderSites(p.Mod, n) {
-			p.Reportf(s.pos, "%s", s.msg)
+		// Loop bodies run twice, nested map ranges reach an assignment
+		// through both loops, and a closure walked inline is walked
+		// again on its own: one finding per position.
+		for _, s := range n.orderSites {
+			if !seen[s.pos] {
+				seen[s.pos] = true
+				p.Reportf(s.pos, "%s", s.msg)
+			}
 		}
 	}
 }
 
-// mapdetSite is one order-dependence finding inside a function.
-type mapdetSite struct {
+// orderSite is one order-dependence finding recorded by the taint walk.
+type orderSite struct {
 	pos token.Pos
 	msg string
 }
 
-// mapOrderSites computes the order-dependence sites of one function:
-// every range-over-map in its body analyzed for the patterns documented
-// on MapDet.
-func mapOrderSites(m *Module, n *FuncNode) []mapdetSite {
-	body := n.body()
-	if body == nil {
-		return nil
-	}
-	info := n.Pkg.Info
-	var sites []mapdetSite
-	walkShallow(body, func(nd ast.Node) bool {
-		rs, ok := nd.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		tv, ok := info.Types[rs.X]
-		if !ok || tv.Type == nil {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		sites = append(sites, rangeOrderSites(m, n, rs)...)
-		return true
-	})
-	// Nested map ranges can yield the same assignment twice (tainted by
-	// both loops); keep one finding per position.
-	seen := map[token.Pos]bool{}
-	var dedup []mapdetSite
-	for _, s := range sites {
-		if seen[s.pos] {
-			continue
-		}
-		seen[s.pos] = true
-		dedup = append(dedup, s)
-	}
-	return dedup
+// orderScope is the innermost map range around the walk's position and
+// the guards open inside it: only those count for the min/max exemption.
+type orderScope struct {
+	rs     *ast.RangeStmt // nil outside every map range
+	guards []ast.Expr
 }
 
-// appendCand is a "slice collected map data" candidate awaiting the
-// post-loop sortedness check.
-type appendCand struct {
+// collection is an outer slice that map-ordered values were appended
+// to, pending the end of the walk: it is reported unless it is sorted
+// after end.
+type collection struct {
 	pos token.Pos
 	obj types.Object
+	end token.Pos // end of the map range
 }
 
-// rangeOrderSites analyzes one range-over-map statement.
-func rangeOrderSites(m *Module, n *FuncNode, rs *ast.RangeStmt) []mapdetSite {
-	info := n.Pkg.Info
-	// tainted holds the loop's key/value objects plus loop-local
-	// variables assigned from them (one forward pass, source order).
-	tainted := map[types.Object]bool{}
-	addIter := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		if rs.Tok == token.DEFINE {
-			if o := info.Defs[id]; o != nil {
-				tainted[o] = true
-			}
-		} else if o := info.Uses[id]; o != nil {
-			tainted[o] = true
-		}
-	}
-	if rs.Key != nil {
-		addIter(rs.Key)
-	}
-	if rs.Value != nil {
-		addIter(rs.Value)
-	}
+func (e *taintEnv) enterGuard(cond ast.Expr) { e.w.scope.guards = append(e.w.scope.guards, cond) }
+func (e *taintEnv) exitGuard()               { e.w.scope.guards = e.w.scope.guards[:len(e.w.scope.guards)-1] }
 
-	var sites []mapdetSite
-	var cands []appendCand
-	loopLocal := func(obj types.Object) bool {
-		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()
-	}
-	lhsObj := func(e ast.Expr) types.Object {
-		root := rootIdent(e)
-		if root == nil {
-			return nil
+// enterLoop opens a scope at a map range, and guards a for body by its
+// condition; exitLoop restores the enclosing scope and its guards.
+func (e *taintEnv) enterLoop(loop ast.Stmt) {
+	e.w.outer = append(e.w.outer, e.w.scope)
+	switch l := loop.(type) {
+	case *ast.RangeStmt:
+		if rangesMap(e.w.info, l) {
+			e.w.scope = orderScope{rs: l}
 		}
-		if o := info.Uses[root]; o != nil {
-			return o
-		}
-		return info.Defs[root]
-	}
-	handlePair := func(s *ast.AssignStmt, lhs, rhs ast.Expr, conds []ast.Expr) {
-		obj := lhsObj(lhs)
-		if obj == nil {
-			return
-		}
-		rhsTainted := exprRefsAny(info, rhs, tainted)
-		if loopLocal(obj) {
-			if rhsTainted {
-				tainted[obj] = true
-			}
-			return
-		}
-		// Writes keyed by the iteration key (res[k] = v) land in a
-		// key-addressed slot regardless of visit order.
-		if ix, ok := unparen(lhs).(*ast.IndexExpr); ok && exprRefsAny(info, ix.Index, tainted) {
-			return
-		}
-		switch s.Tok {
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-			if rhsTainted && isFloatExpr(info, lhs) {
-				sites = append(sites, mapdetSite{
-					pos: s.Pos(),
-					msg: "float accumulation into " + exprString(lhs) + " over map iteration is order-dependent (FP addition is not associative); iterate sorted keys",
-				})
-			}
-		case token.ASSIGN:
-			if !rhsTainted {
-				return
-			}
-			if tv, ok := info.Types[rhs]; ok && tv.Value != nil {
-				return // constant: flag-setting, order-independent
-			}
-			if guardOperands(conds)[exprString(rhs)] {
-				return // min/max reduction: the guard compares the assigned value
-			}
-			sites = append(sites, mapdetSite{
-				pos: s.Pos(),
-				msg: exprString(lhs) + " is assigned from map-iteration state under a condition that does not compare it (argmax over random key order); iterate sorted keys for deterministic replay",
-			})
+	case *ast.ForStmt:
+		if l.Cond != nil {
+			e.enterGuard(l.Cond)
 		}
 	}
-	handleAssign := func(s *ast.AssignStmt, conds []ast.Expr) {
-		// out = append(out, k): defer to the post-loop sortedness check.
-		if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-			if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok && isBuiltinAppend(info, call) {
-				obj := lhsObj(s.Lhs[0])
-				argTainted := false
-				for _, a := range call.Args[1:] {
-					if exprRefsAny(info, a, tainted) {
-						argTainted = true
-					}
-				}
-				if obj != nil && argTainted {
-					if loopLocal(obj) {
-						tainted[obj] = true
-					} else {
-						cands = append(cands, appendCand{pos: s.Pos(), obj: obj})
-					}
-				}
-				return
-			}
-		}
-		if len(s.Lhs) == len(s.Rhs) {
-			for i := range s.Lhs {
-				handlePair(s, s.Lhs[i], s.Rhs[i], conds)
-			}
-			return
-		}
-		// Tuple assignment (v, ok := m2[k]): every LHS inherits the RHS taint.
-		for _, lhs := range s.Lhs {
-			handlePair(s, lhs, s.Rhs[0], conds)
-		}
-	}
-
-	var scan func(st ast.Stmt, conds []ast.Expr)
-	scanList := func(list []ast.Stmt, conds []ast.Expr) {
-		for _, st := range list {
-			scan(st, conds)
-		}
-	}
-	scan = func(st ast.Stmt, conds []ast.Expr) {
-		switch s := st.(type) {
-		case *ast.BlockStmt:
-			scanList(s.List, conds)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				scan(s.Init, conds)
-			}
-			inner := append(conds[:len(conds):len(conds)], s.Cond)
-			scan(s.Body, inner)
-			if s.Else != nil {
-				scan(s.Else, inner)
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				scan(s.Init, conds)
-			}
-			inner := conds
-			if s.Cond != nil {
-				inner = append(conds[:len(conds):len(conds)], s.Cond)
-			}
-			scan(s.Body, inner)
-		case *ast.RangeStmt:
-			scan(s.Body, conds)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanList(cc.Body, conds)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanList(cc.Body, conds)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanList(cc.Body, conds)
-				}
-			}
-		case *ast.LabeledStmt:
-			scan(s.Stmt, conds)
-		case *ast.AssignStmt:
-			handleAssign(s, conds)
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for i, name := range vs.Names {
-						if i < len(vs.Values) && exprRefsAny(info, vs.Values[i], tainted) {
-							if o := info.Defs[name]; o != nil {
-								tainted[o] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	scan(rs.Body, nil)
-
-	for _, c := range cands {
-		if !sortedAfter(m, n, rs, c.obj) {
-			sites = append(sites, mapdetSite{
-				pos: c.pos,
-				msg: c.obj.Name() + " collects map keys/values in iteration order and is never sorted; sort it before use for deterministic replay",
-			})
-		}
-	}
-	return sites
 }
 
-// sortedAfter reports whether obj is handed to a sorting call anywhere
-// in the function after the range statement ends: a direct sort.* /
-// slices.* call, or a module function whose summary says it sorts its
-// argument.
-func sortedAfter(m *Module, n *FuncNode, rs *ast.RangeStmt, obj types.Object) bool {
-	info := n.Pkg.Info
-	sorted := false
-	walkShallow(n.body(), func(nd ast.Node) bool {
-		if sorted {
-			return false
+func (e *taintEnv) exitLoop() {
+	e.w.scope = e.w.outer[len(e.w.outer)-1]
+	e.w.outer = e.w.outer[:len(e.w.outer)-1]
+}
+
+// checkOrder applies MapDet's rules to the assignment l = val of s
+// inside a map range; t is val's taint. A variable declared inside the
+// range is not checked: the walk's own taint carries its order on.
+func (e *taintEnv) checkOrder(s *ast.AssignStmt, l, val ast.Expr, t Taint) {
+	rs := e.w.scope.rs
+	if rs == nil {
+		return
+	}
+	obj := exprRootObj(e.w.info, l)
+	if obj == nil || obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End() {
+		return
+	}
+	if call, ok := unparen(val).(*ast.CallExpr); ok && isBuiltinAppend(e.w.info, call) {
+		var elems Taint
+		for _, a := range call.Args[1:] {
+			elems |= e.eval(a)
 		}
-		call, ok := nd.(*ast.CallExpr)
-		if !ok || call.Pos() <= rs.End() {
-			return true
+		if elems&TaintMapOrder != 0 {
+			e.w.collected = append(e.w.collected, collection{pos: s.Pos(), obj: obj, end: rs.End()})
 		}
-		argHasObj := false
-		for _, a := range call.Args {
-			if exprRefsAny(info, a, map[types.Object]bool{obj: true}) {
-				argHasObj = true
-				break
-			}
+		return
+	}
+	if t&TaintMapOrder == 0 {
+		return
+	}
+	// Writes keyed by the iteration state (res[k] = v) land in a
+	// key-addressed slot regardless of visit order.
+	if ix, ok := unparen(l).(*ast.IndexExpr); ok && e.eval(ix.Index)&TaintMapOrder != 0 {
+		return
+	}
+	switch s.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		if isFloatExpr(e.w.info, l) {
+			e.w.orderSite(s.Pos(), "float accumulation into "+exprString(l)+" over map iteration is order-dependent (FP addition is not associative); iterate sorted keys")
 		}
-		if !argHasObj {
-			return true
+	case token.ASSIGN:
+		// A min/max reduction's guard compares the assigned value.
+		if !guardOperands(e.w.scope.guards)[exprString(val)] {
+			e.w.orderSite(s.Pos(), exprString(l)+" is assigned from map-iteration state under a condition that does not compare it (argmax over random key order); iterate sorted keys for deterministic replay")
 		}
-		if path, name, ok := pkgFuncOf(info, call.Fun); ok && sortFuncs[path][name] {
-			sorted = true
-			return false
+	}
+}
+
+func (w *taintWalker) orderSite(pos token.Pos, msg string) {
+	w.n.orderSites = append(w.n.orderSites, orderSite{pos: pos, msg: msg})
+}
+
+// unsortedCollections reports each collection that no sorter saw after
+// its map range ended: a direct sort.* / slices.* call, or a module
+// function whose summary says it sorts its argument.
+func (w *taintWalker) unsortedCollections() {
+	for _, c := range w.collected {
+		if w.sortedAt[c.obj] <= c.end {
+			w.orderSite(c.pos, c.obj.Name()+" collects map keys/values in iteration order and is never sorted; sort it before use for deterministic replay")
 		}
-		for _, c := range m.calleesOf(info, call.Fun) {
-			if c.sum.SortsArg {
-				sorted = true
-				return false
-			}
-		}
-		return true
-	})
-	return sorted
+	}
 }
 
 // guardOperands returns the printed operands of every comparison inside
@@ -366,20 +187,6 @@ func guardOperands(conds []ast.Expr) map[string]bool {
 		})
 	}
 	return out
-}
-
-// exprRefsAny reports whether e references any object in objs.
-func exprRefsAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(nd ast.Node) bool {
-		if id, ok := nd.(*ast.Ident); ok {
-			if o := info.Uses[id]; o != nil && objs[o] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // isBuiltinAppend matches a call to the append builtin with at least one

@@ -23,8 +23,9 @@ type Summary struct {
 	// is a self-deadlock candidate (lockhold).
 	Acquires map[types.Object]bool
 	// SortsArg: the function sorts a slice reachable from its
-	// parameters (sort.Slice/sort.Ints/slices.Sort/...). mapdet accepts
-	// handing an unsorted key collection to such a helper.
+	// parameters (sort.Slice/sort.Ints/slices.Sort/...). Read by the
+	// taint walk's sanitizeArg, which is how mapdet accepts a key
+	// collection handed to such a helper.
 	SortsArg bool
 }
 

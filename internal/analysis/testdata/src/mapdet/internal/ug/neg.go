@@ -70,3 +70,27 @@ func hasNegative(m map[int]float64) bool {
 	}
 	return found
 }
+
+// forGuardMin is a minimum whose guard is an enclosing for condition
+// inside the range: the loop compares the assigned value.
+func forGuardMin(m map[int]float64) float64 {
+	lb := 1.0e18
+	for _, b := range m {
+		for lb > b {
+			lb = b
+		}
+	}
+	return lb
+}
+
+// branchSorted sorts the collection in one branch after the loop.
+func branchSorted(m map[int]string, sorted bool) []int {
+	var ranks []int
+	for k := range m {
+		ranks = append(ranks, k)
+	}
+	if sorted {
+		sort.Ints(ranks)
+	}
+	return ranks
+}

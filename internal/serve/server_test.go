@@ -467,6 +467,22 @@ func TestStatuszSummarizes(t *testing.T) {
 	}
 }
 
+// TestMalformedInlineSTPFailsTheJob: inline STP is parsed in the lane,
+// where a panic used to take the daemon down (CapturePanic re-panics).
+// A vertex outside 1..Nodes must fail that one job with the parse error,
+// and the next job must still solve.
+func TestMalformedInlineSTPFailsTheJob(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1})
+	bad := postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q,"workers":1}`, "SECTION Graph\nNodes 3\nE 1 9 1\nEND\n"))
+	if final := awaitTerminal(t, s, bad.ID); final.State != StateFailed || !strings.Contains(final.Error, "parse inline stp") {
+		t.Fatalf("malformed inline job = %+v, want failed with the parse error", final)
+	}
+	st := postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q,"workers":1}`, tinySTP))
+	if final := awaitTerminal(t, s, st.ID); final.State != StateDone {
+		t.Fatalf("job after the malformed one = %+v, want done", final)
+	}
+}
+
 // TestHostileSpecsAreRejectedAtSubmit: generator parameters no generator
 // can honour used to pass Validate, reach puc.Hypercube inside a
 // scheduler lane and panic there (`1 << -1`), which — CapturePanic

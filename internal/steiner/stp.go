@@ -4,14 +4,24 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
+// MaxSTPNodes caps the Nodes line ReadSTP accepts. Each vertex is
+// allocated before any edge is read, so the cap bounds what one header
+// line can ask for (about 27 MB at the cap) while admitting every
+// SteinLib instance.
+const MaxSTPNodes = 1 << 20
+
 // ReadSTP parses a SteinLib .stp file (the format of the PUC benchmark
 // set). Only the sections relevant to the SPG are interpreted: graph
 // (nodes/edges) and terminals. Vertex numbering is 1-based in the file
-// and 0-based in the SPG.
+// and 0-based in the SPG. Input is untrusted (ugserve parses inline
+// jobs): a malformed line, an out-of-range vertex, a cost that is not a
+// finite non-negative number or a node count outside [0, MaxSTPNodes] is
+// an error, never a panic.
 func ReadSTP(r io.Reader) (*SPG, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -25,45 +35,67 @@ func ReadSTP(r io.Reader) (*SPG, error) {
 		}
 		fields := strings.Fields(line)
 		key := strings.ToLower(fields[0])
+		// vertex parses fields[i] as a 1-based vertex of the graph read
+		// so far and returns it 0-based.
+		vertex := func(i int) (int, error) {
+			if spg == nil {
+				return 0, fmt.Errorf("stp: %q before nodes", line)
+			}
+			if i >= len(fields) {
+				return 0, fmt.Errorf("stp: bad %s line %q", key, line)
+			}
+			v, err := strconv.Atoi(fields[i])
+			if err != nil || v < 1 || v > spg.G.NumVertices() {
+				return 0, fmt.Errorf("stp: bad vertex %q in line %q", fields[i], line)
+			}
+			return v - 1, nil
+		}
 		switch {
 		case key == "section":
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("stp: bad section line %q", line)
+			}
 			section = strings.ToLower(fields[1])
 		case key == "end":
 			section = ""
 		case section == "comment" && key == "name":
 			name = strings.Trim(strings.Join(fields[1:], " "), "\"")
 		case section == "graph" && key == "nodes":
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("stp: bad nodes line %q", line)
+			n := -1
+			if len(fields) > 1 {
+				if v, err := strconv.Atoi(fields[1]); err == nil {
+					n = v
+				}
+			}
+			if n < 0 || n > MaxSTPNodes {
+				return nil, fmt.Errorf("stp: bad nodes line %q (0 to %d nodes)", line, MaxSTPNodes)
 			}
 			spg = NewSPG(n)
 		case section == "graph" && (key == "e" || key == "a"):
-			if spg == nil {
-				return nil, fmt.Errorf("stp: edge before nodes")
+			u, err := vertex(1)
+			if err != nil {
+				return nil, err
+			}
+			v, err := vertex(2)
+			if err != nil {
+				return nil, err
 			}
 			if len(fields) < 4 {
 				return nil, fmt.Errorf("stp: bad edge line %q", line)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			c, err3 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil {
+			c, err := strconv.ParseFloat(fields[3], 64)
+			if err != nil || !(c >= 0) || math.IsInf(c, 1) {
 				return nil, fmt.Errorf("stp: bad edge line %q", line)
 			}
-			if u == v {
-				continue
+			if u != v {
+				spg.G.AddEdge(u, v, c)
 			}
-			spg.G.AddEdge(u-1, v-1, c)
 		case section == "terminals" && key == "t":
-			if spg == nil {
-				return nil, fmt.Errorf("stp: terminal before nodes")
-			}
-			t, err := strconv.Atoi(fields[1])
+			t, err := vertex(1)
 			if err != nil {
-				return nil, fmt.Errorf("stp: bad terminal line %q", line)
+				return nil, err
 			}
-			spg.Terminal[t-1] = true
+			spg.Terminal[t] = true
 		}
 	}
 	if err := sc.Err(); err != nil {

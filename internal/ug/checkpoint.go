@@ -29,10 +29,21 @@ func (co *coordinator) saveCheckpoint() error {
 	for _, sub := range co.pool {
 		ck.Pool = append(ck.Pool, *sub)
 	}
+	// A running subproblem goes in once (during racing every rank holds
+	// the same root), raised to the best bound its holders reported, as
+	// requeue would return it.
+	at := map[*Subproblem]int{}
 	for _, r := range co.ranks {
-		if r.sub != nil {
+		if r.sub == nil {
+			continue
+		}
+		i, ok := at[r.sub]
+		if !ok {
+			i = len(ck.Pool)
+			at[r.sub] = i
 			ck.Pool = append(ck.Pool, *r.sub)
 		}
+		raiseBound(&ck.Pool[i], r.bound)
 	}
 	ck.Incumbent = co.incumbent
 	tmp := co.cfg.CheckpointPath + ".tmp"

@@ -1,6 +1,7 @@
 package ug
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -95,6 +96,31 @@ func TestCheckpointOverwriteIsAtomic(t *testing.T) {
 	}
 	if len(ck.Pool) != 1 || ck.Pool[0].ID != 9 {
 		t.Fatalf("stale checkpoint survived overwrite: %+v", ck.Pool)
+	}
+}
+
+// TestCheckpointRacingRootOnce: during racing every racer holds the same
+// root, dispatched at −Inf. The checkpoint holds it once, at the best
+// bound a racer reported; a racer that never reported adds nothing.
+func TestCheckpointRacingRootOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "race.ckpt")
+	root := &Subproblem{ID: 1, Bound: math.Inf(-1), Payload: []byte("root")}
+	co := &coordinator{cfg: Config{CheckpointPath: path}, ranks: make([]rankState, 4), active: 4}
+	for i, b := range []float64{math.Inf(-1), 5, 7, 6} {
+		co.ranks[i] = rankState{sub: root, bound: b}
+	}
+	if err := co.saveCheckpoint(); err != nil {
+		t.Fatalf("saveCheckpoint: %v", err)
+	}
+	ck, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("loadCheckpoint: %v", err)
+	}
+	if len(ck.Pool) != 1 || ck.Pool[0].ID != 1 || ck.Pool[0].Bound != 7 {
+		t.Fatalf("pool = %+v, want the root once at bound 7", ck.Pool)
+	}
+	if !math.IsInf(root.Bound, -1) {
+		t.Errorf("saving raised the running root's own bound to %v", root.Bound)
 	}
 }
 

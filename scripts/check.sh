@@ -12,7 +12,8 @@
 #   6. go test ./...     the full tier-1 suite (includes the ugolint
 #                        selfcheck via internal/analysis)
 #   7. bench self-tests  the nested bench/ module
-#   8. loc.sh            the system's size (informational, no threshold)
+#   8. app.go <= 200     each app registration stays glue-sized
+#   9. loc.sh            the system's size (informational, no threshold)
 #
 # Exits non-zero on the first failure.
 set -u
@@ -57,6 +58,17 @@ step "cd bench && go test ./..."
 # plugin stack, so they catch a solver change that breaks what the
 # benchmark measures (decorated and bare counters must stay equal).
 (cd bench && go test ./...) || fail=1
+
+step "app registrations <= 200 lines"
+# The paper's claim is that a thin glue file makes a sequential solver
+# parallel; an app.go past 200 lines is no longer thin.
+for app in internal/steiner/app.go internal/misdp/app.go; do
+    n=$(wc -l <"$app")
+    if [ "$n" -gt 200 ]; then
+        echo "$app: $n lines, over the 200-line glue budget"
+        fail=1
+    fi
+done
 
 step "scripts/loc.sh -total (non-test Go lines outside bench/ and testdata/)"
 ./scripts/loc.sh -total

@@ -3,8 +3,11 @@
 # the system") is measured in: non-test Go lines outside bench/ and
 # testdata/, per top-level package and in total.
 #
-#   scripts/loc.sh            # per-package table + total
+#   scripts/loc.sh            # per-package table + total + glue row
 #   scripts/loc.sh -total     # the total alone
+#
+# The glue row is the paper's headline in lines: the two app
+# registrations (steiner, misdp) plus the generic core they plug into.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,3 +34,6 @@ files | while read -r f; do
     esac
     echo "$pkg $(wc -l <"$f")"
 done | awk '{n[$1] += $2; t += $2} END {for (p in n) printf "%7d  %s\n", n[p], p; printf "%7d  total\n", t}' | sort -k2
+
+glue=(internal/steiner/app.go internal/misdp/app.go internal/core/core.go)
+printf "%7d  glue (%s)\n" "$(cat "${glue[@]}" | wc -l)" "${glue[*]}"
