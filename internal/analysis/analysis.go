@@ -82,7 +82,6 @@ func All() []*Analyzer {
 		ExportDoc,
 		MapDet,
 		WallDet,
-		CtxDeadline,
 		TraceKind,
 		HotAlloc,
 	}

@@ -228,8 +228,8 @@ func enclosingFixtureFunc(t *testing.T, pkg *Package, f Finding) string {
 // TestByName covers the CLI's analyzer selection.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 11 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 11", len(all), err)
+	if err != nil || len(all) != 10 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 10", len(all), err)
 	}
 	// The dataflow-layer analyzers must be registered (the selfcheck
 	// runs All(), so this also keeps them wired into tier-1).
@@ -237,7 +237,7 @@ func TestByName(t *testing.T) {
 	for _, a := range all {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"walldet", "ctxdeadline", "tracekind", "lockhold", "hotalloc"} {
+	for _, want := range []string{"walldet", "tracekind", "lockhold", "hotalloc"} {
 		if !names[want] {
 			t.Errorf("ByName(\"\") is missing analyzer %s", want)
 		}

@@ -38,9 +38,9 @@ type FuncNode struct {
 	evAssigns  []eventAssignSite
 	orderSites []orderSite
 
-	// ctxdeadline's I/O-parameter summary: which parameters the
-	// function performs raw network-style reads/writes on.
-	ioParams []ioKind
+	// lockhold's network-write summary: which parameters the function
+	// writes to, directly or through module callees.
+	writesParam []bool
 
 	// hotalloc layer results (hotalloc.go): directives, allocation
 	// sites, per-callee minimum loop depth, and the converged hot
@@ -113,7 +113,7 @@ func BuildModule(pkgs []*Package) *Module {
 	}
 	computeSummaries(m)
 	computeTaintSummaries(m)
-	computeIOParams(m)
+	computeWriteParams(m)
 	computeHotAlloc(m)
 	return m
 }

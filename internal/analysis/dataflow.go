@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the value-level dataflow layer under walldet, tracekind,
-// mapdet and (via the shared control-flow driver) ctxdeadline, lockhold
-// and hotalloc. It adds to the boolean summaries of summary.go an intraprocedural
+// mapdet and (via the shared control-flow driver) lockhold and
+// hotalloc. It adds to the boolean summaries of summary.go an intraprocedural
 // abstract interpretation over go/ast+go/types: every local variable
 // carries an element of a small taint lattice, statements are transfer
 // functions, and control-flow merge points join environments. Each
@@ -157,7 +157,7 @@ func (n *FuncNode) SinkFlows() []SinkFlow {
 // walker. Clients implement the lattice (fork/merge) and the transfer
 // functions (leaf/expr); flowStmt supplies the control flow: branches
 // run on forks and merge back (the fall-through state is kept, so a
-// must-analysis sees a conditionally-established fact as absent), and
+// fact established on only some paths merges with its absence), and
 // loop bodies run twice so facts created on one iteration are visible
 // to the next.
 type flowState interface {
@@ -1141,6 +1141,18 @@ func dedupEventAssigns(as []eventAssignSite) []eventAssignSite {
 		out = append(out, a)
 	}
 	return out
+}
+
+// alignedArgs returns the call's arguments receiver-first, aligned with
+// paramList indexing.
+func alignedArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
+	args := make([]ast.Expr, 0, len(call.Args)+1)
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if _, isMethod := info.Selections[sel]; isMethod {
+			args = append(args, sel.X)
+		}
+	}
+	return append(args, call.Args...)
 }
 
 // paramList returns the parameters in summary order: receiver first on

@@ -64,10 +64,7 @@ func TestSinkFlowSummary(t *testing.T) {
 	t.Errorf("stamp: missing param-1 → checkpoint sink flow; got %v", n.SinkFlows())
 }
 
-func TestWallDetFixture(t *testing.T) { checkFixture(t, WallDet, "walldet/internal/ug") }
-func TestCtxDeadlineFixture(t *testing.T) {
-	checkFixture(t, CtxDeadline, "ctxdeadline/internal/ug/comm")
-}
+func TestWallDetFixture(t *testing.T)   { checkFixture(t, WallDet, "walldet/internal/ug") }
 func TestTraceKindFixture(t *testing.T) { checkFixture(t, TraceKind, "tracekind") }
 
 // TestChanLockFixture runs lockhold over the fixture of the former

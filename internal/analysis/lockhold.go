@@ -25,8 +25,8 @@ import (
 //   - a call into a module function whose summary says it may block
 //     (possibly several calls deep), or that may re-acquire a mutex
 //     already held: a self-deadlock on a non-reentrant Go mutex;
-//   - a network write, raw or through a module callee (ctxdeadline's
-//     ioParams): remote backpressure extends the critical section.
+//   - a network write, raw or through a module callee (the writesParam
+//     summary below): remote backpressure extends the critical section.
 //
 // Independently of any hold, sync.Cond.Wait outside a for/range loop is
 // reported: spurious and stolen wakeups are allowed by the memory model,
@@ -170,8 +170,8 @@ func (e *heldEnv) call(call *ast.CallExpr) {
 			}
 		}
 	}
-	ioOperands(info, call, callees, func(arg ast.Expr, k ioKind, via string) {
-		if obj := exprRootObj(info, arg); k&ioWrite != 0 && obj != nil && connishObj(obj) {
+	writeOperands(info, call, callees, func(arg ast.Expr, via string) {
+		if obj := exprRootObj(info, arg); obj != nil && connishObj(obj) {
 			e.w.p.Reportf(arg.Pos(), "network write on %s while %s%s; remote backpressure extends the critical section",
 				exprString(arg), e.holding(), via)
 		}
@@ -273,6 +273,139 @@ func nonBlockingComms(body *ast.BlockStmt) map[token.Pos]bool {
 		return true
 	})
 	return out
+}
+
+// writeMethodNames are the stdlib method names that block on the wire
+// when the receiver wraps a connection.
+var writeMethodNames = map[string]bool{
+	"Write": true, "WriteByte": true, "WriteString": true, "WriteRune": true,
+	"Flush": true,
+}
+
+// rawWriteTargets returns the operands a non-module call writes to
+// directly. Module calls are resolved through writesParam summaries
+// instead and must not reach here.
+func rawWriteTargets(info *types.Info, call *ast.CallExpr) []ast.Expr {
+	if path, name, ok := pkgFuncOf(info, call.Fun); ok {
+		switch {
+		case path == "io" && (name == "WriteString" || name == "Copy" || name == "CopyN"),
+			path == "encoding/binary" && name == "Write":
+			if len(call.Args) > 0 {
+				return call.Args[:1]
+			}
+		}
+		return nil
+	}
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !writeMethodNames[sel.Sel.Name] {
+		return nil
+	}
+	if _, isMethod := info.Selections[sel]; !isMethod {
+		return nil
+	}
+	return []ast.Expr{sel.X}
+}
+
+// writeOperands calls fn for each operand a call writes to:
+// rawWriteTargets for a non-module call, the callees' writesParam
+// summaries otherwise. via is "" for a direct write and " (via
+// <callee>)" for a write in a callee, ready to append to a finding.
+func writeOperands(info *types.Info, call *ast.CallExpr, callees []*FuncNode, fn func(arg ast.Expr, via string)) {
+	if len(callees) == 0 {
+		for _, e := range rawWriteTargets(info, call) {
+			fn(e, "")
+		}
+		return
+	}
+	args := alignedArgs(info, call)
+	for _, c := range callees {
+		for i, w := range c.writesParam {
+			if w && i < len(args) {
+				fn(args[i], " (via "+shortFuncName(c)+")")
+			}
+		}
+	}
+}
+
+// computeWriteParams converges the per-function writesParam summaries
+// over the call graph (run from BuildModule). The summary is monotone,
+// so a plain sweep-to-fixpoint terminates; it is what lets lockhold see
+// `p.write(...)` write on p's connection three calls deep.
+func computeWriteParams(m *Module) {
+	for _, n := range m.nodes {
+		n.writesParam = make([]bool, len(paramList(n)))
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range m.nodes {
+			if n.body() != nil && scanWriteParams(m, n) {
+				changed = true
+			}
+		}
+	}
+}
+
+// scanWriteParams marks the parameters n writes to, directly or via
+// module callees; it reports whether the summary grew.
+func scanWriteParams(m *Module, n *FuncNode) bool {
+	info := n.Pkg.Info
+	index := map[types.Object]int{}
+	for i, obj := range paramList(n) {
+		index[obj] = i
+	}
+	changed := false
+	walkShallow(n.body(), func(nd ast.Node) bool {
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		writeOperands(info, call, m.calleesOf(info, call.Fun), func(e ast.Expr, _ string) {
+			if i, ok := index[exprRootObj(info, e)]; ok && !n.writesParam[i] {
+				n.writesParam[i] = true
+				changed = true
+			}
+		})
+		return true
+	})
+	return changed
+}
+
+// connishObj reports whether obj is connection-like: its type is
+// net.Conn, or a struct carrying a net.Conn field (the peer pattern).
+func connishObj(obj types.Object) bool {
+	t := obj.Type()
+	if t == nil {
+		return false
+	}
+	if isNetConnType(t) {
+		return true
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isNetConnType(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isNetConnType reports whether t is (a pointer to) net.Conn.
+func isNetConnType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Conn" && obj.Pkg() != nil && obj.Pkg().Path() == "net"
 }
 
 func runLockHold(p *Pass) {

@@ -32,8 +32,8 @@ func sendAfter(h *hub, urgent bool) {
 	h.ch <- 1
 }
 
-// readUnlocked does its network IO outside any critical section; the
-// missing deadline is ctxdeadline's concern, not lockhold's.
+// readUnlocked does its network IO outside any critical section; a
+// missing deadline is not lockhold's concern.
 func readUnlocked(h *hub, conn net.Conn, buf []byte) {
 	h.mu.Lock()
 	h.mu.Unlock()

@@ -207,7 +207,7 @@ func (c *ChannelComm) Send(to int, m Message) { c.boxes[to].Put(m) }
 // returns a synthesized termination message (From = -1,
 // Tag = TagTermination) so blocked receivers unwind.
 func (c *ChannelComm) Recv(rank int) Message {
-	//lint:ignore ctxdeadline Recv's contract is to block; Close closes every box, which unblocks Get
+	// Recv's contract is to block; Close closes every box, which unblocks Get.
 	m, ok := c.boxes[rank].Get()
 	if !ok {
 		return Message{From: -1, Tag: TagTermination}

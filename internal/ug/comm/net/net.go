@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,7 @@ type Options struct {
 	// construction time (nil disables collection).
 	Metrics *obs.Registry
 	// Capture, when armed, writes a post-mortem forensics bundle if a
-	// transport pump goroutine (send/recv/heartbeat/reject) panics; the
+	// transport goroutine (accept/handshake/send/recv/heartbeat) panics; the
 	// panic is rethrown unchanged afterwards. Nil/disarmed is a no-op.
 	Capture *obs.Capturer
 }
@@ -64,6 +65,10 @@ const (
 	// deadline before putting the frame on the wire, so a remote that
 	// stops reading cannot wedge the send or heartbeat loop forever.
 	writeTimeout = 5 * time.Second
+	// handshakeTimeout bounds each accepted connection's handshake (read
+	// the hello, answer it). Every connection handshakes on its own
+	// goroutine, so one that never sends stalls only itself.
+	handshakeTimeout = 2 * time.Second
 	// outboxSoftCap is the per-peer outgoing queue depth beyond which
 	// the comm.net.outbox.overflow counter ticks. The queue itself stays
 	// unbounded so Send never blocks or drops.
@@ -165,7 +170,8 @@ type NetComm struct {
 
 	ins atomic.Pointer[instruments]
 
-	ln        net.Listener // coordinator only; closed by Close
+	ln        net.Listener  // coordinator only; closed by Close
+	full      chan struct{} // coordinator only; closed once ranks 1..size-1 have all joined
 	closing   atomic.Bool
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -230,37 +236,51 @@ func (l *Listener) Rendezvous(size int, opts Options) (*NetComm, error) {
 	}
 	c := newNetComm(0, size, opts)
 	c.ln = l.ln
-	deadline := time.Now().Add(opts.RendezvousTimeout)
-	if tl, ok := l.ln.(*net.TCPListener); ok {
-		if err := tl.SetDeadline(deadline); err != nil {
-			c.abort()
-			return nil, fmt.Errorf("netcomm: rendezvous: %w", err)
-		}
-	}
-	for c.peerCount() < size-1 {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			joined := c.peerCount()
-			c.abort()
-			return nil, fmt.Errorf("netcomm: rendezvous: %d of %d workers joined: %w", joined, size-1, err)
-		}
-		c.admit(conn, deadline)
-	}
-	if tl, ok := l.ln.(*net.TCPListener); ok {
-		_ = tl.SetDeadline(time.Time{}) // clear; failure only shortens the reject loop
-	}
-	// Keep answering latecomers (retry ghosts of already-joined ranks,
-	// stray dials) with a reject frame instead of letting them hang.
+	c.full = make(chan struct{})
+	acceptErr := make(chan error, 1)
 	c.wg.Add(1)
-	go c.rejectLoop()
-	return c, nil
+	go c.acceptLoop(acceptErr)
+	timer := time.NewTimer(opts.RendezvousTimeout)
+	defer timer.Stop()
+	var err error
+	select {
+	case <-c.full:
+		return c, nil
+	case err = <-acceptErr:
+	case <-timer.C:
+		err = os.ErrDeadlineExceeded
+	}
+	joined := c.peerCount()
+	c.abort()
+	return nil, fmt.Errorf("netcomm: rendezvous: %d of %d workers joined: %w", joined, size-1, err)
 }
 
-// admit runs the accept-side handshake on one connection: read the
-// hello, validate it, welcome or reject. Malformed handshakes are
-// dropped silently — the dialer retries or times out.
-func (c *NetComm) admit(conn net.Conn, deadline time.Time) {
-	_ = conn.SetDeadline(deadline)
+// acceptLoop lives as long as the coordinator endpoint: it hands every
+// connection to its own handshake goroutine and exits when Close or
+// abort shuts the listener, reporting the accept error on failed.
+func (c *NetComm) acceptLoop(failed chan<- error) {
+	defer c.wg.Done()
+	defer c.opts.Capture.CapturePanic("netcomm.acceptLoop")
+	for {
+		conn, err := c.ln.Accept()
+		if err != nil {
+			failed <- err
+			return
+		}
+		c.wg.Add(1)
+		go c.handshake(conn)
+	}
+}
+
+// handshake runs the accept side of one connection under
+// handshakeTimeout: read the hello, then welcome or reject it.
+// Malformed handshakes are dropped silently; the dialer retries or
+// times out. A welcome that cannot be written loses a peer that has
+// already joined, so it is torn down like any other lost peer.
+func (c *NetComm) handshake(conn net.Conn) {
+	defer c.wg.Done()
+	defer c.opts.Capture.CapturePanic("netcomm.handshake")
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
 	ft, body, err := readFrame(br)
 	if err != nil || ft != frameHello {
@@ -272,49 +292,47 @@ func (c *NetComm) admit(conn net.Conn, deadline time.Time) {
 		_ = conn.Close()
 		return
 	}
-	reason := ""
-	switch {
-	case ver != ProtocolVersion:
-		reason = fmt.Sprintf("protocol version %d, coordinator speaks %d", ver, ProtocolVersion)
-	case rank < 1 || rank >= c.size:
-		reason = fmt.Sprintf("rank %d outside roster [1,%d]", rank, c.size-1)
-	case c.hasPeer(rank):
-		reason = fmt.Sprintf("rank %d already joined", rank)
-	}
-	if reason != "" {
+	p := c.newPeer(rank, conn, br)
+	if reason := c.join(p, ver); reason != "" {
 		_ = writeFrame(conn, frameReject, appendReject(nil, reason))
 		_ = conn.Close()
 		return
 	}
 	if err := writeFrame(conn, frameWelcome, appendWelcome(nil, c.size)); err != nil {
-		_ = conn.Close()
+		c.peerGone(p, fmt.Errorf("netcomm: welcome to rank %d: %w", rank, err))
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	c.addPeer(rank, conn, br)
+	c.startPeer(p)
 }
 
-// rejectLoop answers post-rendezvous connection attempts with a reject
-// frame; it exits when Close shuts the listener.
-func (c *NetComm) rejectLoop() {
-	defer c.wg.Done()
-	defer c.opts.Capture.CapturePanic("netcomm.rejectLoop")
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func(conn net.Conn) {
-			defer c.wg.Done()
-			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-			br := bufio.NewReader(conn)
-			if ft, _, err := readFrame(br); err == nil && ft == frameHello {
-				_ = writeFrame(conn, frameReject, appendReject(nil, "roster already complete"))
-			}
-			_ = conn.Close()
-		}(conn)
+// join is the handshake's one atomic step: under c.mu it checks the
+// hello against the roster and, when it is admissible, registers p and
+// closes c.full if p completes the roster. It returns the rejection
+// reason, or "" once p holds its rank.
+func (c *NetComm) join(p *peer, ver uint16) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.full:
+		return "roster already complete"
+	default:
 	}
+	switch {
+	case c.closing.Load():
+		return "coordinator shutting down"
+	case ver != ProtocolVersion:
+		return fmt.Sprintf("protocol version %d, coordinator speaks %d", ver, ProtocolVersion)
+	case p.rank < 1 || p.rank >= c.size:
+		return fmt.Sprintf("rank %d outside roster [1,%d]", p.rank, c.size-1)
+	case c.peers[p.rank] != nil:
+		return fmt.Sprintf("rank %d already joined", p.rank)
+	}
+	c.peers[p.rank] = p
+	if len(c.peers) == c.size-1 {
+		close(c.full)
+	}
+	return ""
 }
 
 // Dial connects a worker endpoint to the coordinator at addr,
@@ -392,7 +410,9 @@ func dialOnce(addr string, rank int, opts Options, deadline time.Time) (*NetComm
 		}
 		_ = conn.SetDeadline(time.Time{})
 		c := newNetComm(rank, size, opts)
-		c.addPeer(0, conn, br)
+		p := c.newPeer(0, conn, br)
+		c.peers[0] = p
+		c.startPeer(p)
 		return c, nil
 	case frameReject:
 		reason, derr := decodeReject(body)
@@ -407,8 +427,9 @@ func dialOnce(addr string, rank int, opts Options, deadline time.Time) (*NetComm
 	}
 }
 
-// addPeer registers a handshaken connection and starts its loops.
-func (c *NetComm) addPeer(rank int, conn net.Conn, br *bufio.Reader) {
+// newPeer wraps a connection whose hello has been read (coordinator) or
+// welcomed (worker); br holds whatever the handshake buffered.
+func (c *NetComm) newPeer(rank int, conn net.Conn, br *bufio.Reader) *peer {
 	p := &peer{
 		rank:       rank,
 		conn:       conn,
@@ -419,11 +440,13 @@ func (c *NetComm) addPeer(rank int, conn net.Conn, br *bufio.Reader) {
 		readWindow: time.Duration(c.opts.HeartbeatMiss+1) * c.opts.HeartbeatEvery,
 	}
 	p.lastIn.Store(time.Now().UnixNano())
-	c.mu.Lock()
-	c.peers[rank] = p
-	c.mu.Unlock()
-	c.trace.Emit(obs.Event{Kind: obs.KindCommConnect, Rank: rank, Open: c.size,
-		Str: conn.RemoteAddr().String()})
+	return p
+}
+
+// startPeer announces a registered, welcomed peer and starts its loops.
+func (c *NetComm) startPeer(p *peer) {
+	c.trace.Emit(obs.Event{Kind: obs.KindCommConnect, Rank: p.rank, Open: c.size,
+		Str: p.conn.RemoteAddr().String()})
 	c.wg.Add(3)
 	go c.sendLoop(p)
 	go c.recvLoop(p)
@@ -466,7 +489,8 @@ func (c *NetComm) sendLoop(p *peer) {
 	defer c.opts.Capture.CapturePanic("netcomm.sendLoop")
 	var buf []byte
 	for {
-		//lint:ignore ctxdeadline the outgoing queue blocks by design; peerGone and Close close it, which unblocks Get
+		// The outgoing queue blocks by design; peerGone and Close close it,
+		// which unblocks Get.
 		m, ok := p.out.Get()
 		if !ok {
 			// Queue closed and drained: every queued frame is on the
@@ -657,7 +681,8 @@ func (c *NetComm) Send(to int, m comm.Message) {
 // termination message (From = -1, Tag = TagTermination).
 func (c *NetComm) Recv(rank int) comm.Message {
 	c.mustBeLocal(rank)
-	//lint:ignore ctxdeadline Recv's contract is to block; Close and coordinator loss close the inbox, which unblocks Get
+	// Recv's contract is to block; Close and coordinator loss close the
+	// inbox, which unblocks Get.
 	m, ok := c.inbox.Get()
 	if !ok {
 		return comm.Message{From: -1, Tag: comm.TagTermination}

@@ -155,6 +155,54 @@ func TestDuplicateRankRejected(t *testing.T) {
 	}
 }
 
+// TestConcurrentDialsAdmitOneRank: hellos for one rank handshake on
+// concurrent goroutines, and the rank check and registration are one
+// step, so exactly one dial wins the rank and every other is rejected.
+func TestConcurrentDialsAdmitOneRank(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coCh := make(chan error, 1)
+	var co *NetComm
+	go func() {
+		c, err := ln.Rendezvous(3, quickOpts())
+		co = c
+		coCh <- err
+	}()
+	const dials = 8
+	results := make(chan *NetComm, dials)
+	for i := 0; i < dials; i++ {
+		go func() {
+			w, err := Dial(ln.Addr(), 1, quickOpts())
+			var rej *RejectedError
+			if err != nil && (!errors.As(err, &rej) || !strings.Contains(rej.Reason, "already joined")) {
+				t.Errorf("losing dial: %v, want an already-joined rejection", err)
+			}
+			results <- w
+		}()
+	}
+	won := 0
+	for i := 0; i < dials; i++ {
+		if w := <-results; w != nil {
+			won++
+			defer w.Close()
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d concurrent dials won rank 1, want exactly 1", won, dials)
+	}
+	w2, err := Dial(ln.Addr(), 2, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := <-coCh; err != nil {
+		t.Fatal(err)
+	}
+	_ = co.Close()
+}
+
 func TestVersionMismatchRejected(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -318,6 +366,182 @@ func TestAbruptDisconnectSynthesizesPeerDown(t *testing.T) {
 	}
 }
 
+// rawPeer dials addr and completes the hello/welcome handshake as rank
+// by hand, returning the connection for the test to misbehave on.
+func rawPeer(t *testing.T, addr string, rank int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameHello, appendHello(nil, rank)); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := readFrame(bufio.NewReader(conn)); err != nil || ft != frameWelcome {
+		t.Fatalf("handshake: type %d err %v", ft, err)
+	}
+	return conn
+}
+
+// The transport's socket bounds are pinned by behaviour, one test each:
+//
+//   - handshake: TestSilentConnectionDoesNotStallRendezvous
+//   - dial:      TestDialToSilentListenerGivesUp
+//   - write:     TestWriteTimeoutDeclaresPeerDown
+//   - read:      TestHeartbeatTimeoutDeclaresPeerDead
+//
+// A bound that exists but is the wrong one (armed on the rendezvous
+// instead of the connection, say) fails here.
+
+// TestSilentConnectionDoesNotStallRendezvous: a connection that never
+// sends its hello holds only its own handshake goroutine. A serial
+// accept loop waits on it until the rendezvous deadline, and then the
+// coordinator and the real worker behind it both fail.
+func TestSilentConnectionDoesNotStallRendezvous(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := quickOpts()
+	opts.RendezvousTimeout = 3 * time.Second
+	start := time.Now()
+	coCh := make(chan error, 1)
+	var co *NetComm
+	go func() {
+		c, err := ln.Rendezvous(2, opts)
+		co = c
+		coCh <- err
+	}()
+	silent, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, werr := Dial(ln.Addr(), 1, opts)
+	cerr := <-coCh
+	elapsed := time.Since(start)
+	_ = silent.Close()
+	if w != nil {
+		defer w.Close()
+	}
+	if co != nil {
+		defer co.Close()
+	}
+	if werr != nil || cerr != nil {
+		t.Fatalf("behind a silent connection: worker %v, coordinator %v", werr, cerr)
+	}
+	if elapsed > opts.RendezvousTimeout/2 {
+		t.Fatalf("rendezvous took %v behind a silent connection; timeout %v", elapsed, opts.RendezvousTimeout)
+	}
+}
+
+// TestDialToSilentListenerGivesUp: a coordinator that accepts but
+// never answers the hello cannot hold Dial past RendezvousTimeout.
+func TestDialToSilentListenerGivesUp(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One connection per dial attempt; the 1 s window allows only a few.
+	accepted := make(chan net.Conn, 16)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	opts := quickOpts()
+	opts.RendezvousTimeout = time.Second
+	start := time.Now()
+	_, err = Dial(l.Addr().String(), 1, opts)
+	elapsed := time.Since(start)
+	_ = l.Close()
+	for conn := range accepted {
+		_ = conn.Close()
+	}
+	if err == nil {
+		t.Fatal("Dial succeeded against a listener that never answers")
+	}
+	if limit := opts.RendezvousTimeout + 2*time.Second; elapsed > limit {
+		t.Fatalf("Dial returned after %v, want within %v: %v", elapsed, limit, err)
+	}
+}
+
+// TestWriteTimeoutDeclaresPeerDown pins the write-side bound: a peer
+// that keeps its link alive with heartbeats but never reads fills the
+// socket buffers, and the frame write that then blocks fails at its
+// writeTimeout deadline, tearing the peer down with a write-timeout
+// cause. The heartbeats keep the read-side bound out of it; that one
+// is TestHeartbeatTimeoutDeclaresPeerDead.
+func TestWriteTimeoutDeclaresPeerDown(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MemSink{}
+	coOpts := quickOpts()
+	coOpts.Trace = obs.NewTracer(sink)
+	coCh := make(chan error, 1)
+	var co *NetComm
+	go func() {
+		c, err := ln.Rendezvous(2, coOpts)
+		co = c
+		coCh <- err
+	}()
+	conn := rawPeer(t, ln.Addr(), 1)
+	defer conn.Close()
+	// A small fixed receive buffer: the coordinator's writes stall after
+	// a few MiB instead of the autotuned maximum.
+	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	beating := make(chan struct{})
+	go func() {
+		defer close(beating)
+		tick := time.NewTicker(coOpts.HeartbeatEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if writeFrame(conn, frameHeartbeat, nil) != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-beating }()
+	if err := <-coCh; err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	payload := make([]byte, 1<<20)
+	start := time.Now()
+	for i := 0; i < 32; i++ {
+		co.Send(1, comm.Message{From: 0, Tag: comm.TagSubproblem, Payload: payload})
+	}
+	m := recvWithTimeout(t, co, writeTimeout+2*time.Second)
+	elapsed := time.Since(start)
+	if m.Tag != comm.TagPeerDown || m.From != 1 {
+		t.Fatalf("got %+v, want peerDown from the rank that stopped reading", m)
+	}
+	if elapsed < writeTimeout {
+		t.Fatalf("peer torn down after %v, before any write deadline (%v) could expire", elapsed, writeTimeout)
+	}
+	evs := sink.Filter(obs.KindCommPeerDown)
+	if len(evs) != 1 || !strings.Contains(evs[0].Str, "i/o timeout") || strings.Contains(evs[0].Str, "read from") {
+		t.Fatalf("peer-down causes %+v, want one write timeout", evs)
+	}
+}
+
+// TestHeartbeatTimeoutDeclaresPeerDead pins the read-side bound: a peer
+// that handshakes and then sends nothing at all is declared dead after
+// HeartbeatMiss silent intervals.
 func TestHeartbeatTimeoutDeclaresPeerDead(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -336,17 +560,8 @@ func TestHeartbeatTimeoutDeclaresPeerDead(t *testing.T) {
 	// A hand-rolled worker that completes the handshake and then goes
 	// silent: no heartbeats, no data, but the socket stays open — the
 	// failure TCP alone never reports.
-	conn, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawPeer(t, ln.Addr(), 1)
 	defer conn.Close()
-	if err := writeFrame(conn, frameHello, appendHello(nil, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if ft, _, err := readFrame(bufio.NewReader(conn)); err != nil || ft != frameWelcome {
-		t.Fatalf("handshake: type %d err %v", ft, err)
-	}
 	if err := <-coCh; err != nil {
 		t.Fatal(err)
 	}
@@ -372,17 +587,8 @@ func TestForgedSenderIsMalformed(t *testing.T) {
 	// A hand-rolled worker handshaken as rank 1 whose data frame claims
 	// to come from rank 7, outside the roster: delivered as sent, it would
 	// make the coordinator book an outcome for a rank that does not exist.
-	conn, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawPeer(t, ln.Addr(), 1)
 	defer conn.Close()
-	if err := writeFrame(conn, frameHello, appendHello(nil, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if ft, _, err := readFrame(bufio.NewReader(conn)); err != nil || ft != frameWelcome {
-		t.Fatalf("handshake: type %d err %v", ft, err)
-	}
 	if err := <-coCh; err != nil {
 		t.Fatal(err)
 	}

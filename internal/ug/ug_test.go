@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ug/comm"
 )
@@ -22,10 +23,11 @@ type fakeFactory struct {
 	lo, hi   int64
 	chunk    int64
 	settings int
-	bound    float64  // dual bound of every status report and shipped node
-	split    bool     // halve the unscanned rest, so more than one node is open
-	created  int64    // atomic: workers created
-	used     sync.Map // [2]int{rank, settings index} pairs that solved a subproblem
+	bound    float64       // dual bound of every status report and shipped node
+	split    bool          // halve the unscanned rest, so more than one node is open
+	delay    time.Duration // sleep per scanned chunk: work that no host finishes faster
+	created  int64         // atomic: workers created
+	used     sync.Map      // [2]int{rank, settings index} pairs that solved a subproblem
 }
 
 func f(i int64) float64 {
@@ -95,6 +97,7 @@ func (fw *fakeWorker) Solve(sub *Subproblem, sess *Session) Outcome {
 				sess.FoundSolution(Solution{Obj: v, Payload: encodeIv(i, i+1)})
 			}
 		}
+		time.Sleep(fw.ff.delay)
 		nodes++
 		cmd := sess.Poll(StatusReport{Bound: fw.ff.bound, Open: len(open), Nodes: nodes})
 		for _, sol := range cmd.Solutions {
@@ -185,7 +188,11 @@ func TestRacingDeclaresWinner(t *testing.T) {
 func TestTimeLimitCheckpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "c.gob")
-	ff := &fakeFactory{lo: 0, hi: 3_000_000, chunk: 200}
+	// 150 chunks at 5 ms each: 0.75 s of work for one worker, at least
+	// 0.375 s for two, so the 0.15 s limit interrupts the run on any host.
+	// Splitting keeps open nodes to ship, so both workers take part.
+	ff := &fakeFactory{lo: 0, hi: 3_000_000, chunk: 20_000, bound: -1, split: true, delay: 5 * time.Millisecond}
+	want := trueMin(0, 3_000_000)
 	res1, err := Run(ff, Config{
 		Workers:         2,
 		TimeLimit:       0.15,
@@ -198,7 +205,12 @@ func TestTimeLimitCheckpointAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res1.Optimal {
-		t.Skip("machine too fast; instance finished before the limit")
+		t.Fatalf("run finished inside its time limit: %+v", res1)
+	}
+	// An interrupted run still reports an honest bound: finite, no
+	// higher than the optimum, no lower than the root bound.
+	if math.IsInf(res1.DualBound, 0) || res1.DualBound > want || res1.DualBound < ff.bound {
+		t.Fatalf("interrupted run's dual bound %v, want finite in [%v, %v]", res1.DualBound, ff.bound, want)
 	}
 	ck, err := LoadCheckpointInfo(ckpt)
 	if err != nil {
@@ -212,7 +224,6 @@ func TestTimeLimitCheckpointAndRestart(t *testing.T) {
 		t.Fatalf("primitive nodes %d exceed open frontier %d", len(ck.Pool), res1.Stats.OpenAtEnd)
 	}
 	// Restarting and finishing must reach the global optimum.
-	want := trueMin(0, 3_000_000)
 	res2, err := Run(ff, Config{
 		Workers:        4,
 		RestartFrom:    ckpt,
