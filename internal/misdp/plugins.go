@@ -146,7 +146,7 @@ func (*Relaxator) Name() string { return "sdprelax" }
 
 // Relax implements scip.Relaxator.
 //
-//ugo:coldpath each relaxation is a full interior-point SDP solve: sdp.Solve compiles the node problem and allocates its workspace once here, and the Newton steps under it are a //ugo:hotpath root of their own, pinned at 0 allocs
+//ugo:coldpath each relaxation is a full interior-point SDP solve: sdp.Solve folds the node's fixings into the instance's compiled Blocks and allocates its workspace once here, and the Newton steps under it are a //ugo:hotpath root of their own, pinned at 0 allocs
 func (r *Relaxator) Relax(ctx *scip.Ctx) (float64, []float64, scip.Result) {
 	if ctx.Settings().UseLP {
 		return math.Inf(-1), nil, scip.DidNotRun

@@ -304,38 +304,44 @@ func TestMkPModesAgree(t *testing.T) {
 // The 16 instances of the benchmark's misdp_sdp workload (main and
 // hold-out pool), with the optimum the nonlinear branch and bound reached
 // before the SDP solver's Newton system was assembled from the
-// coefficient matrices' structure. A change to the barrier kernels may
-// reorder sums; it may not move an optimum.
+// coefficient matrices' structure, and the tree's node count. A change
+// to the barrier kernels may reorder sums; it may not move an optimum,
+// and one that leaves every node's relaxation where it was leaves the
+// node counts alone too.
 func TestSDPModeCatalogueOptima(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		p    *misdp.MISDP
-		want float64
+		name  string
+		p     *misdp.MISDP
+		want  float64
+		nodes int64
 	}{
-		{"cls-8-10-3-3", CLS(8, 10, 3, 3), -0.071054568013718108},
-		{"cls-10-12-3-4", CLS(10, 12, 3, 4), -0.087545484514358812},
-		{"cls-10-12-3-7", CLS(10, 12, 3, 7), -0.086830572717847276},
-		{"ttd-4-12-2-6", TTD(4, 12, 2, 6), -17.269628970999381},
-		{"ttd-4-10-2-2", TTD(4, 10, 2, 2), -13.973213020325694},
-		{"ttd-5-14-3-2", TTD(5, 14, 3, 2), -32.120718893955583},
-		{"ttd-6-16-3-8", TTD(6, 16, 3, 8), -26.161916176129658},
-		{"mkp-10-4-7", MkP(10, 4, 7), -16},
-		{"cls-8-10-3-8", CLS(8, 10, 3, 8), -0.12291613719488834},
-		{"mkp-7-3-6", MkP(7, 3, 6), -18},
-		{"cls-9-12-4-3", CLS(9, 12, 4, 3), -0.098522461592851135},
-		{"cls-9-12-4-5", CLS(9, 12, 4, 5), -0.10405404982977734},
-		{"ttd-5-16-3-6", TTD(5, 16, 3, 6), -33.876761664741558},
-		{"mkp-8-3-1", MkP(8, 3, 1), -21},
-		{"mkp-9-3-6", MkP(9, 3, 6), -28},
-		{"mkp-10-3-16", MkP(10, 3, 16), -32},
+		{"cls-8-10-3-3", CLS(8, 10, 3, 3), -0.071054568013718108, 11},
+		{"cls-10-12-3-4", CLS(10, 12, 3, 4), -0.087545484514358812, 7},
+		{"cls-10-12-3-7", CLS(10, 12, 3, 7), -0.086830572717847276, 9},
+		{"ttd-4-12-2-6", TTD(4, 12, 2, 6), -17.269628970999381, 169},
+		{"ttd-4-10-2-2", TTD(4, 10, 2, 2), -13.973213020325694, 207},
+		{"ttd-5-14-3-2", TTD(5, 14, 3, 2), -32.120718893955583, 179},
+		{"ttd-6-16-3-8", TTD(6, 16, 3, 8), -26.161916176129658, 279},
+		{"mkp-10-4-7", MkP(10, 4, 7), -16, 91},
+		{"cls-8-10-3-8", CLS(8, 10, 3, 8), -0.12291613719488834, 11},
+		{"mkp-7-3-6", MkP(7, 3, 6), -18, 43},
+		{"cls-9-12-4-3", CLS(9, 12, 4, 3), -0.098522461592851135, 9},
+		{"cls-9-12-4-5", CLS(9, 12, 4, 5), -0.10405404982977734, 13},
+		{"ttd-5-16-3-6", TTD(5, 16, 3, 6), -33.876761664741558, 119},
+		{"mkp-8-3-1", MkP(8, 3, 1), -21, 65},
+		{"mkp-9-3-6", MkP(9, 3, 6), -28, 79},
+		{"mkp-10-3-16", MkP(10, 3, 16), -32, 91},
 	} {
-		got, st := solve(t, tc.p, misdp.SDPSettings())
-		if st != scip.StatusOptimal {
+		s := solver(tc.p, misdp.SDPSettings())
+		if st := s.Solve(); st != scip.StatusOptimal {
 			t.Errorf("%s: status %v, want optimal", tc.name, st)
 			continue
 		}
-		if math.Abs(got-tc.want) > 1e-9 {
+		if got := -s.Incumbent().Obj; math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("%s: optimum %.17g, recorded %.17g", tc.name, got, tc.want)
+		}
+		if s.Stats.Nodes != tc.nodes {
+			t.Errorf("%s: %d nodes, pinned %d", tc.name, s.Stats.Nodes, tc.nodes)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/num"
@@ -22,9 +23,10 @@ type entry struct {
 	v      float64
 }
 
-// upperEntries appends the nonzeros of a's upper triangle to dst in
-// row-major order (kr, kc left zero).
-func upperEntries(dst []entry, a *linalg.Sym) []entry {
+// upperEntries returns the nonzeros of a's upper triangle in row-major
+// order (kr, kc left zero).
+func upperEntries(a *linalg.Sym) []entry {
+	var dst []entry
 	n := a.N
 	for r := 0; r < n; r++ {
 		for c := r; c < n; c++ {
@@ -57,10 +59,6 @@ type coef struct {
 	rankOne bool
 	sigma   float64
 	v       []float64
-	// w is this coefficient's scratch, filled per Newton step: u = Z⁻¹v
-	// (n floats) for a rank-one coefficient, otherwise the len(cols)
-	// nonzero columns of W = Z⁻¹A, n floats each, in cols order.
-	w []float64
 }
 
 // rankOneFactor tests A = σ·v·vᵀ to rankOneTol. The factor is read off
@@ -99,7 +97,7 @@ func rankOneFactor(a *linalg.Sym) (sigma float64, v []float64, ok bool) {
 
 // compileCoef compiles a; pos is scratch of a's order.
 func compileCoef(a *linalg.Sym, pos []int) coef {
-	cf := coef{ents: upperEntries(nil, a)}
+	cf := coef{ents: upperEntries(a)}
 	if len(cf.ents) == 0 {
 		return cf
 	}
@@ -123,7 +121,8 @@ func compileCoef(a *linalg.Sym, pos []int) coef {
 	return cf
 }
 
-// scratchLen is the length of cf.w in a block of order n.
+// scratchLen is the length of cf's per-step scratch in a block of
+// order n (see blockWork.w).
 func (cf *coef) scratchLen(n int) int {
 	if cf.rankOne {
 		return n
@@ -131,13 +130,80 @@ func (cf *coef) scratchLen(n int) int {
 	return n * len(cf.cols)
 }
 
+// blockForm is a Block's compiled coefficient form. It is built once
+// per Block and only read afterwards, by every solve over the Block.
+type blockForm struct {
+	coefs []coef // by variable; no entries for a nil or all-zero A_i
+	live  []int  // variables with entries, ascending
+}
+
+// compileBlock compiles every coefficient matrix of b.
+//
+//ugo:coldpath once per Block: the O(m·n²) scan whose result every later solve over the Block reads
+func compileBlock(b *Block) *blockForm {
+	f := &blockForm{coefs: make([]coef, len(b.A))}
+	pos := make([]int, b.N)
+	for i, a := range b.A {
+		if a == nil {
+			continue
+		}
+		if f.coefs[i] = compileCoef(a, pos); len(f.coefs[i].ents) > 0 {
+			f.live = append(f.live, i)
+		}
+	}
+	return f
+}
+
+// compiled returns b's compiled form, compiling it on first use.
+// First uses that race may each compile; one form is published, and
+// the forms are equal.
+func (b *Block) compiled() *blockForm {
+	if f := b.form.Load(); f != nil {
+		return f
+	}
+	f := compileBlock(b)
+	if !b.form.CompareAndSwap(nil, f) {
+		f = b.form.Load()
+	}
+	return f
+}
+
+// reduced returns b with every variable outside keep fixed at its
+// fixVal: C − Σ_fixed fixVal_i·A_i, folded in through the compiled
+// entries in variable order, over b's compiled form restricted to keep,
+// so the reduced block is never compiled.
+func (b *Block) reduced(keep []int, fixed []bool, fixVal []float64) *Block {
+	f := b.compiled()
+	c := b.C.Clone()
+	for i, fx := range fixed {
+		if fx && num.Nonzero(fixVal[i]) {
+			subScaled(c, fixVal[i], f.coefs[i].ents)
+		}
+	}
+	red := &Block{N: b.N, C: c, A: make([]*linalg.Sym, len(keep))}
+	rf := &blockForm{coefs: make([]coef, len(keep))}
+	for k, i := range keep {
+		red.A[k], rf.coefs[k] = b.A[i], f.coefs[i]
+		if len(rf.coefs[k].ents) > 0 {
+			rf.live = append(rf.live, k)
+		}
+	}
+	red.form.Store(rf)
+	return red
+}
+
 // blockWork is one block's compiled coefficients and the scratch its
 // barrier terms are evaluated in.
 type blockWork struct {
 	n     int
 	c     *linalg.Sym
-	coefs []coef // by variable; no entries for a nil or all-zero A_i
-	live  []int  // variables with entries, ascending
+	coefs []coef // the Block's compiled form, shared and only read
+	live  []int  // variables of the problem with entries, ascending
+	// w[k] is variable live[k]'s scratch, filled per Newton step: u =
+	// Z⁻¹v (n floats) for a rank-one coefficient, otherwise the
+	// len(cols) nonzero columns of W = Z⁻¹A, n floats each, in cols
+	// order.
+	w [][]float64
 
 	z, zinv *linalg.Sym
 	chol    *linalg.Chol
@@ -153,10 +219,10 @@ type rowWork struct {
 }
 
 // workspace is everything a solve evaluates the barrier in: the
-// coefficient matrices and rows compiled to their nonzero structure,
-// and every matrix and vector a Newton step writes. It is built once per
-// Solve — the scan is O(m·n²) against thirty to sixty Newton steps — and
-// shared by the phase-1 rescue runs, which see the same blocks and rows.
+// blocks' compiled coefficient forms, the rows compiled to their
+// nonzero support, and every matrix and vector a Newton step writes. It
+// is built once per Solve and shared by the phase-1 rescue runs, which
+// see the same blocks and rows.
 type workspace struct {
 	blocks []blockWork
 	rows   []rowWork
@@ -176,9 +242,10 @@ type workspace struct {
 	logs     float64
 }
 
-// newWorkspace compiles p's blocks and rows and allocates the scratch.
+// newWorkspace takes p's compiled blocks, compiling those no solve has
+// seen yet, compiles the rows and allocates the scratch.
 //
-//ugo:coldpath the per-solve compile: one O(m·n²) scan and every allocation of the solve, so that the Newton steps under it make none
+//ugo:coldpath the per-solve setup: every allocation of the solve, so that the Newton steps under it make none
 func newWorkspace(p *Problem) *workspace {
 	m := p.M
 	ws := &workspace{
@@ -193,31 +260,26 @@ func newWorkspace(p *Problem) *workspace {
 	}
 	for k, blk := range p.Blocks {
 		n := blk.N
+		f := blk.compiled()
+		live := f.live[:sort.SearchInts(f.live, m)]
 		bw := &ws.blocks[k]
 		*bw = blockWork{
 			n: n, c: blk.C,
-			coefs: make([]coef, m),
+			coefs: f.coefs,
+			live:  live,
+			w:     make([][]float64, len(live)),
 			z:     linalg.NewSym(n),
 			zinv:  linalg.NewSym(n),
 			chol:  linalg.NewChol(n),
 		}
-		pos := make([]int, n)
 		wlen := 0
-		for i, a := range blk.A[:m] {
-			if a == nil {
-				continue
-			}
-			cf := &bw.coefs[i]
-			if *cf = compileCoef(a, pos); len(cf.ents) > 0 {
-				bw.live = append(bw.live, i)
-				wlen += cf.scratchLen(n)
-			}
+		for _, i := range live {
+			wlen += f.coefs[i].scratchLen(n)
 		}
 		w := make([]float64, wlen)
-		for _, i := range bw.live {
-			cf := &bw.coefs[i]
-			k := cf.scratchLen(n)
-			cf.w, w = w[:k:k], w[k:]
+		for k, i := range live {
+			l := f.coefs[i].scratchLen(n)
+			bw.w[k], w = w[:l:l], w[l:]
 		}
 	}
 	for k, r := range p.Rows {
@@ -235,14 +297,13 @@ func newWorkspace(p *Problem) *workspace {
 	return ws
 }
 
-// Z evaluates C − Σ A_i y_i.
+// Z evaluates C − Σ A_i y_i over the compiled entries.
 func (b *Block) Z(y []float64) *linalg.Sym {
 	z := b.C.Clone()
-	var ents []entry
-	for i, a := range b.A {
-		if a != nil && num.Nonzero(y[i]) {
-			ents = upperEntries(ents[:0], a)
-			subScaled(z, y[i], ents)
+	f := b.compiled()
+	for _, i := range f.live {
+		if num.Nonzero(y[i]) {
+			subScaled(z, y[i], f.coefs[i].ents)
 		}
 	}
 	return z
@@ -324,9 +385,9 @@ func dotCols(cols []int, a, b []float64) float64 {
 func (bw *blockWork) fill() {
 	n := bw.n
 	zi := bw.zinv.A
-	for _, i := range bw.live {
+	for k, i := range bw.live {
 		cf := &bw.coefs[i]
-		w := cf.w
+		w := bw.w[k]
 		if cf.rankOne {
 			for a := range w {
 				w[a] = dotCols(cf.cols, zi[a*n:(a+1)*n], cf.v)
@@ -346,22 +407,21 @@ func (bw *blockWork) fill() {
 	}
 }
 
-// traceInv returns tr(Z⁻¹A) from the filled scratch.
-func (bw *blockWork) traceInv(cf *coef) float64 {
+// traceInv returns tr(Z⁻¹A) from A's filled scratch w.
+func (bw *blockWork) traceInv(cf *coef, w []float64) float64 {
 	if cf.rankOne {
-		return cf.sigma * dotCols(cf.cols, cf.v, cf.w)
+		return cf.sigma * dotCols(cf.cols, cf.v, w)
 	}
 	var acc float64
 	for kb, b := range cf.cols {
-		acc += cf.w[kb*bw.n+b]
+		acc += w[kb*bw.n+b]
 	}
 	return acc
 }
 
-// tracePair returns tr(Z⁻¹A_i Z⁻¹A_j) from the filled scratch, by the
-// formula the pair's structure allows.
-func (bw *blockWork) tracePair(ci, cj *coef) float64 {
-	wi, wj := ci.w, cj.w
+// tracePair returns tr(Z⁻¹A_i Z⁻¹A_j) from the filled scratch wi and
+// wj, by the formula the pair's structure allows.
+func (bw *blockWork) tracePair(ci, cj *coef, wi, wj []float64) float64 {
 	switch {
 	case ci.rankOne && cj.rankOne:
 		t := dotCols(cj.cols, cj.v, wi)
@@ -382,9 +442,8 @@ func (bw *blockWork) tracePair(ci, cj *coef) float64 {
 	return acc
 }
 
-// traceInvSq returns tr(Z⁻¹A Z⁻¹) from the filled scratch.
-func (bw *blockWork) traceInvSq(cf *coef) float64 {
-	w := cf.w
+// traceInvSq returns tr(Z⁻¹A Z⁻¹) from A's filled scratch w.
+func (bw *blockWork) traceInvSq(cf *coef, w []float64) float64 {
 	if cf.rankOne {
 		return cf.sigma * linalg.Dot(w, w)
 	}
@@ -481,10 +540,11 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 		bw.chol.InverseInto(bw.zinv)
 		bw.fill()
 		for ki, i := range bw.live {
-			ci := &bw.coefs[i]
-			grad[i] -= mu * bw.traceInv(ci)
-			for _, j := range bw.live[ki:] {
-				v := mu * bw.tracePair(ci, &bw.coefs[j])
+			ci, wi := &bw.coefs[i], bw.w[ki]
+			grad[i] -= mu * bw.traceInv(ci, wi)
+			for kj := ki; kj < len(bw.live); kj++ {
+				j := bw.live[kj]
+				v := mu * bw.tracePair(ci, &bw.coefs[j], wi, bw.w[kj])
 				hess[i*ext+j] += v
 				if i != j {
 					hess[j*ext+i] += v
@@ -494,7 +554,7 @@ func (ws *workspace) gradHess(p *Problem, y []float64, mu, gamma float64, useS b
 				// Cross terms with s: the slack's coefficient matrix is
 				// A_s = −I, so H_is = +μ tr(Zinv A_i Zinv) and the negated
 				// Hessian entry is −μ tr(Zinv A_i Zinv).
-				v := mu * bw.traceInvSq(ci)
+				v := mu * bw.traceInvSq(ci, wi)
 				hess[i*ext+m] -= v
 				hess[m*ext+i] -= v
 			}
@@ -570,8 +630,14 @@ func (ws *workspace) newtonStep(p *Problem, y []float64, mu, gamma float64, useS
 }
 
 // newtonStepFrom is newtonStep with the line search's first trial at
-// step length t0 instead of the full step. An accepted trial leaves
+// step length t0 ≤ 1 instead of the full step. An accepted trial leaves
 // every block factored at the new y (ws.factored).
+//
+// Inside the quadratic region, λ² = dec/μ < ¼, every step length t ≤ 1
+// keeps the self-concordant barrier f/μ strictly feasible and passes
+// the Armijo test in exact arithmetic. A rejected first trial there
+// means the gain sits under the rounding of f, so the step fails
+// instead of halving toward 1e-13: that ends the level, or the polish.
 //
 //ugo:hotpath
 func (ws *workspace) newtonStepFrom(p *Problem, y []float64, mu, gamma float64, useS bool, t0 float64) float64 {
@@ -591,6 +657,9 @@ func (ws *workspace) newtonStepFrom(p *Problem, y []float64, mu, gamma float64, 
 			copy(y, cand)
 			ws.factored = true
 			return dec
+		}
+		if dec < 0.25*mu {
+			return -1
 		}
 	}
 	return -1

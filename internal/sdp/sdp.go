@@ -8,7 +8,10 @@
 // via a log-det barrier method with damped Newton steps on a long-step μ
 // schedule: loose centring between μ-levels, a tangent-length first
 // step at each new level, tight centring only at the iterates the
-// caller reads (sigma, theta). It stands in
+// caller reads (sigma, theta). A level, the final polish included,
+// also ends when a step inside the quadratic region (λ² = dec/μ < ¼)
+// fails its first trial: there the full step passes the Armijo test in
+// exact arithmetic, so the failure is rounding. It stands in
 // for the interior-point engines (Mosek) the original SCIP-SDP links
 // against. The paper's penalty formulation — which SCIP-SDP uses to
 // retain solvability when branching destroys the Slater condition — is
@@ -18,8 +21,9 @@
 //
 // The Newton system is assembled from the structure of the coefficient
 // matrices, the way the production engines build their Schur complement
-// (assemble.go). Solve compiles every A_i once into its upper-triangle
-// nonzero entries and the columns they touch, and — when A_i = σ·v·vᵀ
+// (assemble.go). Each Block's A_i are compiled once, by the first Solve
+// that sees the Block, into their upper-triangle nonzero entries and the
+// columns they touch, and — when A_i = σ·v·vᵀ
 // holds to rankOneTol (1e-12, relative to the largest entry; σ = ±1 and
 // v are read off the row of the largest diagonal entry) — into the
 // factor (σ, v); every linear row into its nonzero support. With
@@ -34,29 +38,36 @@
 // is no separate dense path. Everything a Newton step writes — Z, its
 // Cholesky factor and inverse, the u and W arrays, gradient, Hessian and
 // its factor, the direction and the line-search candidate — lives in one
-// workspace allocated with the compiled form, so a step allocates
-// nothing; the factor of Z that the gradient needs also yields the
-// barrier value the line search starts from, and the factors and
-// value of the trial the line search accepts are the next gradient's.
-// The form is rebuilt per Solve rather than cached on the Problem: the
-// scan is O(m·n²) once against thirty to sixty Newton steps, branch and
-// bound hands every node a different reduced problem, and ParaSolvers
-// share the Blocks.
+// workspace allocated per Solve, so a step allocates nothing; the factor
+// of Z that the gradient needs also yields the barrier value the line
+// search starts from, and the factors and value of the trial the line
+// search accepts are the next gradient's. The compiled form is kept on
+// the Block, published once and then only read, so the solves of
+// ParaSolvers that share the Blocks share it; a node's fixed variables
+// are folded into C through the parent Block's entries, and the reduced
+// Block takes the parent's form over the free variables, so branch and
+// bound compiles each Block once per tree.
 package sdp
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/num"
 )
 
-// Block is one linear matrix inequality C − Σ A_i y_i ⪰ 0.
+// Block is one linear matrix inequality C − Σ A_i y_i ⪰ 0. The first
+// Solve or Z that sees a Block compiles A, and every later one reads
+// that form, so A must not change once the Block is in use; Blocks may
+// be shared by concurrent solves.
 type Block struct {
 	N int
 	C *linalg.Sym
 	// A[i] is variable i's coefficient matrix (nil = zero matrix).
 	A []*linalg.Sym
+
+	form atomic.Pointer[blockForm] // A compiled, once published
 }
 
 // Row is a linear inequality aᵀy ≤ rhs.
@@ -169,17 +180,7 @@ func Solve(p *Problem, opt Options) *Result {
 		}
 	}
 	for _, blk := range p.Blocks {
-		c := blk.C.Clone()
-		for i := 0; i < p.M; i++ {
-			if fixed[i] && blk.A[i] != nil && num.Nonzero(fixVal[i]) {
-				c.AddScaled(-fixVal[i], blk.A[i])
-			}
-		}
-		a := make([]*linalg.Sym, len(keep))
-		for k, i := range keep {
-			a[k] = blk.A[i]
-		}
-		red.Blocks = append(red.Blocks, &Block{N: blk.N, C: c, A: a})
+		red.Blocks = append(red.Blocks, blk.reduced(keep, fixed, fixVal))
 	}
 	for _, r := range p.Rows {
 		rhs := r.RHS
@@ -316,6 +317,8 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 	if !useS {
 		// Phase C: clean barrier on the original problem down to μ_final,
 		// then polish so the certified bound's residual term vanishes.
+		// The polish ends where newtonStep's quadratic-region rule finds
+		// only rounding left, or at an (exactly) vanishing decrement.
 		for ; mu >= muFinal && iters <= maxNewtonIter; mu *= sigma {
 			runLevel(mu, 60, false)
 		}

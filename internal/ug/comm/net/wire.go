@@ -173,25 +173,36 @@ func writeFrame(w io.Writer, ftype byte, body []byte) error {
 	return nil
 }
 
+// frameStep bounds how far readFrameInto grows its buffer ahead of the
+// bytes that have arrived.
+const frameStep = 64 << 10
+
 // readFrameInto reads one frame from r, enforcing maxFrameBody. The
-// body is read into buf (grown only when capacity is short) and
-// aliases the returned newBuf, which the caller passes back in on the
-// next call: the steady-state receive path then allocates nothing.
+// body is read into buf and aliases the returned newBuf, which the
+// caller passes back in on the next call: the steady-state receive path
+// then allocates nothing. A buffer that is short grows to at most twice
+// the bytes read so far plus frameStep before it is filled, so a
+// corrupt or hostile length prefix costs about what the peer actually
+// sends, not maxFrameBody.
 func readFrameInto(r *bufio.Reader, buf []byte) (ftype byte, body, newBuf []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n > maxFrameBody {
 		return 0, nil, buf, fmt.Errorf("netcomm: frame body %d bytes exceeds limit %d", n, maxFrameBody)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body = buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, buf, fmt.Errorf("netcomm: truncated frame body: %w", err)
+	for body = buf[:0]; len(body) < n; {
+		k := min(n, max(cap(buf), 2*len(body)+frameStep))
+		if cap(buf) < k {
+			buf = make([]byte, k)
+			copy(buf, body)
+		}
+		if _, err := io.ReadFull(r, buf[len(body):k]); err != nil {
+			return 0, nil, buf, fmt.Errorf("netcomm: truncated frame body: %w", err)
+		}
+		body = buf[:k]
 	}
 	return hdr[4], body, buf, nil
 }

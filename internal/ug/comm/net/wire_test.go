@@ -3,7 +3,9 @@ package netcomm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/ug/comm"
@@ -94,7 +96,8 @@ func TestHandshakeCodecs(t *testing.T) {
 
 func TestFrameReadWrite(t *testing.T) {
 	var buf bytes.Buffer
-	bodies := [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 1000)}
+	// The last body outgrows a fresh buffer's first frameStep.
+	bodies := [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 1000), bytes.Repeat([]byte{1, 2, 3}, frameStep+5)}
 	for i, b := range bodies {
 		if err := writeFrame(&buf, byte(i), b); err != nil {
 			t.Fatal(err)
@@ -114,6 +117,24 @@ func TestFrameReadWrite(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, frameData}
 	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// A length prefix at the limit over a two-byte body is a truncated
+// frame, and reading it costs what arrived, not the claimed 64 MiB.
+func TestTruncatedFrameAllocatesWhatArrives(t *testing.T) {
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrameBody)
+	stream := append(hdr[:], 'a', 'b')
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(stream)), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a truncated frame allocated %d bytes", grew)
 	}
 }
 
