@@ -79,9 +79,10 @@ net-smoke:
 	/tmp/ugtrace-net -merge -validate /tmp/ug-net-smoke-misdp.trace /tmp/ug-net-smoke-misdp.trace.rank1 /tmp/ug-net-smoke-misdp.trace.rank2
 
 # telemetry-smoke checks the whole live telemetry plane on a real solve
-# run with -pprof and -watchdog: /statusz, a 1-second CPU profile,
-# grammar-valid Prometheus /metrics, and five schema-valid SSE frames
-# from /events, all scraped mid-solve (see scripts/profile_smoke.sh).
+# run with -pprof and -watchdog: grammar-valid Prometheus /metrics
+# carrying process_uptime_seconds and a registry series, a 1-second CPU
+# profile, and five schema-valid SSE frames from /events, all scraped
+# mid-solve (see scripts/profile_smoke.sh).
 # profile-smoke is the historical name for the same gate.
 telemetry-smoke profile-smoke:
 	./scripts/profile_smoke.sh

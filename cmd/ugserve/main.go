@@ -16,9 +16,11 @@
 //	GET    /v1/jobs/{id}/events per-job SSE event stream (replays the
 //	                            flight-recorder tail after completion)
 //	GET    /v1/jobs/{id}/debug  forensics bundle tarball (failed jobs)
-//	GET    /metrics             Prometheus text exposition
-//	GET    /statusz             human-readable service summary
+//	GET    /metrics             Prometheus text: uptime, job/queue/cache series
 //	GET    /debug/pprof/        live profiling
+//
+// /metrics and /debug/pprof/ are the debug server `ugsteiner -pprof`
+// serves, with the job API mounted on it.
 //
 // SIGINT/SIGTERM drain gracefully: stop admitting, finish (or stop
 // after -drain-grace) running jobs, then exit 0.
@@ -59,7 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ugserve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("ugserve listening on http://%s (POST /v1/jobs, /metrics, /statusz, /debug/pprof/)\n", srv.Addr())
+	fmt.Printf("ugserve listening on http://%s (POST /v1/jobs, /metrics, /debug/pprof/)\n", srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

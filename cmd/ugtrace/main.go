@@ -34,6 +34,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -72,8 +73,9 @@ func main() {
 		runFrames()
 		return
 	}
+	sel := reports{*bounds, *timeline, *collect, *racing, *gantt, *loadCSV, *critpath}
 	if *merge {
-		runMerge(*validateOnly, *output, *bounds, *timeline, *collect, *racing, *gantt, *loadCSV, *critpath)
+		runMerge(*validateOnly, *output, sel)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -95,28 +97,27 @@ func main() {
 		return
 	}
 
-	all := !*bounds && !*timeline && !*collect && !*racing && !*gantt && !*loadCSV && !*critpath
-	w := os.Stdout
-	if all || *bounds {
-		reportBounds(w, events)
+	if sel == (reports{}) {
+		sel = reports{bounds: true, timeline: true, collect: true, racing: true}
 	}
-	if all || *timeline {
-		reportTimeline(w, events)
-	}
-	if all || *collect {
-		reportCollect(w, events)
-	}
-	if all || *racing {
-		reportRacing(w, events)
-	}
-	if *gantt {
-		reportGantt(w, events)
-	}
-	if *loadCSV {
-		reportLoad(w, events)
-	}
-	if *critpath {
-		reportCritpath(w, events)
+	sel.print(os.Stdout, events)
+}
+
+// reports selects the report sections to print, one per report flag.
+type reports struct{ bounds, timeline, collect, racing, gantt, load, critpath bool }
+
+// print writes the selected sections of events to w, in flag order.
+func (r reports) print(w io.Writer, events []obs.Event) {
+	for _, s := range []struct {
+		on     bool
+		report func(io.Writer, []obs.Event)
+	}{
+		{r.bounds, reportBounds}, {r.timeline, reportTimeline}, {r.collect, reportCollect},
+		{r.racing, reportRacing}, {r.gantt, reportGantt}, {r.load, reportLoad}, {r.critpath, reportCritpath},
+	} {
+		if s.on {
+			s.report(w, events)
+		}
 	}
 }
 
@@ -124,7 +125,7 @@ func main() {
 // in isolation, join them into the global Lamport-clock order, validate
 // the cross-rank invariants, and either emit the merged JSONL (to -o or
 // stdout) or run the requested analytics on the merged timeline.
-func runMerge(validateOnly bool, output string, bounds, timeline, collect, racing, gantt, loadCSV, critpath bool) {
+func runMerge(validateOnly bool, output string, sel reports) {
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: ugtrace -merge [-o merged.jsonl] [flags] coord.jsonl rank1.jsonl ...")
 		os.Exit(2)
@@ -153,41 +154,21 @@ func runMerge(validateOnly bool, output string, bounds, timeline, collect, racin
 		return
 	}
 	if output != "" {
-		if err := writeTraceFile(output, merged); err != nil {
+		var buf bytes.Buffer
+		_ = obs.WriteTrace(&buf, merged) // writes to a bytes.Buffer cannot fail
+		if err := os.WriteFile(output, buf.Bytes(), 0o644); err != nil {
 			fatal(err)
 		}
 	}
-	anyReport := bounds || timeline || collect || racing || gantt || loadCSV || critpath
-	if !anyReport {
+	if sel == (reports{}) {
 		if output == "" {
-			if err := writeTrace(os.Stdout, merged); err != nil {
+			if err := obs.WriteTrace(os.Stdout, merged); err != nil {
 				fatal(err)
 			}
 		}
 		return
 	}
-	w := os.Stdout
-	if bounds {
-		reportBounds(w, merged)
-	}
-	if timeline {
-		reportTimeline(w, merged)
-	}
-	if collect {
-		reportCollect(w, merged)
-	}
-	if racing {
-		reportRacing(w, merged)
-	}
-	if gantt {
-		reportGantt(w, merged)
-	}
-	if loadCSV {
-		reportLoad(w, merged)
-	}
-	if critpath {
-		reportCritpath(w, merged)
-	}
+	sel.print(os.Stdout, merged)
 }
 
 // runFrames is the -frames mode: validate a log of frames captured from
@@ -269,35 +250,6 @@ func validateComplete(events []obs.Event) error {
 		return fmt.Errorf("run.start without run.end — the run did not finish (process died or trace cut short)")
 	}
 	return nil
-}
-
-// writeTraceFile writes events as JSONL to path.
-func writeTraceFile(path string, events []obs.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = writeTrace(f, events)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeTrace streams events as JSONL — the same record layout the
-// tracer's file sink produces, so the output is itself a valid ugtrace
-// input.
-func writeTrace(w io.Writer, events []obs.Event) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, ev := range events {
-		buf = ev.AppendJSON(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 func countKinds(events []obs.Event) int {

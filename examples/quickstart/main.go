@@ -34,8 +34,8 @@ func main() {
 		status, -solver.Incumbent().Obj, solver.Stats.Nodes)
 
 	// 2. The same model through UG — this is all the "glue" a plain MIP
-	// needs (problem-specific solvers register plugins, see the steiner
-	// and misdp examples).
+	// needs (problem-specific solvers register plugins, see
+	// internal/steiner/app.go and internal/misdp/app.go).
 	res, _, err := core.SolveParallel(core.App{Name: "quickstart", Data: prob},
 		ug.Config{Workers: 2})
 	if err != nil {

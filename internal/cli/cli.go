@@ -65,7 +65,7 @@ func Register(fs *flag.FlagSet, racing bool) *Flags {
 	fs.StringVar(&f.Trace, "trace", "", "write a JSONL event trace to this file (render with ugtrace)")
 	fs.BoolVar(&f.Stats, "stats", false, "print the full run-statistics and metrics tables")
 	fs.StringVar(&f.Profile, "profile", "", "write a CPU profile to this file")
-	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof, /statusz, Prometheus /metrics and the /events SSE stream on this address during the solve")
+	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof, Prometheus /metrics and the /events SSE stream on this address during the solve")
 	fs.DurationVar(&f.Watchdog, "watchdog", 0, "stall watchdog: after this long without progress events, emit watchdog.stall and write a stall forensics bundle (0 = off)")
 	fs.StringVar(&f.Forensics, "forensics", "", "directory for post-mortem forensics bundles (default: <trace>.postmortem when -trace is set, else ug-postmortem)")
 	fs.StringVar(&f.NetListen, "net-listen", "", "run as distributed coordinator: rendezvous address to listen on (host:port, :0 = any)")

@@ -37,7 +37,7 @@ type telemetry struct {
 // the capturer is what every failure edge (panic, watchdog stall, run
 // error) writes its bundle through. With -pprof it also starts the
 // debug server (which lives until process exit) serving pprof,
-// /statusz, /metrics and /events.
+// /metrics and /events.
 func newTelemetry(f *Flags, instanceArgs []string, stderr io.Writer) (telemetry, error) {
 	t := telemetry{reg: obs.NewRegistry()}
 	var sink obs.Sink
@@ -74,7 +74,7 @@ func newTelemetry(f *Flags, instanceArgs []string, stderr io.Writer) (telemetry,
 		if err != nil {
 			return t, err
 		}
-		fmt.Fprintf(stderr, "debug server on http://%s (/debug/pprof/, /statusz, /metrics, /events)\n", ds.Addr())
+		fmt.Fprintf(stderr, "debug server on http://%s (/debug/pprof/, /metrics, /events)\n", ds.Addr())
 	}
 	return t, nil
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -114,8 +114,10 @@ func (c *Capturer) write(reason, detail string, panicInfo []byte) (string, error
 	}
 
 	events := c.Recorder.Events()
-	if err := writeEventsFile(filepath.Join(dir, bundleEvents), events); err != nil {
-		return dir, err
+	var evs bytes.Buffer
+	_ = WriteTrace(&evs, events) // writes to a bytes.Buffer cannot fail
+	if err := os.WriteFile(filepath.Join(dir, bundleEvents), evs.Bytes(), 0o644); err != nil {
+		return dir, fmt.Errorf("obs: bundle events: %w", err)
 	}
 	if err := writeManifest(filepath.Join(dir, bundleManifest), reason, detail, len(events), c.Extra); err != nil {
 		return dir, err
@@ -157,28 +159,6 @@ func (c *Capturer) reserveDir(reason string) (string, error) {
 			return "", fmt.Errorf("obs: bundle dir: %w", err)
 		}
 	}
-}
-
-func writeEventsFile(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: bundle events: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	var buf []byte
-	for _, ev := range events {
-		buf = ev.AppendJSON(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("obs: bundle events: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("obs: bundle events: %w", err)
-	}
-	return f.Close()
 }
 
 func writeManifest(path, reason, detail string, events int, extra map[string]string) error {
@@ -244,8 +224,9 @@ type Bundle struct {
 }
 
 // ReadBundle loads and validates a forensics bundle directory:
-// manifest.json must parse, every events.jsonl line must be a
-// schema-valid event of a known kind with contiguous sequence numbers
+// manifest.json must parse, events.jsonl must read through ReadTrace
+// (so a last line without its '\n' is a truncated bundle), and every
+// event must be of a known kind, with contiguous sequence numbers
 // and non-decreasing ticks (the recorder window is a contiguous slice
 // of the trace, not necessarily starting at seq 0), the event count
 // must match the manifest, and goroutines.txt must exist and be
@@ -263,31 +244,24 @@ func ReadBundle(dir string) (*Bundle, error) {
 		return nil, fmt.Errorf("obs: bundle manifest: empty reason")
 	}
 
-	evData, err := os.ReadFile(filepath.Join(dir, bundleEvents))
-	if err != nil {
+	if data, err = os.ReadFile(filepath.Join(dir, bundleEvents)); err != nil {
 		return nil, fmt.Errorf("obs: bundle: %w", err)
 	}
-	lineNo := 0
-	for _, line := range strings.Split(string(evData), "\n") {
-		if strings.TrimSpace(line) == "" {
+	if b.Events, err = ReadTrace(bytes.NewReader(data)); err != nil {
+		return nil, fmt.Errorf("obs: bundle events: %w", err)
+	}
+	for i, ev := range b.Events {
+		if !KnownKind(ev.Kind) {
+			return nil, fmt.Errorf("obs: bundle events line %d: unknown kind %q", i+1, ev.Kind)
+		}
+		if i == 0 {
 			continue
 		}
-		lineNo++
-		ev, err := ParseLine([]byte(line))
-		if err != nil {
-			return nil, fmt.Errorf("obs: bundle events line %d: %w", lineNo, err)
+		if prev := b.Events[i-1]; ev.Seq != prev.Seq+1 {
+			return nil, fmt.Errorf("obs: bundle events line %d: seq %d after %d (window must be contiguous)", i+1, ev.Seq, prev.Seq)
+		} else if ev.Tick < prev.Tick {
+			return nil, fmt.Errorf("obs: bundle events line %d: tick %d after %d (ticks must not decrease)", i+1, ev.Tick, prev.Tick)
 		}
-		if !KnownKind(ev.Kind) {
-			return nil, fmt.Errorf("obs: bundle events line %d: unknown kind %q", lineNo, ev.Kind)
-		}
-		if n := len(b.Events); n > 0 {
-			if prev := b.Events[n-1]; ev.Seq != prev.Seq+1 {
-				return nil, fmt.Errorf("obs: bundle events line %d: seq %d after %d (window must be contiguous)", lineNo, ev.Seq, prev.Seq)
-			} else if ev.Tick < prev.Tick {
-				return nil, fmt.Errorf("obs: bundle events line %d: tick %d after %d (ticks must not decrease)", lineNo, ev.Tick, prev.Tick)
-			}
-		}
-		b.Events = append(b.Events, ev)
 	}
 	if len(b.Events) != b.Manifest.Events {
 		return nil, fmt.Errorf("obs: bundle: %d events on disk, manifest says %d", len(b.Events), b.Manifest.Events)

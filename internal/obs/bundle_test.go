@@ -80,6 +80,32 @@ func TestReadBundleRejectsGappedEvents(t *testing.T) {
 	}
 }
 
+// TestReadBundleRejectsTruncatedEvents: a last events.jsonl line without
+// its '\n' is what a process killed mid-write leaves, so the bundle is
+// rejected as truncated even though the line parses and the count
+// still matches the manifest.
+func TestReadBundleRejectsTruncatedEvents(t *testing.T) {
+	rec := NewRecorder(nil, 8)
+	rec.Emit(mkEvent(1))
+	rec.Emit(mkEvent(2))
+	c := &Capturer{Dir: t.TempDir(), Recorder: rec}
+	dir, err := c.WriteBundle("error", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "events.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(strings.TrimSuffix(string(data), "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBundle(dir); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated bundle validated: err = %v", err)
+	}
+}
+
 func TestDisarmedCapturerIsNoop(t *testing.T) {
 	for _, c := range []*Capturer{nil, {}} {
 		dir, err := c.WriteBundle("error", "x")

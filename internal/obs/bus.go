@@ -125,8 +125,8 @@ func (s *subscriber) push(ev Event, b *Bus) {
 }
 
 // refan rebuilds the emit path's subscriber snapshot and mirrors the
-// live fan-out width into the obs.bus.subscribers gauge (so /statusz
-// and /metrics show how many SSE/watchdog/recorder lanes are attached).
+// live fan-out width into the obs.bus.subscribers gauge (so /metrics
+// shows how many SSE/watchdog/recorder lanes are attached).
 // Callers hold b.mu — the one lock every subscription change takes.
 func (b *Bus) refan() {
 	subs := make([]*subscriber, 0, len(b.subs))

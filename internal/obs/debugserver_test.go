@@ -10,54 +10,23 @@ import (
 	"time"
 )
 
-func TestDebugServerStatuszAndPprof(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("net.tx.frames").Add(42)
-	ds, err := StartDebugServer("127.0.0.1:0", reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", ds.Addr(), path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	statusz := get("/statusz")
-	if !strings.Contains(statusz, "uptime_seconds") || !strings.Contains(statusz, "net.tx.frames") {
-		t.Fatalf("statusz missing expected content:\n%s", statusz)
-	}
-	if !strings.Contains(get("/debug/pprof/"), "goroutine") {
-		t.Fatal("pprof index missing profile listing")
-	}
-}
-
-func TestDebugServerNilRegistry(t *testing.T) {
+func TestDebugServerPprof(t *testing.T) {
 	ds, err := StartDebugServer("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	resp, err := http.Get("http://" + ds.Addr() + "/statusz")
+	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/", ds.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statusz with nil registry: status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("pprof index: status %d, missing profile listing:\n%s", resp.StatusCode, body)
 	}
 }
 

@@ -228,12 +228,19 @@ func appendJSONString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
-// ParseLine decodes one JSONL trace line produced by AppendJSON.
+// ParseLine decodes one JSONL trace line produced by AppendJSON. It
+// undoes the encoder's ±Inf clamping on every float field and rejects
+// NaN, which AppendJSON never writes, so every event it returns encodes
+// back to a line that decodes to the same event.
 func ParseLine(line []byte) (Event, error) {
 	var e Event
 	if err := unmarshalEvent(line, &e); err != nil {
 		return Event{}, err
 	}
+	if math.IsNaN(e.Wall) || math.IsNaN(e.Dual) || math.IsNaN(e.Primal) {
+		return Event{}, fmt.Errorf("obs: NaN in %q", line)
+	}
+	e.Wall = decodeFloat(e.Wall)
 	e.Dual = decodeFloat(e.Dual)
 	e.Primal = decodeFloat(e.Primal)
 	return e, nil

@@ -302,7 +302,8 @@ func WriteTable(w io.Writer, ms []Metric) error {
 	for _, m := range ms {
 		// Counters, gauges and counts are integers; %g would flip large
 		// ones (e.g. transfer bytes past 1e7) into scientific notation on
-		// /statusz. Only histogram-derived estimates are true floats.
+		// -stats tables and bundles. Only histogram-derived estimates are
+		// true floats.
 		var err error
 		if integerKind(m.Kind) {
 			_, err = fmt.Fprintf(w, "%-*s  %-*s  %d\n", nameW, m.Name, kindW, m.Kind, int64(m.Value))

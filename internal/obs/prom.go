@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // This file renders a Registry snapshot in the Prometheus text
@@ -14,7 +15,7 @@ import (
 // of the debug server serves. The mapping from the registry's kinds:
 //
 //   counter      →  TYPE counter, one sample
-//   gauge        →  TYPE gauge, one sample
+//   gauge        →  TYPE gauge, one sample (gauge.float: a float one)
 //   gauge.hw     →  TYPE gauge, sample on <name>_highwater
 //   histogram    →  TYPE summary: <name>{quantile="0.5|0.95|0.99"},
 //                   <name>_sum, <name>_count
@@ -100,7 +101,7 @@ func WriteProm(w io.Writer, ms []Metric) error {
 		case "counter", "counter.float":
 			f := family(base, "counter", fmt.Sprintf("Counter %s.", m.Name))
 			f.samples = append(f.samples, promSample{value: val})
-		case "gauge":
+		case "gauge", "gauge.float":
 			f := family(base, "gauge", fmt.Sprintf("Gauge %s.", m.Name))
 			f.samples = append(f.samples, promSample{value: val})
 		case "gauge.hw":
@@ -164,14 +165,18 @@ func sampleRank(s promSample) int {
 	return 1 // quantile "0.99" sorts after 0.95 via stable sort
 }
 
+var processStart = time.Now() // the origin of process_uptime_seconds
+
 // ProcessMetrics returns the process-level gauges the /metrics endpoint
-// serves alongside the registry: goroutine count, live heap bytes, GC
-// cycle count and cumulative GC pause seconds — the health signals a
-// scraper needs to spot a leaking or thrashing solver process.
+// serves alongside the registry: uptime, goroutine count, live heap
+// bytes, GC cycle count and cumulative GC pause seconds — the health
+// signals a scraper needs to spot a restarted, leaking or thrashing
+// process.
 func ProcessMetrics() []Metric {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return []Metric{
+		{Name: "process_uptime_seconds", Kind: "gauge.float", Value: time.Since(processStart).Seconds()},
 		{Name: "go_goroutines", Kind: "gauge", Value: float64(runtime.NumGoroutine())},
 		{Name: "go_heap_alloc_bytes", Kind: "gauge", Value: float64(ms.HeapAlloc)},
 		{Name: "go_gc_cycles_total", Kind: "counter", Value: float64(ms.NumGC)},

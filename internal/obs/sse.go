@@ -3,92 +3,32 @@ package obs
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 )
 
-// SSEOptions tunes one ServeSSE stream.
-type SSEOptions struct {
-	// Heartbeat is the idle keepalive interval (`: keepalive` comment
-	// frames, so proxies don't reap quiet streams). Zero means 15s. The
-	// client may override it with a `?heartbeat=` query parameter
-	// (minimum 10ms).
-	Heartbeat time.Duration
-	// Stop, when non-nil, terminates the stream promptly when closed —
-	// the owning server closes it on shutdown so drains don't wait on
-	// parked clients.
-	Stop <-chan struct{}
-}
-
 // ServeSSE streams live bus events to one HTTP client as Server-Sent
 // Events: one `data: <event JSONL>` frame per event until the client
-// disconnects, the bus closes (its run ended), or opts.Stop fires.
+// disconnects, the bus closes (its run ended), or the surface closes.
 // `?kind=a,b` (or repeated kind parameters) filters to the named event
-// kinds. This is the streaming core shared by the debug server's
-// /events endpoint and ugserve's per-job event streams — the latter
-// passes a bus scoped to a single job, so the handler is "the /events
-// handler scoped to one job" by construction.
-func ServeSSE(w http.ResponseWriter, r *http.Request, bus *Bus, opts SSEOptions) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+// kinds; `?heartbeat=` overrides the idle keepalive interval (minimum
+// 10ms). This is the streaming core of the debug server's /events route
+// and of ugserve's per-job event streams — the latter passes a bus
+// scoped to a single job, so the handler is "the /events handler scoped
+// to one job" by construction. A nil bus answers 503.
+func (d *DebugServer) ServeSSE(w http.ResponseWriter, r *http.Request, bus *Bus) {
+	if bus == nil {
+		http.Error(w, "no event bus in this process (start the solve with -trace, -watchdog or -pprof)", http.StatusServiceUnavailable)
 		return
 	}
-
-	var kinds []string
-	for _, v := range r.URL.Query()["kind"] {
-		for _, k := range strings.Split(v, ",") {
-			if k = strings.TrimSpace(k); k != "" {
-				kinds = append(kinds, k)
-			}
-		}
+	if !d.admitSSE(w) {
+		return
 	}
-	heartbeat := opts.Heartbeat
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
-	if hb := r.URL.Query().Get("heartbeat"); hb != "" {
-		if dur, err := time.ParseDuration(hb); err == nil && dur >= 10*time.Millisecond {
-			heartbeat = dur
-		}
-	}
-
-	events, cancel := bus.Subscribe(kinds...)
+	defer d.sseActive.Add(-1)
+	events, cancel := bus.Subscribe(sseKinds(r)...)
 	defer cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ticker := time.NewTicker(heartbeat)
-	defer ticker.Stop()
-	var buf []byte
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				return // bus closed under us (run/job ended)
-			}
-			buf = append(buf[:0], "data: "...)
-			buf = ev.AppendJSON(buf)
-			buf = append(buf, '\n', '\n')
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-ticker.C:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-opts.Stop:
-			return // server closing: end the stream promptly
-		}
-	}
+	d.stream(w, r, events)
 }
 
 // ReplaySSE writes a fixed event list to one HTTP client in the same
@@ -97,35 +37,90 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, bus *Bus, opts SSEOptions)
 // terminal job's flight-recorder tail through it, so a client that
 // arrives after completion still sees the last window of events
 // (`?kind=` filtering works the same as on the live stream).
-func ReplaySSE(w http.ResponseWriter, r *http.Request, events []Event) {
-	var kinds map[string]bool
+func (d *DebugServer) ReplaySSE(w http.ResponseWriter, r *http.Request, events []Event) {
+	if !d.admitSSE(w) {
+		return
+	}
+	defer d.sseActive.Add(-1)
+	kinds := sseKinds(r)
+	ch := make(chan Event, len(events))
+	for _, ev := range events {
+		if len(kinds) == 0 || slices.Contains(kinds, ev.Kind) {
+			ch <- ev
+		}
+	}
+	close(ch)
+	d.stream(w, r, ch)
+}
+
+// admitSSE takes one of the surface's stream slots, live or replayed,
+// or answers 503 and reports false when all are in use. The caller
+// releases a taken slot with d.sseActive.Add(-1).
+func (d *DebugServer) admitSSE(w http.ResponseWriter) bool {
+	if n := d.sseActive.Add(1); n > maxSSESubscribers {
+		d.sseActive.Add(-1)
+		http.Error(w, fmt.Sprintf("too many event subscribers (cap %d)", maxSSESubscribers), http.StatusServiceUnavailable)
+		return false
+	}
+	return true
+}
+
+// sseKinds parses the request's `?kind=` filter: comma-separated and/or
+// repeated parameters, blanks dropped. Empty means every kind.
+func sseKinds(r *http.Request) []string {
+	var kinds []string
 	for _, v := range r.URL.Query()["kind"] {
 		for _, k := range strings.Split(v, ",") {
 			if k = strings.TrimSpace(k); k != "" {
-				if kinds == nil {
-					kinds = map[string]bool{}
-				}
-				kinds[k] = true
+				kinds = append(kinds, k)
 			}
+		}
+	}
+	return kinds
+}
+
+// stream writes the event-stream headers, then one frame per event
+// until events closes, the client goes away or the surface closes, with
+// keepalive comments while idle. It flushes whenever no further event
+// is already waiting, so a replay goes out in one write.
+func (d *DebugServer) stream(w http.ResponseWriter, r *http.Request, events <-chan Event) {
+	heartbeat := d.sseHeartbeat
+	if hb := r.URL.Query().Get("heartbeat"); hb != "" {
+		if dur, err := time.ParseDuration(hb); err == nil && dur >= 10*time.Millisecond {
+			heartbeat = dur
 		}
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	if rc.Flush() != nil {
+		return
+	}
+	ticker := time.NewTicker(heartbeat)
+	defer ticker.Stop()
 	var buf []byte
-	for _, ev := range events {
-		if kinds != nil && !kinds[ev.Kind] {
-			continue
+	for {
+		var err error
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				return // bus closed under us (run/job ended), or replay done
+			}
+			buf = append(buf[:0], "data: "...)
+			buf = ev.AppendJSON(buf)
+			buf = append(buf, '\n', '\n')
+			_, err = w.Write(buf)
+		case <-ticker.C:
+			_, err = fmt.Fprint(w, ": keepalive\n\n")
+		case <-r.Context().Done():
+			return
+		case <-d.stop:
+			return // surface closing: end the stream promptly
 		}
-		buf = append(buf[:0], "data: "...)
-		buf = ev.AppendJSON(buf)
-		buf = append(buf, '\n', '\n')
-		if _, err := w.Write(buf); err != nil {
+		if err != nil || (len(events) == 0 && rc.Flush() != nil) {
 			return
 		}
-	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
 	}
 }

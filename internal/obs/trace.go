@@ -42,6 +42,22 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 	}
 }
 
+// WriteTrace writes events as JSONL, one newline-terminated record per
+// event — the layout the tracer's file sink produces, so ReadTrace reads
+// it back and the output is itself a valid ugtrace input.
+func WriteTrace(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	var buf []byte
+	for _, ev := range events {
+		buf = ev.AppendJSON(buf[:0])
+		buf = append(buf, '\n')
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 // ValidateTrace checks the structural invariants every well-formed trace
 // satisfies: known event kinds, strictly increasing sequence numbers
 // starting at 0, non-decreasing logical ticks, a run.start (or

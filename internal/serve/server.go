@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,20 +41,15 @@ type Config struct {
 	DebugDir string
 }
 
-// maxJobSSEStreams caps concurrent per-job event streams across the
-// server, mirroring the debug server's cap: past it /events answers 503
-// instead of letting clients grow the process without bound.
-const maxJobSSEStreams = 64
-
 // jobRecorderCap is each job's flight-recorder ring size. 256 events is
 // the final stretch of a solve — bounds, dispatches, the run.end — at
 // ~25 KiB per job; retained for the job record's lifetime.
 const jobRecorderCap = 256
 
 // Server is the ugserve daemon: job queue + scheduler + presolve cache
-// behind one HTTP mux that also carries the debug-server surface
-// (/metrics, /statusz, /debug/pprof/) — the PR 5 debug server grown
-// into the service plane.
+// behind the job API, mounted on the same obs.DebugServer surface the
+// solver CLIs serve under -pprof (/metrics, /debug/pprof/ and its
+// shared event-stream cap).
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
@@ -70,14 +62,8 @@ type Server struct {
 	order  []*Job // admission order, for stable list views
 	nextID int64
 
-	draining  atomic.Bool
-	stop      chan struct{} // closed on Close/drain end: terminates SSE streams
-	stopOnce  sync.Once
-	sseActive atomic.Int64
-
-	ln    net.Listener
-	srv   *http.Server
-	start time.Time
+	draining atomic.Bool
+	surface  *obs.DebugServer
 
 	submitted *obs.Counter // serve.jobs.submitted
 	rejected  *obs.Counter // serve.jobs.rejected
@@ -100,13 +86,14 @@ func New(cfg Config) *Server {
 		reg:       reg,
 		cache:     NewPresolveCache(cfg.CacheBytes, reg),
 		jobs:      map[string]*Job{},
-		stop:      make(chan struct{}),
-		start:     time.Now(),
+		surface:   obs.NewDebugServer(reg, cfg.SSEHeartbeat),
 		submitted: reg.Counter("serve.jobs.submitted"),
 		rejected:  reg.Counter("serve.jobs.rejected"),
 	}
 	s.q = newQueue(cfg.QueueCap, reg.Gauge("serve.queue.depth"))
 	s.sched = newScheduler(s.q, s.cache, reg, cfg.MaxConcurrent, cfg.DefaultWorkers, cfg.DebugDir)
+	s.surface.HandleFunc("/v1/jobs", s.handleJobs)
+	s.surface.HandleFunc("/v1/jobs/", s.handleJob)
 	return s
 }
 
@@ -116,41 +103,14 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Start binds the listen address and serves the API in a background
 // goroutine until Drain or Close.
 func (s *Server) Start() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
+	if err := s.surface.Listen(s.cfg.Addr); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	s.ln = ln
-	s.srv = &http.Server{
-		Handler:           s.mux(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		// Serve returns http.ErrServerClosed (or an accept error) once
-		// the listener goes away; either way the goroutine exits.
-		_ = s.srv.Serve(s.ln)
-	}()
 	return nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// mux assembles the one service mux: job API, metrics, statusz, pprof.
-func (s *Server) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/statusz", s.handleStatusz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
+func (s *Server) Addr() string { return s.surface.Addr() }
 
 // Submit admits a job programmatically (the HTTP POST path calls this
 // too). It validates the spec, assigns an ID, and enqueues.
@@ -273,7 +233,7 @@ func (s *Server) Drain(grace time.Duration) int {
 	} else {
 		<-finished
 	}
-	s.shutdownHTTP()
+	_ = s.surface.Close() // ends SSE streams and frees the listener
 	return len(active)
 }
 
@@ -286,14 +246,6 @@ func (s *Server) Close() {
 		s.cancelJob(j)
 	}
 	s.Drain(0)
-}
-
-// shutdownHTTP ends SSE streams and closes the listener.
-func (s *Server) shutdownHTTP() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	if s.srv != nil {
-		_ = s.srv.Close()
-	}
 }
 
 // handleJobs is POST /v1/jobs (submit) and GET /v1/jobs (list).
@@ -357,23 +309,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveJobEvents streams one job's live events: the shared SSE handler
-// over the job's own bus, so the stream carries exactly this job's
-// incumbent/bound/status traffic. For a finished job — whose bus is
-// closed — the flight-recorder tail is replayed instead, so "what did
-// this job's last events look like?" has an answer after the fact.
+// serveJobEvents streams one job's live events: the surface's SSE
+// handler over the job's own bus, so the stream carries exactly this
+// job's incumbent/bound/status traffic. For a finished job — whose bus
+// is closed — the flight-recorder tail is replayed instead, so "what
+// did this job's last events look like?" has an answer after the fact.
+// Both take a slot under the surface's one stream cap.
 func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, j *Job) {
-	if n := s.sseActive.Add(1); n > maxJobSSEStreams {
-		s.sseActive.Add(-1)
-		writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("too many event subscribers (cap %d)", maxJobSSEStreams))
-		return
-	}
-	defer s.sseActive.Add(-1)
 	if j.State().Terminal() {
-		obs.ReplaySSE(w, r, j.Events())
+		s.surface.ReplaySSE(w, r, j.Events())
 		return
 	}
-	obs.ServeSSE(w, r, j.bus, obs.SSEOptions{Heartbeat: s.cfg.SSEHeartbeat, Stop: s.stop})
+	s.surface.ServeSSE(w, r, j.bus)
 }
 
 // serveJobDebug streams a failed job's forensics bundle as a tar
@@ -412,46 +359,6 @@ func (s *Server) serveJobDebug(w http.ResponseWriter, j *Job) {
 		}
 	}
 	_ = tw.Close()
-}
-
-// handleMetrics serves Prometheus text exposition of the process gauges
-// plus the service registry (queue depth, cache hit/miss, job states,
-// plus everything the in-process solves record).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WriteProm(w, obs.ProcessMetrics()); err != nil {
-		return
-	}
-	if err := obs.WriteProm(w, s.reg.Snapshot()); err != nil {
-		return
-	}
-}
-
-// handleStatusz serves the human-readable service summary: uptime, job
-// state counts, queue/cache occupancy, and the metrics table.
-func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "uptime_seconds %.1f\n", time.Since(s.start).Seconds())
-	fmt.Fprintf(w, "draining %v\n", s.draining.Load())
-	s.mu.Lock()
-	counts := map[State]int{}
-	for _, j := range s.order {
-		counts[j.State()]++
-	}
-	s.mu.Unlock()
-	states := make([]string, 0, len(counts))
-	for st := range counts {
-		states = append(states, string(st))
-	}
-	sort.Strings(states)
-	for _, st := range states {
-		fmt.Fprintf(w, "jobs_%s %d\n", st, counts[State(st)])
-	}
-	fmt.Fprintf(w, "queue_depth %d\ncache_entries %d\ncache_bytes %d\n\n",
-		s.q.len(), s.cache.Len(), s.cache.Bytes())
-	if err := obs.WriteTable(w, s.reg.Snapshot()); err != nil {
-		return // client went away mid-write; nothing to do
-	}
 }
 
 // writeJSON writes v as a JSON response.

@@ -327,7 +327,7 @@ func TestDrainFinishesRunningRejectsNew(t *testing.T) {
 		t.Fatalf("Submit during drain = %v, want ErrDraining", err)
 	}
 	// The HTTP plane is down after the drain completes.
-	if _, err := http.Get("http://" + s.Addr() + "/statusz"); err == nil {
+	if _, err := http.Get("http://" + s.Addr() + "/metrics"); err == nil {
 		t.Error("HTTP server still answering after drain")
 	}
 }
@@ -450,20 +450,84 @@ func TestHTTPDebugWithoutBundle(t *testing.T) {
 	}
 }
 
-func TestStatuszSummarizes(t *testing.T) {
+// TestMetricsSummarizes: after one job, /metrics carries what a
+// service summary needs — the job and cache series and the process
+// uptime.
+func TestMetricsSummarizes(t *testing.T) {
 	s := startServer(t, Config{MaxConcurrent: 1})
 	awaitTerminal(t, s, postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q,"workers":1}`, tinySTP)).ID)
-	resp, err := http.Get("http://" + s.Addr() + "/statusz")
+	resp, err := http.Get("http://" + s.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	body := string(raw)
-	for _, want := range []string{"uptime_seconds", "draining false", "jobs_done 1", "cache_entries 1"} {
+	for _, want := range []string{"\nserve_jobs_done 1\n", "\nserve_cache_entries 1\n", "\nprocess_uptime_seconds "} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/statusz missing %q in:\n%s", want, body)
+			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestJobEventsShareTheStreamCap: per-job event streams, live and
+// replayed, go through the surface's one stream cap. With it saturated
+// by live streams, both answer 503 until a stream ends.
+func TestJobEventsShareTheStreamCap(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1})
+	s.sched.solve = blockingSolve
+	running := postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q}`, tinySTP))
+	waitState(t, mustJob(t, s, running.ID), StateRunning)
+	queued := postJob(t, s, fmt.Sprintf(`{"kind":"stp","stp":%q}`, tinySTP))
+	s.CancelJob(queued.ID) // terminal: its /events is a replay
+
+	get := func(id string) *http.Response {
+		t.Helper()
+		resp, err := http.Get("http://" + s.Addr() + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	var open []*http.Response
+	defer func() {
+		for _, resp := range open {
+			resp.Body.Close()
+		}
+	}()
+	for len(open) < 1024 {
+		resp := get(running.ID)
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			resp.Body.Close()
+			break
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("live stream %d: status %d", len(open), resp.StatusCode)
+		}
+		open = append(open, resp)
+	}
+	if len(open) == 0 || len(open) == 1024 {
+		t.Fatalf("%d live streams admitted before a 503, want a cap", len(open))
+	}
+	if resp := get(queued.ID); resp.StatusCode != http.StatusServiceUnavailable {
+		resp.Body.Close()
+		t.Fatalf("replay with the cap saturated: status %d, want 503", resp.StatusCode)
+	}
+
+	// Ending one live stream frees its slot for the replay.
+	open[0].Body.Close()
+	open = open[1:]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp := get(queued.ID)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replay after a stream ended: status %d, want 200", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,9 +5,10 @@
 # loopback port, then (while the solver is working) checks every surface
 # the -pprof flag exposes:
 #
-#   /statusz             human-readable metrics table
+#   /metrics             Prometheus text exposition (grammar-checked,
+#                        carrying process_uptime_seconds and the
+#                        solve's registry)
 #   /debug/pprof/profile 1-second CPU profile
-#   /metrics             Prometheus text exposition (grammar-checked)
 #   /events              SSE stream (5 live frames, schema-validated
 #                        with `ugtrace -frames`)
 #
@@ -19,7 +20,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR=127.0.0.1:6872
-STATUSZ=/tmp/ug-profile-smoke.statusz
 PROFILE=/tmp/ug-profile-smoke.pprof
 METRICS=/tmp/ug-profile-smoke.metrics
 FRAMES=/tmp/ug-profile-smoke.frames
@@ -39,33 +39,34 @@ trap 'kill "$SOLVE_PID" 2>/dev/null; wait "$SOLVE_PID" 2>/dev/null || true' EXIT
 # short retry window to come up.
 ok=0
 for _ in $(seq 1 50); do
-    if curl -sf "http://$ADDR/statusz" -o "$STATUSZ"; then
+    if curl -sf "http://$ADDR/metrics" -o "$METRICS"; then
         ok=1
         break
     fi
     sleep 0.2
 done
 if [ "$ok" != 1 ]; then
-    echo "profile-smoke: debug server never answered /statusz" >&2
+    echo "profile-smoke: debug server never answered /metrics" >&2
     cat /tmp/ug-profile-smoke.out >&2
     exit 1
 fi
-grep -q uptime_seconds "$STATUSZ" || {
-    echo "profile-smoke: /statusz missing uptime_seconds:" >&2
-    cat "$STATUSZ" >&2
-    exit 1
-}
-grep -q metric "$STATUSZ" || {
-    echo "profile-smoke: /statusz missing the metrics table:" >&2
-    cat "$STATUSZ" >&2
-    exit 1
-}
 
-# /metrics must serve Prometheus text exposition: TYPE comments for the
-# process gauges, and no line that is neither a comment nor a sample in
-# the legal  name{labels} value  shape (the same grammar the unit tests
-# check line by line — this is the cheap end-to-end version).
-curl -sf "http://$ADDR/metrics" -o "$METRICS"
+# /metrics must serve Prometheus text exposition: the process uptime,
+# a series from the solve's registry (the bus's subscriber gauge, which
+# -pprof always creates), TYPE comments for the process gauges, and no
+# line that is neither a comment nor a sample in the legal
+# name{labels} value  shape (the same grammar the unit tests check line
+# by line — this is the cheap end-to-end version).
+grep -q '^process_uptime_seconds [0-9.e+-]*$' "$METRICS" || {
+    echo "profile-smoke: /metrics missing process_uptime_seconds:" >&2
+    cat "$METRICS" >&2
+    exit 1
+}
+grep -q '^obs_bus_subscribers [0-9]*$' "$METRICS" || {
+    echo "profile-smoke: /metrics missing the registry series obs_bus_subscribers:" >&2
+    cat "$METRICS" >&2
+    exit 1
+}
 grep -q '^# TYPE go_goroutines gauge$' "$METRICS" || {
     echo "profile-smoke: /metrics missing the go_goroutines TYPE line:" >&2
     cat "$METRICS" >&2
@@ -104,4 +105,4 @@ if [ ! -s "$PROFILE" ]; then
     exit 1
 fi
 
-echo "profile-smoke: ok (statusz $(wc -c <"$STATUSZ") bytes, metrics $(wc -c <"$METRICS") bytes, $(wc -l <"$FRAMES") SSE frames, profile $(wc -c <"$PROFILE") bytes)"
+echo "profile-smoke: ok (metrics $(wc -c <"$METRICS") bytes, $(wc -l <"$FRAMES") SSE frames, profile $(wc -c <"$PROFILE") bytes)"

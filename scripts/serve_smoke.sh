@@ -36,14 +36,14 @@ trap 'kill "$SERVE_PID" 2>/dev/null; wait "$SERVE_PID" 2>/dev/null || true' EXIT
 
 ok=0
 for _ in $(seq 1 50); do
-    if curl -sf "$BASE/statusz" -o /dev/null; then
+    if curl -sf "$BASE/metrics" -o /dev/null; then
         ok=1
         break
     fi
     sleep 0.2
 done
 if [ "$ok" != 1 ]; then
-    echo "serve-smoke: ugserve never answered /statusz" >&2
+    echo "serve-smoke: ugserve never answered /metrics" >&2
     cat "$LOG" >&2
     exit 1
 fi
