@@ -21,31 +21,30 @@ import (
 )
 
 // BenchmarkTable1_SteinerSharedMemory reproduces Table 1: shared-memory
-// ug[SCIP-Jack] scaling over the five PUC-analogue instances. The
-// qualitative checks (root-dominated instances do not scale; the last
-// instance scales best) are asserted by TestTable1Shape in the
-// experiments package; here the wall-clock of the whole sweep is
-// measured.
+// ug[SCIP-Jack] scaling over the five experiments.Table1Names. The
+// root-dominated first instance is checked by TestTable1ShapeAndFormat
+// in the experiments package; here the wall-clock of the whole sweep is
+// measured, with the speedup of the last (headline) instance.
 func BenchmarkTable1_SteinerSharedMemory(b *testing.B) {
 	threads := []int{1, 2, 4}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunTable1(experiments.Table1Instances(), threads, 35)
+		rows := experiments.RunTable1(experiments.Table1Names, threads, 35)
 		if len(rows) != 5 {
 			b.Fatalf("expected 5 rows, got %d", len(rows))
 		}
 		speedup := rows[4].Times[1] / rows[4].Times[threads[len(threads)-1]]
-		b.ReportMetric(speedup, "hc7u-speedup")
+		b.ReportMetric(speedup, rows[4].Name+"-speedup")
 	}
 }
 
 // BenchmarkTable2_CheckpointRestartSeries reproduces Table 2: a series
-// of time-limited runs on the bip52u analogue, each restarted from the
+// of time-limited runs on experiments.Table2Name, each restarted from the
 // previous checkpoint, with the final run closing the instance.
 func BenchmarkTable2_CheckpointRestartSeries(b *testing.B) {
 	dir := b.TempDir()
 	for i := 0; i < b.N; i++ {
 		ckpt := filepath.Join(dir, "t2.ckpt")
-		rows := experiments.RunTable2(experiments.Table2Instance(), 2, 0.15, 8, ckpt)
+		rows := experiments.RunTable2(experiments.Table2Name, 2, 0.15, 8, ckpt)
 		last := rows[len(rows)-1]
 		if !last.Optimal {
 			b.Fatalf("restart series did not close the instance: %+v", last)
@@ -57,12 +56,12 @@ func BenchmarkTable2_CheckpointRestartSeries(b *testing.B) {
 }
 
 // BenchmarkTable3_IncumbentImprovementRuns reproduces Table 3: repeated
-// racing runs on the hc10p analogue, each seeded with the previous best
+// racing runs on experiments.Table3Name, each seeded with the previous best
 // solution; the reproduction target is that the primal bound improves
 // across runs on an instance whose gap stays open.
 func BenchmarkTable3_IncumbentImprovementRuns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunTable3(experiments.Table3Instance(), 4, 2, 2.5)
+		rows := experiments.RunTable3(experiments.Table3Name, 4, 2, 2.5)
 		improved := 0
 		for _, r := range rows {
 			if r.Improved {

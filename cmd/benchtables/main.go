@@ -48,21 +48,21 @@ func main() {
 	if want("table1") {
 		fmt.Println("== Table 1: shared-memory ug[SCIP-Jack] scaling " +
 			"(threads scaled down from the paper's 1..64)")
-		rows := experiments.RunTable1(experiments.Table1Instances(), t1Threads, t1Limit)
+		rows := experiments.RunTable1(experiments.Table1Names, t1Threads, t1Limit)
 		fmt.Println(experiments.FormatTable1(rows, t1Threads))
 	}
 
 	if want("table2") {
-		fmt.Println("== Table 2: checkpoint-restart series (bip52u analogue)")
+		fmt.Printf("== Table 2: checkpoint-restart series on %s (the paper's bip52u role)\n", experiments.Table2Name)
 		ckpt := filepath.Join(os.TempDir(), "benchtables-t2.ckpt")
 		defer os.Remove(ckpt)
-		rows := experiments.RunTable2(experiments.Table2Instance(), 2, t2RunSec, t2Runs, ckpt)
+		rows := experiments.RunTable2(experiments.Table2Name, 2, t2RunSec, t2Runs, ckpt)
 		fmt.Println(experiments.FormatTable2(rows))
 	}
 
 	if want("table3") {
-		fmt.Println("== Table 3: seeded racing runs improving the incumbent (hc10p analogue)")
-		rows := experiments.RunTable3(experiments.Table3Instance(), 4, t3Runs, t3RunSec)
+		fmt.Printf("== Table 3: seeded racing runs improving the incumbent on %s (the paper's hc10p role)\n", experiments.Table3Name)
+		rows := experiments.RunTable3(experiments.Table3Name, 4, t3Runs, t3RunSec)
 		fmt.Println(experiments.FormatTable3(rows))
 	}
 

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/steiner"
 	"repro/internal/steiner/puc"
@@ -21,7 +22,7 @@ import (
 func main() {
 	var (
 		family    = flag.String("family", "hc", "family: hc, cc, bip")
-		named     = flag.String("named", "", "named paper-instance analogue (overrides family flags)")
+		named     = flag.String("named", "", "named instance (overrides family flags): "+strings.Join(puc.Names(), ", "))
 		d         = flag.Int("d", 5, "dimension (hc, cc)")
 		a         = flag.Int("a", 3, "alphabet size (cc)")
 		terminals = flag.Int("terminals", 0, "terminal count (cc, bip, hc with -terminals)")

@@ -1,6 +1,6 @@
 // Command ugsteiner is the parallel Steiner tree solver — the
-// ug[SCIP-Jack,*] binary. It reads a SteinLib .stp file (or generates a
-// named PUC-family analogue), runs the UG-parallelized SCIP-Jack
+// ug[SCIP-Jack,*] binary. It reads a SteinLib .stp file (or builds an
+// instance registered in puc.Named), runs the UG-parallelized SCIP-Jack
 // pipeline, and reports the solution plus the coordination statistics
 // the paper's tables are built from. Everything but the instance flags
 // is the shared run harness, internal/cli.
@@ -9,8 +9,8 @@
 //
 //	ugsteiner -file instance.stp -workers 8
 //	ugsteiner -instance hc6u -workers 16 -racing
-//	ugsteiner -instance bip52u -workers 8 -time 30 -checkpoint run.ckpt
-//	ugsteiner -instance bip52u -workers 8 -restart run.ckpt
+//	ugsteiner -instance hc7p -workers 8 -time 30 -checkpoint run.ckpt
+//	ugsteiner -instance hc7p -workers 8 -restart run.ckpt
 //
 // Distributed (multi-process) mode over the comm/net TCP transport:
 //
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/steiner"
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	file := flag.String("file", "", "SteinLib .stp file to solve")
-	instance := flag.String("instance", "", "named PUC-family analogue (cc3-4p, cc3-5u, cc5-3p, hc6u, hc6p, hc7u, hc7p, hc10p, bip52u)")
+	instance := flag.String("instance", "", "named instance: "+strings.Join(puc.Names(), ", "))
 	run := cli.Register(flag.CommandLine, false)
 	flag.Parse()
 

@@ -48,8 +48,8 @@ func TestDocumentedCommandLinesSelectTheirRole(t *testing.T) {
 		// cmd/ugsteiner package comment
 		{"ugsteiner -file instance.stp -workers 8", roleInProcess},
 		{"ugsteiner -instance hc6u -workers 16 -racing", roleInProcess},
-		{"ugsteiner -instance bip52u -workers 8 -time 30 -checkpoint run.ckpt", roleInProcess},
-		{"ugsteiner -instance bip52u -workers 8 -restart run.ckpt", roleInProcess},
+		{"ugsteiner -instance hc7p -workers 8 -time 30 -checkpoint run.ckpt", roleInProcess},
+		{"ugsteiner -instance hc7p -workers 8 -restart run.ckpt", roleInProcess},
 		{"ugsteiner -instance hc6u -net-procs 2", roleNetCoordinator},
 		{"ugsteiner -instance hc6u -net-listen :7071 -workers 2", roleNetCoordinator},
 		{"ugsteiner -instance hc6u -net-connect host:7071 -rank 1", roleNetWorker},
@@ -94,9 +94,14 @@ func TestDocumentedCommandLinesSelectTheirRole(t *testing.T) {
 // followed by at least one flag.
 var commandLine = regexp.MustCompile(`(?:^|[\s/])(ugsteiner|ugmisdp)(?:-[a-z]+)?\s+(-[a-z].*)$`)
 
+// serveInstance matches the instance of a ugserve job spec in the docs.
+var serveInstance = regexp.MustCompile(`"instance":\s*"([^"]*)"`)
+
 // TestEveryCommandLineInTheDocsParses scans the same files for command
 // lines the table above may not list yet, so a newly documented flag
 // that does not exist (or one dropped from the shared set) fails here.
+// Every instance name they give — a ugsteiner -instance or a ugserve
+// "instance" — must be one puc.Named builds.
 func TestEveryCommandLineInTheDocsParses(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files := []string{"README.md", "DESIGN.md", "Makefile", ".github/workflows/ci.yml",
@@ -105,11 +110,20 @@ func TestEveryCommandLineInTheDocsParses(t *testing.T) {
 	for _, s := range scripts {
 		files = append(files, filepath.Join("scripts", filepath.Base(s)))
 	}
-	found := 0
+	found, names := 0, 0
+	resolves := func(file, name string) {
+		names++
+		if puc.Named(name) == nil {
+			t.Errorf("%s: instance %q is not a puc.Named name", file, name)
+		}
+	}
 	for _, name := range files {
 		data, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range serveInstance.FindAllStringSubmatch(string(data), -1) {
+			resolves(name, m[1])
 		}
 		// Join shell continuation lines, then look at each line.
 		text := strings.ReplaceAll(string(data), "\\\n", " ")
@@ -130,12 +144,14 @@ func TestEveryCommandLineInTheDocsParses(t *testing.T) {
 			fs, _ := newFlagSet(m[1])
 			if err := fs.Parse(argv); err != nil {
 				t.Errorf("%s: %q: %v", name, strings.TrimSpace(line), err)
+			} else if inst := fs.Lookup("instance"); inst != nil && inst.Value.String() != "" {
+				resolves(name, inst.Value.String())
 			}
 			found++
 		}
 	}
-	if found < 25 {
-		t.Fatalf("found only %d command lines — the scanner has gone blind", found)
+	if found < 25 || names < 25 {
+		t.Fatalf("found only %d command lines and %d instance names — the scanner has gone blind", found, names)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/misdp/testsets"
 	"repro/internal/scip"
 	"repro/internal/steiner"
+	"repro/internal/steiner/puc"
 	"repro/internal/ug"
 )
 
@@ -39,10 +40,48 @@ func ShiftedGeoMean(times []float64, shift float64) float64 {
 // ----------------------------------------------------------------------
 // Table 1: shared-memory scaling of ug[SCIP-Jack,C++11].
 
-// SteinerInstance names one Table-1 instance.
-type SteinerInstance struct {
-	Name  string
-	Build func() *steiner.SPG
+// The Steiner instances of Tables 1–3, by their puc.Named names; their
+// roles are noted beside them in the registry. Table 1 runs from the
+// root-dominated cc3-4p to the headline instance that is open
+// sequentially but closes in parallel.
+var (
+	Table1Names = []string{"cc3-4p", "cc3-5u", "hypercubespread-5-16-100-163-19",
+		"hypercubespread-5-16-100-165-23", "hypercubespread-6-32-100-168-3"}
+	Table2Name = "hypercubespread-5-16-100-163-19"
+	Table3Name = "hypercube-5-1-5"
+)
+
+// ScalingSettings is the solver configuration used for the Table 1–3
+// runs: moderate separation, so the search trees stay large enough to
+// exercise the parallelization (the aggressive root-separation default
+// collapses the scaled-down instances to a handful of nodes, leaving
+// nothing to parallelize).
+func ScalingSettings() scip.Settings {
+	s := steiner.DefaultSettings()
+	s.Name = "stp-scaling"
+	s.SepaRounds = 8
+	s.MaxCutRows = 150
+	return s
+}
+
+// scalingLadder is ScalingSettings plus the racing variations.
+func scalingLadder() []scip.Settings {
+	ladder := append([]scip.Settings{ScalingSettings()}, steiner.RacingLadder(15)...)
+	for i := range ladder[1:] {
+		ladder[i+1].SepaRounds = 8
+		ladder[i+1].MaxCutRows = 150
+	}
+	return ladder
+}
+
+// named builds a registered Steiner instance; an unknown name is a bug
+// in the caller.
+func named(name string) *steiner.SPG {
+	spg := puc.Named(name)
+	if spg == nil {
+		panic(fmt.Sprintf("experiments: unknown Steiner instance %q", name))
+	}
+	return spg
 }
 
 // Table1Row is one column of the paper's Table 1 (an instance).
@@ -56,19 +95,19 @@ type Table1Row struct {
 	Objective          float64
 }
 
-// RunTable1 solves every instance at every thread count with normal
-// ramp-up, recording the statistics of the paper's Table 1.
-func RunTable1(instances []SteinerInstance, threads []int, timeLimit float64) []Table1Row {
+// RunTable1 solves every named instance at every thread count with
+// normal ramp-up, recording the statistics of the paper's Table 1.
+func RunTable1(names []string, threads []int, timeLimit float64) []Table1Row {
 	var rows []Table1Row
-	for _, insts := range instances {
+	for _, name := range names {
 		row := Table1Row{
-			Name:   insts.Name,
+			Name:   name,
 			Times:  map[int]float64{},
 			Solved: map[int]bool{},
 		}
 		maxThreads := threads[len(threads)-1]
 		for _, th := range threads {
-			app := steiner.NewAppWithSettings(insts.Build(), scalingLadder())
+			app := steiner.NewAppWithSettings(named(name), scalingLadder())
 			res, factory, err := core.SolveParallel(app, ug.Config{
 				Workers:        th,
 				TimeLimit:      timeLimit,
@@ -96,12 +135,17 @@ func RunTable1(instances []SteinerInstance, threads []int, timeLimit float64) []
 	return rows
 }
 
-// FormatTable1 renders rows in the layout of the paper's Table 1.
+// FormatTable1 renders rows in the layout of the paper's Table 1, one
+// column per instance, each as wide as the longest name needs.
 func FormatTable1(rows []Table1Row, threads []int) string {
+	w := 12
+	for _, r := range rows {
+		w = max(w, len(r.Name)+1)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s", "# Threads")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%12s", r.Name)
+		fmt.Fprintf(&b, "%*s", w, r.Name)
 	}
 	b.WriteByte('\n')
 	for _, th := range threads {
@@ -111,23 +155,23 @@ func FormatTable1(rows []Table1Row, threads []int) string {
 			if !r.Solved[th] {
 				mark = "*"
 			}
-			fmt.Fprintf(&b, "%11.2f%s", r.Times[th], orSpace(mark))
+			fmt.Fprintf(&b, "%*.2f%s", w-1, r.Times[th], orSpace(mark))
 		}
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "%-22s", "root time")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%12.2f", r.RootTime)
+		fmt.Fprintf(&b, "%*.2f", w, r.RootTime)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%-22s", "max # solvers")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%12d", r.MaxSolvers)
+		fmt.Fprintf(&b, "%*d", w, r.MaxSolvers)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%-22s", "first max active time")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%12.2f", r.FirstMaxActiveTime)
+		fmt.Fprintf(&b, "%*.2f", w, r.FirstMaxActiveTime)
 	}
 	b.WriteByte('\n')
 	b.WriteString("(* = hit the time limit)\n")
@@ -163,11 +207,11 @@ type Table2Row struct {
 	Optimal       bool
 }
 
-// RunTable2 reproduces the bip52u experiment: a series of time-limited
-// runs, each restarted from the previous run's checkpoint, with the last
-// run (no limit) closing the instance. offset is the presolve objective
-// offset applied for reporting.
-func RunTable2(build func() *steiner.SPG, workers int, runSeconds float64, maxRuns int, ckptPath string) []Table2Row {
+// RunTable2 reproduces the paper's bip52u experiment on the named
+// instance: a series of time-limited runs, each restarted from the
+// previous run's checkpoint, with the last run (no limit) closing the
+// instance. Bounds are reported with the presolve objective offset.
+func RunTable2(name string, workers int, runSeconds float64, maxRuns int, ckptPath string) []Table2Row {
 	var rows []Table2Row
 	restart := ""
 	for runIdx := 1; runIdx <= maxRuns; runIdx++ {
@@ -183,7 +227,7 @@ func RunTable2(build func() *steiner.SPG, workers int, runSeconds float64, maxRu
 		if runIdx == maxRuns {
 			cfg.TimeLimit = 0 // final run: solve to optimality
 		}
-		res, factory, err := core.SolveParallel(steiner.NewAppWithSettings(build(), scalingLadder()), cfg)
+		res, factory, err := core.SolveParallel(steiner.NewAppWithSettings(named(name), scalingLadder()), cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -260,10 +304,11 @@ type Table3Row struct {
 	Optimal       bool
 }
 
-// RunTable3 reproduces the hc10p experiment: repeated time-limited
-// racing runs, each seeded with the previous run's best solution;
-// the interest is whether each run improves the incumbent.
-func RunTable3(build func() *steiner.SPG, workers, runs int, runSeconds float64) []Table3Row {
+// RunTable3 reproduces the paper's hc10p experiment on the named
+// instance: repeated time-limited racing runs, each seeded with the
+// previous run's best solution; the interest is whether each run
+// improves the incumbent.
+func RunTable3(name string, workers, runs int, runSeconds float64) []Table3Row {
 	var rows []Table3Row
 	var seed *ug.Solution
 	for runIdx := 1; runIdx <= runs; runIdx++ {
@@ -274,7 +319,7 @@ func RunTable3(build func() *steiner.SPG, workers, runs int, runSeconds float64)
 			ladder[i].Seed += int64(runIdx * 7919)
 			ladder[i].PermuteTieBreak = true
 		}
-		res, factory, err := core.SolveParallel(steiner.NewAppWithSettings(build(), ladder), ug.Config{
+		res, factory, err := core.SolveParallel(steiner.NewAppWithSettings(named(name), ladder), ug.Config{
 			Workers:         workers,
 			TimeLimit:       runSeconds,
 			RampUp:          ug.RampUpRacing,

@@ -43,9 +43,8 @@ func TestTable1ShapeAndFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	instances := Table1Instances()[:1] // the root-dominated cc3-4p analogue
 	threads := []int{1, 2}
-	rows := RunTable1(instances, threads, 20)
+	rows := RunTable1(Table1Names[:1], threads, 20) // the root-dominated cc3-4p
 	if len(rows) != 1 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -72,7 +71,7 @@ func TestTable2SeriesCloses(t *testing.T) {
 		t.Skip("short mode")
 	}
 	ckpt := filepath.Join(t.TempDir(), "t2.ckpt")
-	rows := RunTable2(Table2Instance(), 2, 0.3, 10, ckpt)
+	rows := RunTable2(Table2Name, 2, 0.3, 10, ckpt)
 	if len(rows) == 0 {
 		t.Fatal("no runs")
 	}
@@ -99,7 +98,7 @@ func TestTable3RunsAndFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows := RunTable3(Table3Instance(), 2, 2, 1.0)
+	rows := RunTable3(Table3Name, 2, 2, 1.0)
 	if len(rows) == 0 {
 		t.Fatal("no runs")
 	}
@@ -168,5 +167,23 @@ func TestStandardTestsetsComposition(t *testing.T) {
 	}
 	if counts["TTD"] != 4 || counts["CLS"] != 4 || counts["Mk-P"] != 4 {
 		t.Fatalf("composition: %v", counts)
+	}
+}
+
+// Every Table 1 column is as wide as its name: the header names stay
+// apart and each row is as long as the header.
+func TestFormatTable1FitsLongNames(t *testing.T) {
+	var rows []Table1Row
+	for _, name := range Table1Names {
+		rows = append(rows, Table1Row{Name: name, Times: map[int]float64{1: 123.45}, Solved: map[int]bool{}})
+	}
+	lines := strings.Split(strings.TrimSuffix(FormatTable1(rows, []int{1}), "\n"), "\n")
+	if got := strings.Fields(lines[0])[2:]; strings.Join(got, " ") != strings.Join(Table1Names, " ") {
+		t.Fatalf("header names %q, want %q", got, Table1Names)
+	}
+	for _, l := range lines[1 : len(lines)-1] {
+		if len(l) != len(lines[0]) {
+			t.Fatalf("row %q is %d wide, the header %d:\n%s", l, len(l), len(lines[0]), strings.Join(lines, "\n"))
+		}
 	}
 }

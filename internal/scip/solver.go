@@ -539,8 +539,8 @@ func (s *Solver) releaseNode(n *Node) {
 // children of one that finds none start from whatever basis the LP has.
 // A reused entry's buffers still grow with the LP's rows, so the bound
 // is on the number of entries more than on their bytes.
-// On hc7p (384 columns, about 1 100 rows) some 1 700 snapshots fit,
-// the open subtrees of its first ten seconds.
+// On a perturbed d=6 hypercube (384 columns, about 1 100 rows) some
+// 1 700 snapshots fit, the open subtrees of its first ten seconds.
 const snapBudget = 8 << 20
 
 // takeSnap stores the LP basis n ended with, for its children: in a

@@ -8,10 +8,12 @@
 // branch-and-bound search is required — the regime the paper's
 // parallelization study targets.
 //
-// The original PUC instances (hc7u has 128 vertices and 448 edges,
-// bip52u has 2200 vertices) are substituted by the same constructions at
-// dimensions that a single machine can attack in seconds to minutes; see
-// DESIGN.md for the substitution rationale.
+// Named builds the registered instances. Those built at a PUC original's
+// size keep its SteinLib name (cc3-4p, hc6u, hc7u, ...); the smaller
+// instances of the same families that stand in for the originals a
+// single machine cannot attack (bip52u has 2200 vertices, hc10p 1024)
+// are named by their generator calls. See DESIGN.md for the
+// substitution rationale.
 package puc
 
 import (
@@ -211,33 +213,60 @@ func itoa(v int) string {
 	return string(b)
 }
 
-// Named returns the scaled-down analogue of a paper instance. The names
-// follow the paper's tables; dimensions are reduced so the instances are
-// attackable on one machine while preserving the family structure (see
-// DESIGN.md, substitution 3).
+// registry is the one place outside the benchmark where a Steiner
+// instance name becomes a graph, one graph per name. A SteinLib name goes
+// only on a graph with that instance's construction and its vertex, edge
+// and terminal counts; every other name is its generator call (the
+// function lower-cased, arguments joined by '-', booleans as 0/1, the
+// seed last). opt is the proven optimum, 0 when none is known:
+// Dreyfus–Wagner's for up to 16 terminals, SteinLib's listed value for
+// hc6u (unit costs, even-parity terminals, as in SteinLib).
+var registry = []struct {
+	name  string
+	opt   float64
+	build func() *steiner.SPG
+}{
+	// Table 1 column 1, the paper's cc3-4p: the root does nearly all the work.
+	{"cc3-4p", 940, func() *steiner.SPG { return CodeCover(3, 4, 8, true, 341) }},
+	// Table 1 column 2.
+	{"cc3-5u", 15, func() *steiner.SPG { return CodeCover(3, 5, 13, false, 352) }},
+	{"hc6p", 0, func() *steiner.SPG { return Hypercube(6, true, 761) }},
+	{"hc6u", 39, func() *steiner.SPG { return Hypercube(6, false, 762) }},
+	{"hc7p", 0, func() *steiner.SPG { return Hypercube(7, true, 77) }},
+	{"hc7u", 0, func() *steiner.SPG { return Hypercube(7, false, 1) }},
+	// Table 1 column 3, and Table 2's restart series in the paper's
+	// bip52u role.
+	{"hypercubespread-5-16-100-163-19", 2352, func() *steiner.SPG { return HypercubeSpread(5, 16, 100, 163, 19) }},
+	// Table 1 column 4.
+	{"hypercubespread-5-16-100-165-23", 2398, func() *steiner.SPG { return HypercubeSpread(5, 16, 100, 165, 23) }},
+	// Table 1 headline, in the paper's hc7u role: open after the
+	// sequential time limit, closed by parallel ParaSolvers.
+	{"hypercubespread-6-32-100-168-3", 0, func() *steiner.SPG { return HypercubeSpread(6, 32, 100, 168, 3) }},
+	// Table 3, in the paper's hc10p role: the gap stays open while
+	// seeded runs work on the incumbent.
+	{"hypercube-5-1-5", 2050, func() *steiner.SPG { return Hypercube(5, true, 5) }},
+	// hc5u, the fixture whose dual bound is checked against its optimum.
+	{"hypercube-5-0-1", 20, func() *steiner.SPG { return Hypercube(5, false, 1) }},
+}
+
+// Named returns the instance registered under name, with SPG.Name set to
+// it, or nil for an unknown name.
 func Named(name string) *steiner.SPG {
-	switch name {
-	case "cc3-4p":
-		return CodeCover(3, 4, 8, true, 341)
-	case "cc3-5u":
-		return CodeCover(3, 5, 13, false, 352)
-	case "cc5-3p":
-		return CodeCover(4, 3, 9, true, 533)
-	case "hc6p":
-		return Hypercube(6, true, 761)
-	case "hc6u":
-		return Hypercube(6, false, 762)
-	case "hc7p":
-		return Hypercube(6, true, 77) // scaled: d=6 stands in for hc7
-	case "hc7u":
-		return Hypercube(6, false, 78)
-	case "hc10p":
-		return Hypercube(7, true, 710) // scaled: d=7 stands in for hc10
-	case "bip52u":
-		return Bipartite(16, 80, 3, false, 52)
-	case "hc9p":
-		return Hypercube(7, true, 97)
-	default:
-		return nil
+	for _, r := range registry {
+		if r.name == name {
+			s := r.build()
+			s.Name = name
+			return s
+		}
 	}
+	return nil
+}
+
+// Names lists the registered instance names in registry order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
+	}
+	return names
 }

@@ -1,8 +1,15 @@
 package puc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scip"
 	"repro/internal/steiner"
 )
@@ -158,11 +165,13 @@ func TestGeneratorsDeterministic(t *testing.T) {
 }
 
 func TestNamedInstances(t *testing.T) {
-	names := []string{"cc3-4p", "cc3-5u", "cc5-3p", "hc6p", "hc6u", "hc7p", "hc7u", "hc10p", "hc9p", "bip52u"}
-	for _, name := range names {
+	for _, name := range Names() {
 		s := Named(name)
 		if s == nil {
 			t.Fatalf("Named(%q) = nil", name)
+		}
+		if s.Name != name {
+			t.Fatalf("Named(%q).Name = %q", name, s.Name)
 		}
 		if s.NumTerminals() < 2 {
 			t.Fatalf("%s: %d terminals", name, s.NumTerminals())
@@ -180,11 +189,114 @@ func TestNamedInstances(t *testing.T) {
 	}
 }
 
+// graphHash digests what makes an instance: its vertex count, its edge
+// list with costs and its terminal set.
+func graphHash(s *steiner.SPG) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "n=%d\n", s.G.NumVertices())
+	for _, e := range s.G.Edges {
+		fmt.Fprintf(h, "%d %d %v\n", e.U, e.V, e.Cost)
+	}
+	fmt.Fprintf(h, "t=%v\n", s.Terminals())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// One name, one graph, and no graph under two names.
+func TestNamedInstancesAreDistinct(t *testing.T) {
+	seen := map[string]string{}
+	for _, name := range Names() {
+		h := graphHash(Named(name))
+		if other, ok := seen[h]; ok {
+			t.Errorf("%s builds the same graph as %s", name, other)
+		}
+		seen[h] = name
+	}
+}
+
+// A SteinLib name goes only on a graph with SteinLib's vertex, edge and
+// terminal counts for it; every other name is the generator call that
+// builds its graph.
+func TestNamedInstancesMatchTheirNames(t *testing.T) {
+	steinLib := map[string][3]int{
+		"cc3-4p": {64, 288, 8},
+		"cc3-5u": {125, 750, 13},
+		"hc6p":   {64, 192, 32},
+		"hc6u":   {64, 192, 32},
+		"hc7p":   {128, 448, 64},
+		"hc7u":   {128, 448, 64},
+	}
+	for _, name := range Names() {
+		s := Named(name)
+		if want, ok := steinLib[name]; ok {
+			if got := [3]int{s.G.NumVertices(), s.G.NumEdges(), s.NumTerminals()}; got != want {
+				t.Errorf("%s: %v vertices/edges/terminals, SteinLib has %v", name, got, want)
+			}
+			continue
+		}
+		call := generatorCall(t, name)
+		if call == nil {
+			t.Errorf("%s: neither a SteinLib name nor a generator call", name)
+		} else if graphHash(call) != graphHash(s) {
+			t.Errorf("%s: the graph differs from its generator call's", name)
+		}
+	}
+}
+
+// generatorCall builds the graph a generator-call name spells, or nil.
+func generatorCall(t *testing.T, name string) *steiner.SPG {
+	parts := strings.Split(name, "-")
+	a := make([]int, len(parts)-1)
+	for i, p := range parts[1:] {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return nil
+		}
+		a[i] = v
+	}
+	s := int64(a[len(a)-1])
+	switch {
+	case parts[0] == "hypercube" && len(a) == 3:
+		return Hypercube(a[0], a[1] != 0, s)
+	case parts[0] == "hypercubet" && len(a) == 4:
+		return HypercubeT(a[0], a[1], a[2] != 0, s)
+	case parts[0] == "hypercubespread" && len(a) == 5:
+		return HypercubeSpread(a[0], a[1], a[2], a[3], s)
+	case parts[0] == "codecover" && len(a) == 5:
+		return CodeCover(a[0], a[1], a[2], a[3] != 0, s)
+	case parts[0] == "bipartite" && len(a) == 5:
+		return Bipartite(a[0], a[1], a[2], a[3] != 0, s)
+	}
+	return nil
+}
+
+// Every registered optimum on up to 16 terminals is Dreyfus–Wagner's.
 func TestNamedInstancesSolvableDW(t *testing.T) {
-	// Spot-check small named instances against Dreyfus–Wagner.
-	s := Named("cc3-4p")
-	var clone *steiner.SPG = s.Clone()
-	if got := clone.SolveDW(); got <= 0 {
-		t.Fatalf("cc3-4p DW = %v", got)
+	for _, r := range registry {
+		if Named(r.name).NumTerminals() > 16 {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			if got := Named(r.name).SolveDW(); math.Abs(got-r.opt) > 1e-6 {
+				t.Fatalf("DW optimum %v, registered %v", got, r.opt)
+			}
+		})
+	}
+}
+
+// The dual bound at a node limit is a bound: finite, no lower than the
+// root's and no higher than the optimum. On hc5u the sequential solve
+// stays open (18.6 against 20 after 300 nodes), so the limit bites.
+func TestNodeLimitBoundBracketsTheOptimum(t *testing.T) {
+	const name = "hypercube-5-0-1"
+	set := steiner.DefaultSettings()
+	set.NodeLimit = 300
+	s, st, off := core.SolveSequential(steiner.NewApp(Named(name)), set)
+	if st != scip.StatusNodeLimit {
+		t.Fatalf("%s: status %v, want the node limit", name, st)
+	}
+	best, root := s.BestBound()+off, s.Stats.RootBound+off
+	if math.IsInf(best, 0) || best < root-1e-6 || best > 20+1e-6 {
+		t.Fatalf("%s: best bound %v, root bound %v, optimum 20", name, best, root)
 	}
 }

@@ -14,8 +14,9 @@
 #   7. bench self-tests  the nested bench/ module
 #   8. go test -fuzz     30 s each on the STP parser, the SDP
 #                        certified bound, the TCP transport's
-#                        message decoder and frame reader, and the
-#                        trace reader
+#                        message decoder and frame reader, the
+#                        trace reader, and ugserve's JSON job spec
+#                        (decode, Validate, instance build)
 #   9. app.go <= 200     each app registration stays glue-sized
 #  10. loc.sh            the system's size (informational, no threshold)
 #
@@ -63,7 +64,7 @@ step "cd bench && go test ./..."
 # benchmark measures (decorated and bare counters must stay equal).
 (cd bench && go test ./...) || fail=1
 
-step "go test -fuzz (30 s each): FuzzReadSTP, FuzzSolveCertifiedBound, FuzzDecodeMessage, FuzzReadFrame, FuzzReadTrace"
+step "go test -fuzz (30 s each): FuzzReadSTP, FuzzSolveCertifiedBound, FuzzDecodeMessage, FuzzReadFrame, FuzzReadTrace, FuzzSpec"
 # A crasher lands in the package's testdata/fuzz/ and fails the step; it
 # is committed there, as a seed, together with its fix.
 go test -run '^$' -fuzz '^FuzzReadSTP$' -fuzztime 30s -parallel 2 ./internal/steiner || fail=1
@@ -71,6 +72,7 @@ go test -run '^$' -fuzz '^FuzzSolveCertifiedBound$' -fuzztime 30s -parallel 2 ./
 go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 30s -parallel 2 ./internal/ug/comm/net || fail=1
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 30s -parallel 2 ./internal/ug/comm/net || fail=1
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 30s -parallel 2 ./internal/obs || fail=1
+go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 30s -parallel 2 ./internal/serve || fail=1
 
 step "app registrations <= 200 lines"
 # The paper's claim is that a thin glue file makes a sequential solver

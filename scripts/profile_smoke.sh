@@ -27,7 +27,7 @@ FRAMES=/tmp/ug-profile-smoke.frames
 go build -o /tmp/ugsteiner-prof ./cmd/ugsteiner
 go build -o /tmp/ugtrace-prof ./cmd/ugtrace
 
-# hc7u runs for >10s even under the time limit, so the process is
+# hc7u stays open until the 10 s time limit, so the process is
 # reliably still alive while the 1-second CPU profile is captured; the
 # trap kills it as soon as the checks pass.
 /tmp/ugsteiner-prof -instance hc7u -workers 2 -time 10 -pprof "$ADDR" \
