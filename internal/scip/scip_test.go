@@ -530,10 +530,10 @@ func TestLPIterLimitOffersNoPoint(t *testing.T) {
 	values := []float64{10, 13, 7, 8, 2, 9, 4, 6, 11, 3}
 	weights := []float64{5, 6, 3, 4, 1, 5, 2, 3, 6, 2}
 	set := DefaultSettings()
-	set.MaxLPIterations = 1
 	set.NodeLimit = 20
 	h := &lpReader{}
 	s := NewSolver(knapsackProb(values, weights, 17), set, &Plugins{Heuristics: []Heuristic{h}})
+	s.lps.MaxIters = 1
 	s.Solve() // must not panic in the heuristic
 	if h.notOptimal != 0 {
 		t.Fatalf("heuristic was offered %d LP points (of %d) from LPs that did not finish Optimal", h.notOptimal, h.seen)

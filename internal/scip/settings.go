@@ -70,9 +70,6 @@ type Settings struct {
 	NodeLimit int64   // 0 = unlimited
 	TimeLimit float64 // seconds, 0 = unlimited
 
-	// MaxLPIterations caps each LP solve (0 = solver default).
-	MaxLPIterations int
-
 	// MaxCutRows bounds the number of separator-added cut rows kept in
 	// the LP (0 = unlimited). Constraint-handler enforcement cuts are
 	// exempt, so correctness is unaffected.

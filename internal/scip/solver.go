@@ -179,9 +179,6 @@ func NewSolver(prob *Prob, set Settings, plug *Plugins) *Solver {
 			lpProb.AddRow(r.Sense, r.RHS, r.Coefs)
 		}
 		s.lps = lp.NewSolver(lpProb)
-		if set.MaxLPIterations > 0 {
-			s.lps.MaxIters = set.MaxLPIterations
-		}
 		s.baseRows = s.lps.NumRows()
 	}
 	return s

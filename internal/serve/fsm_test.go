@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,21 +238,6 @@ func TestDeadlineDuringPresolve(t *testing.T) {
 	never := make(chan struct{})
 	if _, _, hit, err := s.cache.Get(never, key, nil); err != nil || !hit {
 		t.Fatalf("after release: hit=%v err=%v, want cached entry", hit, err)
-	}
-}
-
-func TestFailedBuildIsTerminal(t *testing.T) {
-	s := newBareServer(t, Config{MaxConcurrent: 1})
-	j, err := s.Submit(Spec{Kind: "stp", Instance: "no-such-instance"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	if st := j.State(); st != StateFailed {
-		t.Fatalf("state after bad instance: %s, want failed", st)
-	}
-	if msg := j.StatusView().Error; !strings.Contains(msg, "no-such-instance") {
-		t.Fatalf("error detail %q should name the instance", msg)
 	}
 }
 

@@ -11,10 +11,12 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/steiner/puc"
 )
 
 // State is a job's lifecycle state. The machine is
@@ -116,6 +118,11 @@ func (sp *Spec) Validate() error {
 		}
 		if n != 1 {
 			return fmt.Errorf("kind stp needs exactly one of stp, instance, gen (got %d)", n)
+		}
+		// A name is checked against the registry without building its
+		// graph, so an unknown one is a 400 and never takes a queue slot.
+		if sp.Instance != "" && !slices.Contains(puc.Names(), sp.Instance) {
+			return fmt.Errorf("unknown named instance %q", sp.Instance)
 		}
 	case "misdp":
 	default:

@@ -547,6 +547,28 @@ func TestMalformedInlineSTPFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestUnknownInstanceIsRejectedAtSubmit: a name puc.Named does not know
+// used to pass Validate and fail the job later in its lane. It must be a
+// 400 at submit that names the instance, and no job may be created.
+func TestUnknownInstanceIsRejectedAtSubmit(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1})
+	for _, name := range []string{"bip52u", "no-such-instance"} {
+		body := fmt.Sprintf(`{"kind":"stp","instance":%q}`, name)
+		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), name) {
+			t.Errorf("POST %s = %d %s, want 400 naming %s", body, resp.StatusCode, raw, name)
+		}
+	}
+	if n, _ := snapshotValue(s, "serve.jobs.submitted"); n != 0 {
+		t.Errorf("%v unknown instances were admitted as jobs", n)
+	}
+}
+
 // TestHostileSpecsAreRejectedAtSubmit: generator parameters no generator
 // can honour used to pass Validate, reach puc.Hypercube inside a
 // scheduler lane and panic there (`1 << -1`), which — CapturePanic

@@ -12,26 +12,20 @@ import (
 // adds.
 const maxCutsPerRound = 6
 
-// arborescence is the directed-cut branch-and-cut core that both Steiner
-// models share. SCIP-Jack solves every variant as a Steiner arborescence
-// problem; here the SPG model (an antiparallel arc pair per edge) and the
-// SAP model (its arcs as given) build the same Formulation 1 rows, check
-// connectivity the same way and separate the same max-flow cuts. They
-// differ only in the two predicates of arcModel.
+// arborescence is the directed-cut branch-and-cut core of the SPG model
+// (an antiparallel arc pair per alive edge): it builds Formulation 1's
+// rows, checks connectivity and separates max-flow cuts. SAPDef builds
+// the same columns and rows for the benchmark's cut loop.
 //
 // LP column j is the arc tail[j]→head[j]; in[v] and out[v] list the
 // columns entering and leaving v, in column order. The core is built
-// once per model and shared by every node.
+// once per model and shared by every node; reach, check, enforce and
+// separate are methods of the node's Instance, which holds the
+// node-local graph and terminals.
 type arborescence struct {
 	root       int
 	tail, head []int
 	in, out    [][]int
-}
-
-// arcModel is what a model tells the core about the current node.
-type arcModel interface {
-	colAlive(j int) bool  // column j's arc exists in the node-local graph
-	globalCut(t int) bool // a cut separating terminal t holds in the whole tree
 }
 
 func newArborescence(n, root int) *arborescence {
@@ -89,7 +83,8 @@ func (ar *arborescence) addRows(prob *scip.Prob, terminal []bool, keep func(v in
 
 // reach returns the vertices reachable from the root over alive columns
 // with x > 0.5.
-func (ar *arborescence) reach(m arcModel, x []float64) []bool {
+func (in *Instance) reach(x []float64) []bool {
+	ar := in.arb
 	seen := make([]bool, len(ar.in))
 	if ar.root < 0 {
 		return seen
@@ -100,7 +95,7 @@ func (ar *arborescence) reach(m arcModel, x []float64) []bool {
 	for top := 1; top > 0; {
 		top--
 		for _, j := range ar.out[stack[top]] {
-			if w := ar.head[j]; x[j] > 0.5 && !seen[w] && m.colAlive(j) {
+			if w := ar.head[j]; x[j] > 0.5 && !seen[w] && in.colAlive(j) {
 				seen[w] = true
 				stack[top] = w
 				top++
@@ -123,20 +118,20 @@ func (ar *arborescence) cutRow(src []bool) []lp.Nonzero {
 	return coefs
 }
 
-// addCut adds the cut separating terminal t, globally or to the node's
-// subtree as the model says.
-func addCut(ctx *scip.Ctx, m arcModel, t int, coefs []lp.Nonzero) bool {
-	if m.globalCut(t) {
+// addCut adds the cut separating terminal t: globally for an original
+// terminal, only to the node's subtree for one that branching added.
+func (in *Instance) addCut(ctx *scip.Ctx, t int, coefs []lp.Nonzero) bool {
+	if in.OrigTerminal[t] {
 		return ctx.AddCut(lp.GE, 1, coefs)
 	}
 	return ctx.AddLocalCut(lp.GE, 1, coefs)
 }
 
 // check reports whether the support of x connects the root to every
-// terminal in terms.
-func (ar *arborescence) check(m arcModel, terms []int, x []float64) bool {
-	reach := ar.reach(m, x)
-	for _, t := range terms {
+// node-local terminal.
+func (in *Instance) check(x []float64) bool {
+	reach := in.reach(x)
+	for _, t := range in.SPG.Terminals() {
 		if !reach[t] {
 			return false
 		}
@@ -147,20 +142,20 @@ func (ar *arborescence) check(m arcModel, terms []int, x []float64) bool {
 // enforce adds the cut around the support's unreached part for the first
 // unreached terminal whose cut is new, and cuts the node off when no
 // column crosses it.
-func (ar *arborescence) enforce(ctx *scip.Ctx, m arcModel, terms []int, x []float64) scip.Result {
-	reach := ar.reach(m, x)
+func (in *Instance) enforce(ctx *scip.Ctx, x []float64) scip.Result {
+	reach := in.reach(x)
 	var coefs []lp.Nonzero
-	for _, t := range terms {
+	for _, t := range in.SPG.Terminals() {
 		if reach[t] {
 			continue
 		}
 		if coefs == nil {
-			if coefs = ar.cutRow(reach); len(coefs) == 0 {
+			if coefs = in.arb.cutRow(reach); len(coefs) == 0 {
 				ctx.MarkInfeasible()
 				return scip.Cutoff
 			}
 		}
-		if addCut(ctx, m, t, coefs) {
+		if in.addCut(ctx, t, coefs) {
 			return scip.Separated
 		}
 	}
@@ -172,19 +167,19 @@ func (ar *arborescence) enforce(ctx *scip.Ctx, m arcModel, terms []int, x []floa
 // the alive columns, capacities x, and the minimum cut of any flow
 // below 1. The support network is built once per call and its flow
 // reset before each terminal.
-func (ar *arborescence) separate(ctx *scip.Ctx, m arcModel, terms []int) scip.Result {
-	x := ctx.LPSol.X
+func (in *Instance) separate(ctx *scip.Ctx) scip.Result {
+	ar, x := in.arb, ctx.LPSol.X
 	maxCuts := min(maxCutsPerRound, ctx.CutBudgetLeft())
 	added := 0
 	var nw *maxflow.Network
-	for _, t := range terms {
+	for _, t := range in.SPG.Terminals() {
 		if t == ar.root || added >= maxCuts {
 			continue
 		}
 		if nw == nil {
 			nw = maxflow.New(len(ar.in))
 			for j, tl := range ar.tail {
-				if x[j] > 1e-9 && m.colAlive(j) {
+				if x[j] > 1e-9 && in.colAlive(j) {
 					nw.AddArc(tl, ar.head[j], x[j])
 				}
 			}
@@ -203,7 +198,7 @@ func (ar *arborescence) separate(ctx *scip.Ctx, m arcModel, terms []int) scip.Re
 		if len(coefs) == 0 || lhs >= 1-1e-6 {
 			continue
 		}
-		if addCut(ctx, m, t, coefs) {
+		if in.addCut(ctx, t, coefs) {
 			added++
 		}
 	}

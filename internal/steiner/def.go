@@ -36,11 +36,9 @@ func (in *Instance) clone() *Instance {
 	}
 }
 
-// colAlive implements arcModel: a column lives while its edge does.
+// colAlive reports whether column j's arc exists in the node-local
+// graph: a column lives while its edge does.
 func (in *Instance) colAlive(j int) bool { return in.SPG.G.EdgeAlive(in.VarArc[j] / 2) }
-
-// globalCut implements arcModel.
-func (in *Instance) globalCut(t int) bool { return in.OrigTerminal[t] }
 
 // DecisionKind is the Decision.Kind for Steiner vertex branching.
 const DecisionKind = "stp-vertex"
@@ -167,22 +165,6 @@ func integralCosts(s *SPG) bool {
 		}
 	}
 	return true
-}
-
-// SolutionEdges converts a model solution vector into the chosen edge
-// set of the (presolved) graph.
-func (in *Instance) SolutionEdges(x []float64) []int {
-	chosen := map[int]bool{}
-	for j, a := range in.VarArc {
-		if x[j] > 0.5 {
-			chosen[a/2] = true
-		}
-	}
-	var out []int
-	for e := range chosen {
-		out = append(out, e)
-	}
-	return out
 }
 
 // OrientTree converts an (undirected) tree edge set into an arc solution

@@ -22,7 +22,7 @@ func (*Conshdlr) Name() string { return "stp" }
 //ugo:coldpath connectivity check runs once per candidate incumbent, not per node
 func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 	inst := ctx.Data.(*Instance)
-	return inst.arb.check(inst, inst.SPG.Terminals(), x)
+	return inst.check(x)
 }
 
 // Enforce implements scip.Conshdlr: add a violated Steiner cut for an
@@ -32,7 +32,7 @@ func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 //ugo:coldpath cut synthesis walks the support graph once per enforcement round; its working sets are instance-sized and audited separately from the node loop
 func (*Conshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
 	inst := ctx.Data.(*Instance)
-	return inst.arb.enforce(ctx, inst, inst.SPG.Terminals(), x)
+	return inst.enforce(ctx, x)
 }
 
 // Separator finds violated directed Steiner cuts on fractional LP
@@ -55,7 +55,7 @@ func (sep *Separator) Separate(ctx *scip.Ctx) scip.Result {
 	if inst.Root < 0 || !inst.SPG.G.VertexAlive(inst.Root) {
 		return scip.DidNotRun
 	}
-	return inst.arb.separate(ctx, inst, inst.SPG.Terminals())
+	return inst.separate(ctx)
 }
 
 // redCostFixing fixes arc variables using LP reduced costs against the

@@ -14,18 +14,20 @@ import (
 	"repro/internal/steiner"
 )
 
-// Iterate pin: the node count and LP iterations of one sequential solve,
-// recorded when a node's LP began to start from its parent's snapshot
-// after a jump in the search. Kernel changes that only reorder exact
-// zeros leave every pivot, and so these counts, alone; one that moves a
-// pivot fails here.
+// Iterate pin: the node count, LP iterations and cuts of one sequential
+// solve, recorded when a node's LP began to start from its parent's
+// snapshot after a jump in the search. Kernel changes that only reorder
+// exact zeros leave every pivot, and so these counts, alone; one that
+// moves a pivot, or one separated or enforced cut of the directed-cut
+// core, fails here.
 func TestLPIteratePin(t *testing.T) {
 	s := sequential(t, HypercubeSpread(5, 16, 100, 170, 4), 0)
 	if st := s.Solve(); st != scip.StatusOptimal {
 		t.Fatalf("status %v", st)
 	}
-	if s.Stats.Nodes != 29 || s.Stats.LPIterations != 1338 {
-		t.Fatalf("hc 5,16,100,170,4: %d nodes / %d LP iterations, pinned 29 / 1338", s.Stats.Nodes, s.Stats.LPIterations)
+	if s.Stats.Nodes != 29 || s.Stats.LPIterations != 1338 || s.Stats.CutsAdded != 199 {
+		t.Fatalf("hc 5,16,100,170,4: %d nodes / %d LP iterations / %d cuts, pinned 29 / 1338 / 199",
+			s.Stats.Nodes, s.Stats.LPIterations, s.Stats.CutsAdded)
 	}
 }
 
@@ -287,6 +289,9 @@ func TestNamedInstancesSolvableDW(t *testing.T) {
 // The dual bound at a node limit is a bound: finite, no lower than the
 // root's and no higher than the optimum. On hc5u the sequential solve
 // stays open (18.6 against 20 after 300 nodes), so the limit bites.
+// The search is pinned too: 300 nodes deep, branching-added terminals
+// give local cuts, so a cut made global, or local, by mistake moves the
+// LP iterations and cuts.
 func TestNodeLimitBoundBracketsTheOptimum(t *testing.T) {
 	const name = "hypercube-5-0-1"
 	set := steiner.DefaultSettings()
@@ -298,5 +303,9 @@ func TestNodeLimitBoundBracketsTheOptimum(t *testing.T) {
 	best, root := s.BestBound()+off, s.Stats.RootBound+off
 	if math.IsInf(best, 0) || best < root-1e-6 || best > 20+1e-6 {
 		t.Fatalf("%s: best bound %v, root bound %v, optimum 20", name, best, root)
+	}
+	if s.Stats.Nodes != 300 || s.Stats.LPIterations != 9270 || s.Stats.CutsAdded != 302 {
+		t.Fatalf("%s: %d nodes / %d LP iterations / %d cuts, pinned 300 / 9270 / 302",
+			name, s.Stats.Nodes, s.Stats.LPIterations, s.Stats.CutsAdded)
 	}
 }

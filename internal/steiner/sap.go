@@ -1,55 +1,23 @@
 package steiner
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
-
 // SAP is a Steiner arborescence problem: a directed graph with arc
 // costs, a root and a terminal set; the task is a minimum-cost directed
-// tree containing a root→t path for every terminal t. SCIP-Jack's
-// versatility — the paper notes it handled 10+ problem classes at the
-// DIMACS Challenge — comes from transforming every variant into (an
-// optionally side-constrained) SAP; this file provides the SAP type and
-// the transformations for the prize-collecting Steiner tree problem
-// (rooted and unrooted) and the maximum-weight connected subgraph
-// problem.
+// tree containing a root→t path for every terminal t. Only FromSPG
+// builds one, for the benchmark's and the LP tests' cut loops; the
+// solver runs the SPG model (Def), whose Formulation 1 rows are the
+// same.
 type SAP struct {
 	Name     string
 	N        int
 	Arcs     []SAPArc
 	Terminal []bool
 	Root     int
-	// RootDegreeOne adds the side constraint Σ_{anchor arcs} y = 1: the
-	// unrooted transformations connect an artificial root to candidate
-	// anchor vertices and exactly one anchor may be used.
-	RootDegreeOne bool
-	// ObjOffset maps the SAP objective back to the variant's objective.
-	ObjOffset float64
-	// Negate reports that the variant maximizes: value = ObjOffset − sap.
-	Negate bool
 }
 
 // SAPArc is one directed arc.
 type SAPArc struct {
 	Tail, Head int
 	Cost       float64
-	Anchor     bool // participates in the root-degree side constraint
-}
-
-// AddArc appends an arc and returns its index.
-func (s *SAP) AddArc(tail, head int, cost float64) int {
-	s.Arcs = append(s.Arcs, SAPArc{Tail: tail, Head: head, Cost: cost})
-	return len(s.Arcs) - 1
-}
-
-// Value maps a SAP objective value back to the variant's objective.
-func (s *SAP) Value(sapObj float64) float64 {
-	if s.Negate {
-		return s.ObjOffset - sapObj
-	}
-	return s.ObjOffset + sapObj
 }
 
 // Terminals lists the terminal vertices.
@@ -77,162 +45,9 @@ func FromSPG(g *SPG) *SAP {
 			continue
 		}
 		ed := g.G.Edges[e]
-		sap.AddArc(ed.U, ed.V, ed.Cost)
-		sap.AddArc(ed.V, ed.U, ed.Cost)
+		sap.Arcs = append(sap.Arcs,
+			SAPArc{Tail: ed.U, Head: ed.V, Cost: ed.Cost},
+			SAPArc{Tail: ed.V, Head: ed.U, Cost: ed.Cost})
 	}
 	return sap
-}
-
-// TransformPCSTP converts an (unrooted) prize-collecting Steiner tree
-// problem — minimize tree cost plus the prizes of vertices left out —
-// into a SAP with an artificial root (the classical transformation the
-// SCIP-Jack paper describes): each positive-prize vertex v gains a
-// terminal sink t_v reachable for free from v and for p_v from the
-// root; zero-cost anchor arcs from the root into the graph carry the
-// "exactly one" side constraint, so connectivity cannot teleport
-// through the artificial root.
-func TransformPCSTP(g *graph.Graph, prizes []float64) *SAP {
-	n := g.NumVertices()
-	sap := &SAP{Name: "pcstp", RootDegreeOne: true}
-	// Layout: 0..n−1 original, n = artificial root, then sinks.
-	root := n
-	next := n + 1
-	sink := make([]int, n)
-	for v := 0; v < n; v++ {
-		sink[v] = -1
-		if prizes[v] > 0 {
-			sink[v] = next
-			next++
-		}
-	}
-	sap.N = next
-	sap.Terminal = make([]bool, sap.N)
-	sap.Root = root
-	sap.Terminal[root] = true
-	for e := 0; e < g.NumEdges(); e++ {
-		if !g.EdgeAlive(e) {
-			continue
-		}
-		ed := g.Edges[e]
-		sap.AddArc(ed.U, ed.V, ed.Cost)
-		sap.AddArc(ed.V, ed.U, ed.Cost)
-	}
-	for v := 0; v < n; v++ {
-		if sink[v] < 0 {
-			continue
-		}
-		sap.Terminal[sink[v]] = true
-		sap.AddArc(v, sink[v], 0)            // free when v is in the tree
-		sap.AddArc(root, sink[v], prizes[v]) // pay the prize to skip v
-		a := sap.AddArc(root, v, 0)          // anchor: enter the graph at v
-		sap.Arcs[a].Anchor = true
-	}
-	return sap
-}
-
-// TransformRPCSTP converts a rooted prize-collecting Steiner tree
-// problem (the root must be part of the tree) into a SAP: no artificial
-// root or side constraint is needed — prize arcs leave the root itself.
-func TransformRPCSTP(g *graph.Graph, prizes []float64, root int) *SAP {
-	n := g.NumVertices()
-	sap := &SAP{Name: "rpcstp", Root: root}
-	next := n
-	sink := make([]int, n)
-	for v := 0; v < n; v++ {
-		sink[v] = -1
-		if v != root && prizes[v] > 0 {
-			sink[v] = next
-			next++
-		}
-	}
-	sap.N = next
-	sap.Terminal = make([]bool, sap.N)
-	sap.Terminal[root] = true
-	for e := 0; e < g.NumEdges(); e++ {
-		if !g.EdgeAlive(e) {
-			continue
-		}
-		ed := g.Edges[e]
-		sap.AddArc(ed.U, ed.V, ed.Cost)
-		sap.AddArc(ed.V, ed.U, ed.Cost)
-	}
-	for v := 0; v < n; v++ {
-		if sink[v] < 0 {
-			continue
-		}
-		sap.Terminal[sink[v]] = true
-		sap.AddArc(v, sink[v], 0)
-		sap.AddArc(root, sink[v], prizes[v])
-	}
-	return sap
-}
-
-// TransformMWCS converts a maximum-weight connected subgraph problem —
-// find a connected vertex set maximizing the sum of (possibly negative)
-// vertex weights — into a SAP, following Rehfeldt & Koch: entering a
-// negative vertex costs |w|, positive vertices carry prizes, and the
-// objective maps back as Σ_{w>0} w − sap. The empty subgraph is covered
-// because a single positive vertex always dominates it (and with no
-// positive vertices the transformation returns a trivial SAP).
-func TransformMWCS(g *graph.Graph, weights []float64) *SAP {
-	n := g.NumVertices()
-	sap := &SAP{Name: "mwcs", RootDegreeOne: true, Negate: true}
-	root := n
-	next := n + 1
-	sink := make([]int, n)
-	var totalPos float64
-	for v := 0; v < n; v++ {
-		sink[v] = -1
-		if weights[v] > 0 {
-			totalPos += weights[v]
-			sink[v] = next
-			next++
-		}
-	}
-	sap.ObjOffset = totalPos
-	sap.N = next
-	sap.Terminal = make([]bool, sap.N)
-	sap.Root = root
-	sap.Terminal[root] = true
-	enterCost := func(v int) float64 {
-		if weights[v] < 0 {
-			return -weights[v]
-		}
-		return 0
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if !g.EdgeAlive(e) {
-			continue
-		}
-		ed := g.Edges[e]
-		sap.AddArc(ed.U, ed.V, enterCost(ed.V))
-		sap.AddArc(ed.V, ed.U, enterCost(ed.U))
-	}
-	for v := 0; v < n; v++ {
-		if sink[v] < 0 {
-			continue
-		}
-		sap.Terminal[sink[v]] = true
-		sap.AddArc(v, sink[v], 0)
-		sap.AddArc(root, sink[v], weights[v])
-		a := sap.AddArc(root, v, 0)
-		sap.Arcs[a].Anchor = true
-	}
-	return sap
-}
-
-// validate sanity-checks a transformation result.
-func (s *SAP) validate() error {
-	if s.Root < 0 || s.Root >= s.N {
-		return fmt.Errorf("sap: root %d out of range", s.Root)
-	}
-	for _, a := range s.Arcs {
-		if a.Tail < 0 || a.Tail >= s.N || a.Head < 0 || a.Head >= s.N {
-			return fmt.Errorf("sap: arc %v out of range", a)
-		}
-		if a.Cost < 0 {
-			return fmt.Errorf("sap: negative arc cost %v", a.Cost)
-		}
-	}
-	return nil
 }
