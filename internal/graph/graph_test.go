@@ -292,3 +292,31 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DistHeap must pop equal keys in container/heap's order: the sequence
+// below was recorded with container/heap on the same push/pop script
+// (keys in {0,1,2,3}, a pop after every third push, then a drain), and
+// it is not first-in-first-out among ties, so a different sift moves it.
+func TestDistHeapPopsInContainerHeapOrder(t *testing.T) {
+	want := []int{0, 4, 8, 7, 12, 16, 20, 19, 24, 28, 32, 23, 36, 31, 27, 15, 3, 35, 39, 11,
+		38, 6, 22, 26, 2, 30, 10, 14, 34, 18, 17, 25, 13, 5, 33, 9, 1, 29, 37, 21}
+	var h DistHeap
+	var got []int
+	for i := 0; i < 40; i++ {
+		h.Push(DistItem{i, float64((i * 7) % 4)})
+		if i%3 == 2 {
+			got = append(got, h.Pop().V)
+		}
+	}
+	for h.Len() > 0 {
+		got = append(got, h.Pop().V)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d items, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pop %d: vertex %d, container/heap popped %d\ngot  %v\nwant %v", i, got[i], want[i], got, want)
+		}
+	}
+}

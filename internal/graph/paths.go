@@ -1,29 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
-
-// distItem is a priority-queue entry for Dijkstra.
-type distItem struct {
-	v    int
-	dist float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
+import "math"
 
 // Dijkstra computes shortest-path distances from the source set in the
 // alive subgraph, optionally with per-edge cost overrides (nil uses the
@@ -37,20 +14,20 @@ func (g *Graph) Dijkstra(sources []int, costs []float64) (dist []float64, predEd
 		dist[i] = math.Inf(1)
 		predEdge[i] = -1
 	}
-	h := &distHeap{}
+	var h DistHeap
 	for _, s := range sources {
 		if g.vertDead[s] {
 			continue
 		}
 		dist[s] = 0
-		heap.Push(h, distItem{s, 0})
+		h.Push(DistItem{s, 0})
 	}
 	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
-		if it.dist > dist[it.v] {
+		it := h.Pop()
+		if it.Dist > dist[it.V] {
 			continue
 		}
-		g.Adj(it.v, func(e, w int) bool {
+		g.Adj(it.V, func(e, w int) bool {
 			if g.vertDead[w] {
 				return true
 			}
@@ -58,10 +35,10 @@ func (g *Graph) Dijkstra(sources []int, costs []float64) (dist []float64, predEd
 			if costs != nil {
 				c = costs[e]
 			}
-			if nd := it.dist + c; nd < dist[w]-1e-12 {
+			if nd := it.Dist + c; nd < dist[w]-1e-12 {
 				dist[w] = nd
 				predEdge[w] = e
-				heap.Push(h, distItem{w, nd})
+				h.Push(DistItem{w, nd})
 			}
 			return true
 		})
@@ -102,14 +79,14 @@ func (g *Graph) MSTPrim(mask []bool) (edges []int, total float64, ok bool) {
 		bestCost[i] = math.Inf(1)
 		bestEdge[i] = -1
 	}
-	h := &distHeap{}
+	var h DistHeap
 	bestCost[start] = 0
-	heap.Push(h, distItem{start, 0})
+	h.Push(DistItem{start, 0})
 	taken := 0
 	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
-		v := it.v
-		if inTree[v] || it.dist > bestCost[v] {
+		it := h.Pop()
+		v := it.V
+		if inTree[v] || it.Dist > bestCost[v] {
 			continue
 		}
 		inTree[v] = true
@@ -125,7 +102,7 @@ func (g *Graph) MSTPrim(mask []bool) (edges []int, total float64, ok bool) {
 			if c := g.Edges[e].Cost; c < bestCost[w]-1e-12 {
 				bestCost[w] = c
 				bestEdge[w] = e
-				heap.Push(h, distItem{w, c})
+				h.Push(DistItem{w, c})
 			}
 			return true
 		})

@@ -125,7 +125,7 @@ func (d *Def) BuildModel(data any) *scip.Prob {
 
 // CloneData implements scip.ProblemDef.
 //
-//ugo:coldpath deep-copies the local graph once per transferred subproblem — copy-on-transfer is the ownership model
+//ugo:coldpath deep-copies the graph once per node, whose decisions are then replayed on the copy — copy-per-node is the ownership model
 func (d *Def) CloneData(data any) any {
 	switch v := data.(type) {
 	case *Instance:

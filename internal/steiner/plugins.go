@@ -96,7 +96,7 @@ func (*Propagator) Name() string { return "stpprop" }
 
 // Propagate implements scip.Propagator.
 //
-//ugo:coldpath reduction-based domain propagation clones the local graph by design; runs only until the per-node fixpoint
+//ugo:coldpath reduction-based domain propagation reduces the node-local graph in place, in rounds until the per-node fixpoint; ReduceLocal's search workspace and the connectivity mask are allocated once per round
 func (p *Propagator) Propagate(ctx *scip.Ctx) scip.Result {
 	inst := ctx.Data.(*Instance)
 	local := inst.SPG
@@ -115,8 +115,7 @@ func (p *Propagator) Propagate(ctx *scip.Ctx) scip.Result {
 	}
 	// Run the deletion-only reduction layer.
 	if ctx.Node.Depth >= p.MinDepth {
-		deleted := ReduceLocal(local, p.ReductionBudget)
-		if len(deleted) > 0 {
+		if ReduceLocal(local, p.ReductionBudget) > 0 {
 			changed = true
 		}
 	}

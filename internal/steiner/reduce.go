@@ -1,8 +1,9 @@
 package steiner
 
 import (
-	"container/heap"
 	"math"
+
+	"repro/internal/graph"
 )
 
 // Trace records presolve operations so that a solution of the reduced
@@ -70,15 +71,16 @@ func Reduce(s *SPG, maxRounds int) (*Trace, *ReduceStats) {
 	if maxRounds <= 0 {
 		maxRounds = 16
 	}
+	ps := newPathSearch(s.G)
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		if degreeTests(s, tr, st) {
 			changed = true
 		}
-		if longEdgeTest(s, st, 0) {
+		if longEdgeTest(s, ps, st, 0) {
 			changed = true
 		}
-		if extendedVertexTest(s, st, 0) {
+		if extendedVertexTest(s, ps, st, 0) {
 			changed = true
 		}
 		st.Rounds = round + 1
@@ -92,41 +94,27 @@ func Reduce(s *SPG, maxRounds int) (*Trace, *ReduceStats) {
 // ReduceLocal runs the deletion-only reduction tests used deep inside the
 // branch-and-bound tree (the in-tree layer of the paper's extended
 // reductions): no contractions, no new edges, so variable indices stay
-// stable. Returns the indices of deleted edges.
-func ReduceLocal(s *SPG, budget int) []int {
-	before := aliveEdgeSet(s)
+// stable. Returns the number of edges deleted.
+func ReduceLocal(s *SPG, budget int) int {
+	before := s.G.AliveEdges()
+	ps := newPathSearch(s.G)
+	var st ReduceStats
 	for round := 0; round < 4; round++ {
 		changed := false
 		if deleteOnlyDegreeTests(s) {
 			changed = true
 		}
-		if longEdgeTest(s, &ReduceStats{}, budget) {
+		if longEdgeTest(s, ps, &st, budget) {
 			changed = true
 		}
-		if extendedVertexTest(s, &ReduceStats{}, budget) {
+		if extendedVertexTest(s, ps, &st, budget) {
 			changed = true
 		}
 		if !changed {
 			break
 		}
 	}
-	var deleted []int
-	for e := range before {
-		if !s.G.EdgeAlive(e) {
-			deleted = append(deleted, e)
-		}
-	}
-	return deleted
-}
-
-func aliveEdgeSet(s *SPG) map[int]bool {
-	m := map[int]bool{}
-	for e := range s.G.Edges {
-		if s.G.EdgeAlive(e) {
-			m[e] = true
-		}
-	}
-	return m
+	return before - s.G.AliveEdges()
 }
 
 // deleteOnlyDegreeTests removes isolated and degree-1 non-terminals.
@@ -219,10 +207,80 @@ func originalOf(tr *Trace, e int) []int {
 	return []int{e}
 }
 
+// pathSearch is the workspace of the reduction tests' shortest-path
+// searches, allocated once per Reduce or ReduceLocal call: dist is +Inf
+// except at the vertices listed in touched, which the next run resets.
+type pathSearch struct {
+	g       *graph.Graph
+	dist    []float64
+	touched []int
+	pq      graph.DistHeap
+}
+
+func newPathSearch(g *graph.Graph) *pathSearch {
+	n := g.NumVertices()
+	ps := &pathSearch{
+		g:       g,
+		dist:    make([]float64, n),
+		touched: make([]int, 0, n),
+		pq:      make(graph.DistHeap, 0, n),
+	}
+	for i := range ps.dist {
+		ps.dist[i] = math.Inf(1)
+	}
+	return ps
+}
+
+// run is Dijkstra from src over alive edges that never enters vertex
+// avoid or edge skip (−1 for none) and never labels a vertex beyond
+// limit. It stops as soon as every target is settled and reports whether
+// all were; their distances stay in ps.dist until the next run. A settled
+// label is final, so these are the distances the unbounded search finds.
+func (ps *pathSearch) run(src, avoid, skip int, limit float64, targets []int) bool {
+	for _, w := range ps.touched {
+		ps.dist[w] = math.Inf(1)
+	}
+	ps.touched, ps.pq = ps.touched[:0], ps.pq[:0]
+	g, dist := ps.g, ps.dist
+	dist[src] = 0
+	ps.touched = append(ps.touched, src)
+	ps.pq.Push(graph.DistItem{V: src})
+	all := uint(1)<<len(targets) - 1
+	var settled uint
+	for ps.pq.Len() > 0 {
+		it := ps.pq.Pop()
+		if it.Dist > dist[it.V]+1e-15 {
+			continue
+		}
+		for i, t := range targets {
+			if t == it.V {
+				settled |= 1 << i
+			}
+		}
+		if settled == all {
+			return true
+		}
+		g.Adj(it.V, func(e, w int) bool {
+			if e == skip || w == avoid {
+				return true
+			}
+			if nd := it.Dist + g.Cost(e); nd <= limit && nd < dist[w]-1e-15 {
+				if math.IsInf(dist[w], 1) {
+					ps.touched = append(ps.touched, w)
+				}
+				dist[w] = nd
+				ps.pq.Push(graph.DistItem{V: w, Dist: nd})
+			}
+			return true
+		})
+	}
+	return false
+}
+
 // longEdgeTest deletes edge (u,v) when an alternative u–v path of length
 // ≤ c(u,v) exists (a restricted special-distance test). budget > 0 caps
 // the number of edges examined (for the in-tree layer).
-func longEdgeTest(s *SPG, st *ReduceStats, budget int) bool {
+func longEdgeTest(s *SPG, ps *pathSearch, st *ReduceStats, budget int) bool {
 	changed := false
 	examined := 0
 	for e := 0; e < s.G.NumEdges(); e++ {
@@ -234,66 +292,13 @@ func longEdgeTest(s *SPG, st *ReduceStats, budget int) bool {
 		}
 		examined++
 		ed := s.G.Edges[e]
-		if altDistAtMost(s, ed.U, ed.V, e, ed.Cost) {
+		if ps.run(ed.U, -1, e, ed.Cost+1e-12, []int{ed.V}) {
 			s.G.DeleteEdge(e)
 			st.EdgesDeleted++
 			changed = true
 		}
 	}
 	return changed
-}
-
-// altDistAtMost runs a cost-bounded Dijkstra from u avoiding edge skip
-// and reports whether v is reachable within limit.
-func altDistAtMost(s *SPG, u, v, skip int, limit float64) bool {
-	dist := make(map[int]float64, 16)
-	pq := &bndHeap{}
-	heap.Push(pq, bndItem{u, 0})
-	dist[u] = 0
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(bndItem)
-		if it.d > dist[it.v]+1e-15 {
-			continue
-		}
-		if it.v == v {
-			return true
-		}
-		s.G.Adj(it.v, func(e, w int) bool {
-			if e == skip {
-				return true
-			}
-			nd := it.d + s.G.Cost(e)
-			if nd > limit+1e-12 {
-				return true
-			}
-			if old, ok := dist[w]; !ok || nd < old-1e-15 {
-				dist[w] = nd
-				heap.Push(pq, bndItem{w, nd})
-			}
-			return true
-		})
-	}
-	return false
-}
-
-// bndItem is a priority-queue entry for the bounded Dijkstra searches.
-type bndItem struct {
-	v int
-	d float64
-}
-
-type bndHeap []bndItem
-
-func (h bndHeap) Len() int            { return len(h) }
-func (h bndHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h bndHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bndHeap) Push(x interface{}) { *h = append(*h, x.(bndItem)) }
-func (h *bndHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // extendedVertexTest is the restricted extended-reduction technique: a
@@ -304,7 +309,7 @@ func (h *bndHeap) Pop() interface{} {
 // never exceeds the star through v — examining a sufficient set of
 // supergraphs of v exactly as the paper describes, albeit for small
 // degrees only (≤ 5).
-func extendedVertexTest(s *SPG, st *ReduceStats, budget int) bool {
+func extendedVertexTest(s *SPG, ps *pathSearch, st *ReduceStats, budget int) bool {
 	changed := false
 	examined := 0
 	for v := 0; v < s.G.NumVertices(); v++ {
@@ -319,42 +324,44 @@ func extendedVertexTest(s *SPG, st *ReduceStats, budget int) bool {
 			break
 		}
 		examined++
-		var nbr []int
-		var starCost []float64
+		var nbr [5]int
+		var starCost [5]float64
+		k := 0
 		dup := false
 		s.G.Adj(v, func(e, w int) bool {
-			for _, x := range nbr {
+			for _, x := range nbr[:k] {
 				if x == w {
 					dup = true
 				}
 			}
-			nbr = append(nbr, w)
-			starCost = append(starCost, s.G.Cost(e))
+			nbr[k], starCost[k] = w, s.G.Cost(e)
+			k++
 			return true
 		})
 		if dup {
 			continue // parallel edges: leave to the long-edge test
 		}
 		// Shortest-path distances between neighbors avoiding v.
-		d := neighborDistancesAvoiding(s, v, nbr)
-		if d == nil {
+		var d [5][5]float64
+		if !neighborDistancesAvoiding(ps, v, nbr[:k], starCost[:k], &d) {
 			continue
 		}
 		ok := true
-		k := len(nbr)
 		for mask := 3; mask < 1<<k && ok; mask++ {
 			if popcount(mask) < 2 {
 				continue
 			}
 			var star float64
-			var sel []int
+			var sel [5]int
+			m := 0
 			for i := 0; i < k; i++ {
 				if mask&(1<<i) != 0 {
 					star += starCost[i]
-					sel = append(sel, i)
+					sel[m] = i
+					m++
 				}
 			}
-			if mstOver(d, sel) > star+1e-12 {
+			if mstOver(&d, sel[:m]) > star+1e-12 {
 				ok = false
 			}
 		}
@@ -376,62 +383,34 @@ func popcount(x int) int {
 	return c
 }
 
-// neighborDistancesAvoiding returns the pairwise shortest-path distances
-// among nbr in G∖{v}; nil when some pair is disconnected (deletion then
-// cannot be proven).
-func neighborDistancesAvoiding(s *SPG, v int, nbr []int) [][]float64 {
-	// Temporarily hide v by skipping its edges during Dijkstra: emulate by
-	// cost override is not enough, so run Dijkstra on a clone-free walk.
-	k := len(nbr)
-	d := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		di := dijkstraAvoiding(s, nbr[i], v)
-		d[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			d[i][j] = di[nbr[j]]
-			if math.IsInf(d[i][j], 1) {
-				return nil
-			}
+// neighborDistancesAvoiding fills d with the pairwise shortest-path
+// distances among nbr in G∖{v}, searching from neighbor i no farther
+// than c_i + max_j c_j + 1e-9 (c the star costs). It reports false when
+// some neighbor j lies beyond that bound, unreachable included: then
+// d_ij > c_i + c_j + 1e-12, the subset {i, j} fails, and v stays, as
+// the unbounded search decides.
+func neighborDistancesAvoiding(ps *pathSearch, v int, nbr []int, starCost []float64, d *[5][5]float64) bool {
+	var maxCost float64
+	for _, c := range starCost {
+		maxCost = math.Max(maxCost, c)
+	}
+	for i, src := range nbr {
+		if !ps.run(src, v, -1, starCost[i]+maxCost+1e-9, nbr) {
+			return false
+		}
+		for j, w := range nbr {
+			d[i][j] = ps.dist[w]
 		}
 	}
-	return d
-}
-
-// dijkstraAvoiding computes single-source distances skipping vertex av.
-func dijkstraAvoiding(s *SPG, src, av int) []float64 {
-	n := s.G.NumVertices()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	pq := &bndHeap{}
-	heap.Push(pq, bndItem{src, 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(bndItem)
-		if it.d > dist[it.v]+1e-15 {
-			continue
-		}
-		s.G.Adj(it.v, func(e, w int) bool {
-			if w == av || !s.G.VertexAlive(w) {
-				return true
-			}
-			if nd := it.d + s.G.Cost(e); nd < dist[w]-1e-15 {
-				dist[w] = nd
-				heap.Push(pq, bndItem{w, nd})
-			}
-			return true
-		})
-	}
-	return dist
+	return true
 }
 
 // mstOver computes the MST value of the complete graph on sel under d.
-func mstOver(d [][]float64, sel []int) float64 {
+func mstOver(d *[5][5]float64, sel []int) float64 {
 	k := len(sel)
-	in := make([]bool, k)
-	best := make([]float64, k)
-	for i := range best {
+	var in [5]bool
+	var best [5]float64
+	for i := 0; i < k; i++ {
 		best[i] = math.Inf(1)
 	}
 	best[0] = 0

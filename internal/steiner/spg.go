@@ -64,7 +64,7 @@ func (s *SPG) Root() int {
 
 // Clone deep-copies the instance.
 //
-//ugo:coldpath deep copy runs once per transferred subproblem or propagation round, never per LP iteration
+//ugo:coldpath deep copy runs once per presolve and once per node (its node-local graph), never per LP iteration
 func (s *SPG) Clone() *SPG {
 	return &SPG{
 		Name:     s.Name,

@@ -15,6 +15,10 @@ import (
 // SteinLib instance.
 const MaxSTPNodes = 1 << 20
 
+// maxSTPLine caps the length of one line ReadSTP reads; a longer line is
+// an error (bufio.ErrTooLong).
+const maxSTPLine = 1 << 20
+
 // ReadSTP parses a SteinLib .stp file (the format of the PUC benchmark
 // set). Only the sections relevant to the SPG are interpreted: graph
 // (nodes/edges) and terminals. Vertex numbering is 1-based in the file
@@ -24,7 +28,9 @@ const MaxSTPNodes = 1 << 20
 // an error, never a panic.
 func ReadSTP(r io.Reader) (*SPG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Start small: the buffer grows only when a line needs it, so a
+	// small inline job does not pay for the longest line admitted.
+	sc.Buffer(make([]byte, 0, 4096), maxSTPLine)
 	var spg *SPG
 	name := ""
 	section := ""
