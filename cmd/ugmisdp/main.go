@@ -39,9 +39,10 @@ func main() {
 	}
 	// Settings[0] — what a sequential solve and every non-racing
 	// ParaSolver use — is the SDP configuration unless -mode lp.
-	app := misdp.NewApp(inst, 16)
-	if *mode == "lp" {
-		app = misdp.NewAppLP(inst, 16)
+	app, err := misdp.NewAppMode(inst, 16, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ugmisdp:", err)
+		os.Exit(2)
 	}
 	run.Racing = run.Racing || *mode == "hybrid"
 	err = run.Run(cli.Program{

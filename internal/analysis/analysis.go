@@ -77,9 +77,6 @@ func All() []*Analyzer {
 		FloatCmp,
 		LockHold,
 		ErrDrop,
-		MathRand,
-		PrintfDebug,
-		ExportDoc,
 		MapDet,
 		WallDet,
 		TraceKind,

@@ -333,6 +333,11 @@ var taintPropagators = map[string]bool{
 // wallSources are the time package functions that read the wall clock.
 var wallSources = map[string]bool{"Now": true, "Since": true, "Until": true}
 
+// mathRandCtors are the math/rand functions that build a local
+// generator rather than draw from one; every other math/rand call and
+// *rand.Rand method is a TaintRand source.
+var mathRandCtors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+
 // taintWalker is the per-function context shared by all forks of the
 // environment during one walk.
 type taintWalker struct {

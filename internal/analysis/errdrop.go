@@ -68,11 +68,14 @@ func isErrorType(t types.Type) bool {
 	return obj.Name() == "error" && obj.Pkg() == nil
 }
 
+// fprintFuncs are the writer-parameterized fmt printers.
+var fprintFuncs = map[string]bool{"Fprint": true, "Fprintln": true, "Fprintf": true}
+
 // neverFails exempts calls whose dropped error carries no information:
 // methods on in-memory writers that are documented to always return nil,
 // and fmt.Fprint* — writer-parameterized formatting where the error is
-// the writer's (tabwriter/bufio surface it at Flush, in-memory writers
-// never fail, and printing to os.Stdout is printfdebug's business).
+// the writer's (tabwriter/bufio surface it at Flush, and in-memory
+// writers never fail).
 func neverFails(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -1024,15 +1024,14 @@ func RunHot(pkgs []*Package) ([]Finding, []HotRow) {
 }
 
 // HotAlloc reports unsanctioned allocation sites in functions reachable
-// from //ugo:hotpath roots, plus malformed //ugo: directives.
+// from //ugo:hotpath roots, plus malformed //ugo: directives. The
+// per-node solve loop promises an allocation-free steady state, so
+// composite literals, make/new, growing appends, map rehashes, closures,
+// interface boxing and string concatenation in hot regions are findings
+// unless a sanctioned reuse idiom or //ugo:coldpath audit covers them.
 var HotAlloc = &Analyzer{
-	Name: "hotalloc",
-	Doc: "allocation sites reachable from //ugo:hotpath roots; the per-node\n" +
-		"solve loop promises allocation-free steady state, so composite\n" +
-		"literals, make/new, growing appends, map rehashes, closures,\n" +
-		"interface boxing, and string concatenation in hot regions are\n" +
-		"findings unless a sanctioned reuse idiom or //ugo:coldpath audit\n" +
-		"covers them",
+	Name:    "hotalloc",
+	Doc:     "allocation reachable from //ugo:hotpath roots not covered by a reuse idiom or //ugo:coldpath audit",
 	Applies: func(pkgPath string) bool { return !isObsPath(pkgPath) },
 	Run:     runHotAlloc,
 }

@@ -2,6 +2,7 @@ package lp_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/linalg"
@@ -19,42 +20,46 @@ import (
 // Steiner cuts found by max-flow, and dense eigenvector cuts of an
 // LP-relaxed MISDP.
 
-// steinerLP is the directed-cut LP of g before any cut is separated.
-func steinerLP(g *steiner.SPG) (*steiner.SAP, *lp.Problem) {
-	sap := steiner.FromSPG(g)
-	prob := (&steiner.SAPDef{}).BuildModel(sap)
+// steinerLP is the directed-cut LP of g before any cut is separated:
+// the SPG model's columns and per-vertex rows, without the dual-ascent
+// seed cuts, so that every cut row the loop adds is one it separated.
+func steinerLP(g *steiner.SPG) (*steiner.Instance, *lp.Problem) {
+	prob := (&steiner.Def{}).BuildModel(g)
 	p := lp.NewProblem()
 	for _, v := range prob.Vars {
 		p.AddVar(v.Lo, v.Up, v.Obj)
 	}
 	for _, r := range prob.Rows {
-		p.AddRow(r.Sense, r.RHS, r.Coefs)
+		if !strings.HasPrefix(r.Name, "dacut_") {
+			p.AddRow(r.Sense, r.RHS, r.Coefs)
+		}
 	}
-	return sap, p
+	return prob.Data.(*steiner.Instance), p
 }
 
 // steinerCuts returns up to limit directed cuts x violates, one per
 // terminal the root cannot reach with a unit of flow.
-func steinerCuts(sap *steiner.SAP, x []float64, limit int) [][]lp.Nonzero {
+func steinerCuts(inst *steiner.Instance, x []float64, limit int) [][]lp.Nonzero {
+	g := inst.SPG
 	var cuts [][]lp.Nonzero
-	for _, t := range sap.Terminals() {
-		if t == sap.Root || len(cuts) >= limit {
+	for _, t := range g.Terminals() {
+		if t == inst.Root || len(cuts) >= limit {
 			continue
 		}
-		nw := maxflow.New(sap.N)
-		for a, arc := range sap.Arcs {
-			if x[a] > 1e-9 {
-				nw.AddArc(arc.Tail, arc.Head, x[a])
+		nw := maxflow.New(g.G.NumVertices())
+		for j, a := range inst.VarArc {
+			if x[j] > 1e-9 {
+				nw.AddArc(g.ArcTail(a), g.ArcHead(a), x[j])
 			}
 		}
-		if nw.MaxFlow(sap.Root, t) > 1-1e-6 {
+		if nw.MaxFlow(inst.Root, t) > 1-1e-6 {
 			continue
 		}
-		src := nw.MinCutSource(sap.Root)
+		src := nw.MinCutSource(inst.Root)
 		var coefs []lp.Nonzero
-		for a, arc := range sap.Arcs {
-			if src[arc.Tail] && !src[arc.Head] {
-				coefs = append(coefs, lp.Nonzero{Col: a, Val: 1})
+		for j, a := range inst.VarArc {
+			if src[g.ArcTail(a)] && !src[g.ArcHead(a)] {
+				coefs = append(coefs, lp.Nonzero{Col: j, Val: 1})
 			}
 		}
 		cuts = append(cuts, coefs)
@@ -102,7 +107,7 @@ func eigenCuts(p *misdp.MISDP, x []float64) (rows [][]lp.Nonzero, rhs []float64)
 // but is a few percent of it. iters/op is the deterministic counter
 // beside the wall clock.
 func BenchmarkLPSteinerCutLoop(b *testing.B) {
-	sap, p := steinerLP(puc.HypercubeSpread(6, 12, 100, 200, 2))
+	inst, p := steinerLP(puc.HypercubeSpread(6, 12, 100, 200, 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var iters, rows int
@@ -111,7 +116,7 @@ func BenchmarkLPSteinerCutLoop(b *testing.B) {
 		sol := s.Solve()
 		iters += sol.Iters
 		for s.NumRows() < p.NumRows()+300 && sol.Status == lp.Optimal {
-			cuts := steinerCuts(sap, sol.X, len(sap.Arcs))
+			cuts := steinerCuts(inst, sol.X, len(inst.VarArc))
 			if len(cuts) == 0 {
 				break
 			}
@@ -182,11 +187,11 @@ func mostFractional(x []float64, skip int) int {
 // the basis the previous op left, the other subtree's, as the node loop
 // did before it kept snapshots. iters/op is the deterministic counter.
 func BenchmarkLPNodeJump(b *testing.B) {
-	sap, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
+	inst, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
 	s := lp.NewSolver(p)
 	sol := s.Solve()
 	for s.NumRows() < p.NumRows()+300 && sol.Status == lp.Optimal {
-		cuts := steinerCuts(sap, sol.X, len(sap.Arcs))
+		cuts := steinerCuts(inst, sol.X, len(inst.VarArc))
 		if len(cuts) == 0 {
 			break
 		}

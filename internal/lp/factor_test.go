@@ -209,12 +209,12 @@ func randomBasis(t *testing.T, rng *rand.Rand) (*lp.Solver, *model) {
 // of the directed-cut LP of a PUC hypercube analogue.
 func steinerCutLoopBasis(t *testing.T) (*lp.Solver, *model) {
 	t.Helper()
-	sap, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
+	inst, p := steinerLP(puc.HypercubeSpread(5, 16, 100, 170, 4))
 	md := modelOf(p)
 	s := lp.NewSolver(p)
 	sol := s.Solve()
 	for round := 0; round < 6 && sol.Status == lp.Optimal; round++ {
-		for _, c := range steinerCuts(sap, sol.X, len(sap.Arcs)) {
+		for _, c := range steinerCuts(inst, sol.X, len(inst.VarArc)) {
 			s.AddRow(lp.GE, 1, c)
 			md.rows = append(md.rows, c)
 		}
@@ -379,13 +379,13 @@ func TestCutLoopReplayMatchesFreshSolve(t *testing.T) {
 		{"hc-5-16", puc.HypercubeSpread(5, 16, 100, 170, 9)},
 		{"bip-14-40", puc.Bipartite(14, 40, 3, true, 6)},
 	} {
-		sap, p := steinerLP(g.spg)
+		inst, p := steinerLP(g.spg)
 		all := p.Clone()
 		s := lp.NewSolver(p)
 		warm := s.Solve()
 		added, checked := 0, 0
 		for round := 1; warm.Status == lp.Optimal && added < 240; round++ {
-			cuts := steinerCuts(sap, warm.X, 1)
+			cuts := steinerCuts(inst, warm.X, 1)
 			if len(cuts) == 0 {
 				break
 			}

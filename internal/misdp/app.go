@@ -1,6 +1,8 @@
 package misdp
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/scip"
 )
@@ -34,10 +36,18 @@ func NewApp(instance *MISDP, ladder int) core.App {
 	}
 }
 
-// NewAppLP is NewApp with the LP cutting-plane configuration as the
-// default outside racing.
-func NewAppLP(instance *MISDP, ladder int) core.App {
+// NewAppMode is NewApp for a solution mode: "lp" makes the LP
+// cutting-plane configuration the default outside racing; "sdp",
+// "hybrid" and "" keep the SDP-based one. Whether a run races is the
+// caller's setting, not the mode's. Any other mode is an error.
+func NewAppMode(instance *MISDP, ladder int, mode string) (core.App, error) {
 	app := NewApp(instance, ladder)
-	app.Settings = append([]scip.Settings{LPSettings()}, app.Settings...)
-	return app
+	switch mode {
+	case "", "sdp", "hybrid":
+	case "lp":
+		app.Settings = append([]scip.Settings{LPSettings()}, app.Settings...)
+	default:
+		return core.App{}, fmt.Errorf("unknown mode %q (want sdp, hybrid or lp)", mode)
+	}
+	return app, nil
 }

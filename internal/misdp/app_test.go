@@ -2,6 +2,7 @@ package misdp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -99,9 +100,9 @@ func TestUGMISDPRacingHybrid(t *testing.T) {
 }
 
 func TestAppLPDefault(t *testing.T) {
-	app := NewAppLP(smallMISDP(), 4)
-	if !app.Settings[0].UseLP {
-		t.Fatal("NewAppLP default is not LP-based")
+	app, err := NewAppMode(smallMISDP(), 4, "lp")
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := bruteMISDP(smallMISDP())
 	res, _, err := core.SolveParallel(app, ug.Config{Workers: 2})
@@ -110,5 +111,31 @@ func TestAppLPDefault(t *testing.T) {
 	}
 	if !res.Optimal || math.Abs(-res.Obj-want) > 1e-3 {
 		t.Fatalf("%+v want %v", res, want)
+	}
+}
+
+// TestAppModeDefaults pins each mode's default configuration outside
+// racing: only lp puts the LP settings in front of NewApp's ladder,
+// and a mode outside the list is refused instead of solved as sdp.
+func TestAppModeDefaults(t *testing.T) {
+	ladder := len(NewApp(smallMISDP(), 4).Settings)
+	for _, tc := range []struct {
+		mode   string
+		useLP  bool
+		extras int
+	}{{"", false, 0}, {"sdp", false, 0}, {"hybrid", false, 0}, {"lp", true, 1}} {
+		app, err := NewAppMode(smallMISDP(), 4, tc.mode)
+		if err != nil {
+			t.Fatalf("mode %q: %v", tc.mode, err)
+		}
+		if app.Settings[0].UseLP != tc.useLP || len(app.Settings) != ladder+tc.extras {
+			t.Errorf("mode %q: default UseLP %v over %d settings, want %v over %d",
+				tc.mode, app.Settings[0].UseLP, len(app.Settings), tc.useLP, ladder+tc.extras)
+		}
+	}
+	for _, mode := range []string{"lpp", "SDP", "racing"} {
+		if _, err := NewAppMode(smallMISDP(), 4, mode); err == nil || !strings.Contains(err.Error(), mode) {
+			t.Errorf("mode %q: err %v, want one naming the mode", mode, err)
+		}
 	}
 }

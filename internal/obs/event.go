@@ -94,25 +94,6 @@ const (
 	KindWatchdogStall = "watchdog.stall"
 )
 
-// knownKinds is the closed set cmd/ugtrace validates against.
-var knownKinds = map[string]bool{
-	KindRunStart: true, KindRunEnd: true, KindRunStop: true,
-	KindDispatch: true, KindOutcome: true, KindStatus: true,
-	KindIncumbent: true, KindDualBound: true,
-	KindCollectStart: true, KindCollectStop: true, KindCollectNode: true,
-	KindRacingStart: true, KindRacingWinner: true, KindRacingDone: true,
-	KindCkptSave: true, KindCkptRestore: true,
-	KindSolverBusy: true, KindSolverIdle: true,
-	KindWorkerShip: true, KindWorkerSol: true,
-	KindScipNode:    true,
-	KindCommConnect: true, KindCommRetry: true,
-	KindCommHeartbeat: true, KindCommPeerDown: true,
-	KindWatchdogStall: true,
-}
-
-// KnownKind reports whether kind is part of the trace schema.
-func KnownKind(kind string) bool { return knownKinds[kind] }
-
 // Event is one trace record. Seq is a monotonic sequence number assigned
 // by the tracer; Tick is the logical timestamp (coordinator loop tick or
 // sequential node count) — the only time axis solver-side analyses may

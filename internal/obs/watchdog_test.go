@@ -149,7 +149,7 @@ func TestWatchdogRefireThrottled(t *testing.T) {
 // agreement for the new kind.
 func TestWatchdogStallIsKnownKind(t *testing.T) {
 	if !KnownKind(KindWatchdogStall) {
-		t.Fatal("watchdog.stall not in knownKinds")
+		t.Fatal("watchdog.stall not in the trace schema")
 	}
 	line := Event{Seq: 3, Tick: 9, Kind: KindWatchdogStall, Rank: 2, Open: 2, Str: "rank1@4 rank2@9"}.AppendJSON(nil)
 	ev, err := ParseLine(line)

@@ -86,9 +86,9 @@ func buildMISDP(sp *Spec) (string, core.App, error) {
 	if err != nil {
 		return "", core.App{}, err
 	}
-	app := misdp.NewApp(inst, 16)
-	if sp.Mode == "lp" {
-		app = misdp.NewAppLP(inst, 16)
+	app, err := misdp.NewAppMode(inst, 16, sp.Mode)
+	if err != nil {
+		return "", core.App{}, err
 	}
 	return cacheKey("misdp", canonical), app, nil
 }

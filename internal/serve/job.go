@@ -91,7 +91,11 @@ type Spec struct {
 	N      int    `json:"n,omitempty"`      // size parameter (0 = default)
 	K      int    `json:"k,omitempty"`      // cardinality/classes (0 = default)
 	Seed   int64  `json:"seed,omitempty"`   // instance seed (0 = 1)
-	Mode   string `json:"mode,omitempty"`   // lp, sdp, hybrid (default hybrid)
+	// Mode is lp, sdp or hybrid (the default); anything else is a 400.
+	// Only lp changes the settings, to LP cutting planes instead of
+	// the SDP relaxation. Whether the solve races is the Racing field's
+	// choice: hybrid does not race here.
+	Mode string `json:"mode,omitempty"`
 
 	// Solve shape.
 	Workers      int     `json:"workers,omitempty"`        // ParaSolvers (0 = server default)

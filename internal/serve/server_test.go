@@ -569,6 +569,35 @@ func TestUnknownInstanceIsRejectedAtSubmit(t *testing.T) {
 	}
 }
 
+// TestUnknownModeIsRejectedAtSubmit: an MISDP mode outside lp, sdp and
+// hybrid used to be solved silently in sdp mode. It must be a 400 at
+// submit that names the mode, no job may be created, and every listed
+// mode must still validate.
+func TestUnknownModeIsRejectedAtSubmit(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1})
+	for _, mode := range []string{"lpp", "racing"} {
+		body := fmt.Sprintf(`{"kind":"misdp","family":"mkp","n":5,"mode":%q}`, mode)
+		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), mode) {
+			t.Errorf("POST %s = %d %s, want 400 naming %s", body, resp.StatusCode, raw, mode)
+		}
+	}
+	if n, _ := snapshotValue(s, "serve.jobs.submitted"); n != 0 {
+		t.Errorf("%v unknown modes were admitted as jobs", n)
+	}
+	for _, mode := range []string{"", "sdp", "hybrid", "lp"} {
+		sp := Spec{Kind: "misdp", Family: "mkp", N: 5, Mode: mode}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("mode %q: %v", mode, err)
+		}
+	}
+}
+
 // TestHostileSpecsAreRejectedAtSubmit: generator parameters no generator
 // can honour used to pass Validate, reach puc.Hypercube inside a
 // scheduler lane and panic there (`1 << -1`), which — CapturePanic

@@ -3,9 +3,8 @@ package steiner
 // SAP is a Steiner arborescence problem: a directed graph with arc
 // costs, a root and a terminal set; the task is a minimum-cost directed
 // tree containing a root→t path for every terminal t. Only FromSPG
-// builds one, for the benchmark's and the LP tests' cut loops; the
-// solver runs the SPG model (Def), whose Formulation 1 rows are the
-// same.
+// builds one, for the benchmark's LP kernel; the solver and the LP
+// tests run the SPG model (Def), whose Formulation 1 rows are the same.
 type SAP struct {
 	Name     string
 	N        int

@@ -7,7 +7,7 @@ import (
 )
 
 // SAPDef builds the Formulation 1 model of a SAP: the model the
-// benchmark's and the LP tests' cut loops solve by hand.
+// benchmark's LP kernel solves by hand.
 type SAPDef struct{}
 
 // BuildModel emits one binary variable per arc and the per-vertex rows
