@@ -82,15 +82,28 @@ func (c *Chol) SolveInto(x, b []float64) {
 	if len(x) != n || len(b) != n {
 		panic("linalg: SolveInto length mismatch")
 	}
-	// Forward: L z = b, z stored in x.
-	for i := 0; i < n; i++ {
+	c.forward(x, b, 0)
+	c.backward(x)
+}
+
+// forward solves L z = b into x for a b that is zero above row from:
+// z is zero there too, which x must already hold, and those rows add
+// nothing to the rows below.
+func (c *Chol) forward(x, b []float64, from int) {
+	n := c.N
+	for i := from; i < n; i++ {
 		v := b[i]
-		for k := 0; k < i; k++ {
+		for k := from; k < i; k++ {
 			v -= c.L[i*n+k] * x[k]
 		}
 		x[i] = v / c.L[i*n+i]
 	}
-	// Backward: Lᵀ x = z, in place (x[i] is still z[i] when it is read).
+}
+
+// backward solves Lᵀ x = z in place (x[i] is still z[i] when it is
+// read).
+func (c *Chol) backward(x []float64) {
+	n := c.N
 	for i := n - 1; i >= 0; i-- {
 		v := x[i]
 		for k := i + 1; k < n; k++ {
@@ -126,13 +139,16 @@ func (c *Chol) InverseInto(inv *Sym) {
 	}
 	// Column j of S⁻¹ is solved in place in row j (the matrix is
 	// symmetric, and the symmetrization below makes the layout moot).
+	// L z = e_j leaves z zero above row j, so the forward pass starts
+	// there.
 	for j := 0; j < n; j++ {
 		row := inv.A[j*n : (j+1)*n]
 		for i := range row {
 			row[i] = 0
 		}
 		row[j] = 1
-		c.SolveInto(row, row)
+		c.forward(row, row, j)
+		c.backward(row)
 	}
 	// Symmetrize to wash out round-off asymmetry.
 	for i := 0; i < n; i++ {

@@ -27,6 +27,64 @@ func Eigen(s *Sym) *EigenResult {
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
 	}
+	jacobi(a, v, n)
+	res := &EigenResult{
+		Values:  make([]float64, n),
+		Vectors: make([][]float64, n),
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	diag := make([]float64, n)
+	for i := 0; i < n; i++ {
+		diag[i] = a[i*n+i]
+	}
+	sort.Slice(idx, func(x, y int) bool { return diag[idx[x]] < diag[idx[y]] })
+	for k, i := range idx {
+		res.Values[k] = diag[i]
+		vec := make([]float64, n)
+		for r := 0; r < n; r++ {
+			vec[r] = v[r*n+i]
+		}
+		res.Vectors[k] = vec
+	}
+	return res
+}
+
+// MinEigen returns the smallest eigenvalue and a corresponding unit
+// eigenvector. It is the workhorse of the Sherali–Fraticelli eigenvector
+// cut: a negative smallest eigenvalue certifies SDP infeasibility of the
+// current point and its eigenvector yields the violated valid inequality.
+func MinEigen(s *Sym) (float64, []float64) {
+	e := Eigen(s)
+	return e.Values[0], e.Vectors[0]
+}
+
+// MinEigenvalue returns MinEigen's eigenvalue, bit for bit, without
+// forming an eigenvector: it runs the same sweeps on a copy of s in
+// scratch (allocated when shorter than N²) and skips the rotations'
+// accumulation, which the rotations of the matrix never read.
+func MinEigenvalue(s *Sym, scratch []float64) float64 {
+	n := s.N
+	if len(scratch) < n*n {
+		scratch = make([]float64, n*n)
+	}
+	a := scratch[:n*n]
+	copy(a, s.A)
+	jacobi(a, nil, n)
+	lam := math.Inf(1)
+	for i := 0; i < n; i++ {
+		if d := a[i*n+i]; d < lam {
+			lam = d
+		}
+	}
+	return lam
+}
+
+// jacobi diagonalizes the symmetric n×n matrix a in place by cyclic
+// Jacobi sweeps, accumulating the rotations into v unless v is nil.
+func jacobi(a, v []float64, n int) {
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// Off-diagonal Frobenius norm.
@@ -43,7 +101,7 @@ func Eigen(s *Sym) *EigenResult {
 			}
 		}
 		if math.Sqrt(off) <= 1e-14*float64(n)*scale {
-			break
+			return
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -79,6 +137,9 @@ func Eigen(s *Sym) *EigenResult {
 					a[p*n+k] = a[k*n+p]
 					a[q*n+k] = a[k*n+q]
 				}
+				if v == nil {
+					continue
+				}
 				// Accumulate rotation into v.
 				for k := 0; k < n; k++ {
 					vkp := v[k*n+p]
@@ -89,35 +150,4 @@ func Eigen(s *Sym) *EigenResult {
 			}
 		}
 	}
-	res := &EigenResult{
-		Values:  make([]float64, n),
-		Vectors: make([][]float64, n),
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = a[i*n+i]
-	}
-	sort.Slice(idx, func(x, y int) bool { return diag[idx[x]] < diag[idx[y]] })
-	for k, i := range idx {
-		res.Values[k] = diag[i]
-		vec := make([]float64, n)
-		for r := 0; r < n; r++ {
-			vec[r] = v[r*n+i]
-		}
-		res.Vectors[k] = vec
-	}
-	return res
-}
-
-// MinEigen returns the smallest eigenvalue and a corresponding unit
-// eigenvector. It is the workhorse of the Sherali–Fraticelli eigenvector
-// cut: a negative smallest eigenvalue certifies SDP infeasibility of the
-// current point and its eigenvector yields the violated valid inequality.
-func MinEigen(s *Sym) (float64, []float64) {
-	e := Eigen(s)
-	return e.Values[0], e.Vectors[0]
 }

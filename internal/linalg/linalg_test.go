@@ -257,6 +257,24 @@ func TestMinEigenAgreesWithPSD(t *testing.T) {
 	}
 }
 
+// MinEigenvalue runs MinEigen's sweeps without the eigenvectors, which
+// the rotations of the matrix never read: the value is MinEigen's to
+// the bit, with scratch too short, exact or longer than N².
+func TestMinEigenvalueMatchesMinEigenBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 5, 8, 16, 32} {
+		for trial := 0; trial < 6; trial++ {
+			s := randSym(rng, n)
+			want, _ := MinEigen(s)
+			for _, scratch := range [][]float64{nil, make([]float64, n*n), make([]float64, n*n+3)} {
+				if got := MinEigenvalue(s, scratch); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d (scratch %d): MinEigenvalue %v, MinEigen %v", n, trial, len(scratch), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLUSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {

@@ -73,8 +73,7 @@ func (p *MISDP) Feasible(y []float64, tol float64) bool {
 		}
 	}
 	for _, blk := range p.Blocks {
-		lam, _ := linalg.MinEigen(blk.Z(y))
-		if lam < -tol {
+		if linalg.MinEigenvalue(blk.Z(y), nil) < -tol {
 			return false
 		}
 	}
@@ -106,6 +105,11 @@ func (d *Def) Presolve(data any, _ float64) (any, float64) {
 	if d.SkipDualFix {
 		return p, 0
 	}
+	maxN := 0
+	for _, blk := range p.Blocks {
+		maxN = max(maxN, blk.N)
+	}
+	scratch := make([]float64, maxN*maxN) // the eigenvalue tests' copy
 	for i := 0; i < p.M; i++ {
 		if math.IsInf(p.Lo[i], -1) || math.IsInf(p.Up[i], 1) || p.Up[i]-p.Lo[i] < 1e-12 {
 			continue
@@ -116,14 +120,12 @@ func (d *Def) Presolve(data any, _ float64) (any, float64) {
 			if a == nil {
 				continue
 			}
-			lam, _ := linalg.MinEigen(a)
-			if lam < -1e-9 {
+			if linalg.MinEigenvalue(a, scratch) < -1e-9 {
 				psd = false
 			}
 			neg := a.Clone()
 			neg.Scale(-1)
-			lamN, _ := linalg.MinEigen(neg)
-			if lamN < -1e-9 {
+			if linalg.MinEigenvalue(neg, scratch) < -1e-9 {
 				nsd = false
 			}
 			if !psd && !nsd {

@@ -13,16 +13,27 @@ import (
 
 const psdTol = 1e-6
 
+// nodeSDP is the SDP memory of one plugin set, which its Relaxator and
+// Heuristic share: one sdp.Solver and the node problem with its bound
+// buffers. core.App.MakePlugins builds a plugin set per solve, so no
+// nodeSDP is used by two goroutines.
+type nodeSDP struct {
+	solver sdp.Solver
+	prob   sdp.Problem
+}
+
 // localProblem builds the continuous SDP of the current node: the MISDP
-// with the node-local bounds.
-func localProblem(ctx *scip.Ctx, p *MISDP) *sdp.Problem {
-	lo := make([]float64, p.M)
-	up := make([]float64, p.M)
+// with the node-local bounds, over n's buffers, which the next call
+// overwrites.
+func (n *nodeSDP) localProblem(ctx *scip.Ctx, p *MISDP) *sdp.Problem {
+	q := &n.prob
+	q.Lo, q.Up = q.Lo[:0], q.Up[:0]
 	for i := 0; i < p.M; i++ {
-		lo[i] = ctx.LocalLo(i)
-		up[i] = ctx.LocalUp(i)
+		q.Lo = append(q.Lo, ctx.LocalLo(i))
+		q.Up = append(q.Up, ctx.LocalUp(i))
 	}
-	return &sdp.Problem{M: p.M, B: p.B, Lo: lo, Up: up, Blocks: p.Blocks, Rows: p.Rows}
+	q.M, q.B, q.Blocks, q.Rows = p.M, p.B, p.Blocks, p.Rows
+	return q
 }
 
 // eigCutCoefs derives the Sherali–Fraticelli eigenvector cut
@@ -51,8 +62,7 @@ func (*Conshdlr) Name() string { return "sdpcone" }
 func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 	p := ctx.Data.(*Instance).P
 	for _, blk := range p.Blocks {
-		lam, _ := linalg.MinEigen(blk.Z(x))
-		if lam < -psdTol {
+		if linalg.MinEigenvalue(blk.Z(x), nil) < -psdTol {
 			return false
 		}
 	}
@@ -138,21 +148,23 @@ func (s *Separator) Separate(ctx *scip.Ctx) scip.Result {
 
 // Relaxator solves the continuous SDP relaxation at every node — the
 // nonlinear branch-and-bound mode, with the penalty formulation handled
-// inside the sdp package.
-type Relaxator struct{}
+// inside the sdp package. NewPlugins builds it.
+type Relaxator struct {
+	node *nodeSDP
+}
 
 // Name implements scip.Relaxator.
 func (*Relaxator) Name() string { return "sdprelax" }
 
 // Relax implements scip.Relaxator.
 //
-//ugo:coldpath each relaxation is a full interior-point SDP solve: sdp.Solve folds the node's fixings into the instance's compiled Blocks and allocates its workspace once here, and the Newton steps under it are a //ugo:hotpath root of their own, pinned at 0 allocs
+//ugo:coldpath each relaxation is a full interior-point SDP solve: the plugin set's sdp.Solver folds the node's fixings into the instance's compiled Blocks in buffers it keeps, allocating the Result and the iterate, and the Newton steps under it are a //ugo:hotpath root of their own, pinned at 0 allocs
 func (r *Relaxator) Relax(ctx *scip.Ctx) (float64, []float64, scip.Result) {
 	if ctx.Settings().UseLP {
 		return math.Inf(-1), nil, scip.DidNotRun
 	}
 	p := ctx.Data.(*Instance).P
-	res := sdp.Solve(localProblem(ctx, p), sdp.Options{})
+	res := r.node.solver.Solve(r.node.localProblem(ctx, p), sdp.Options{})
 	switch res.Status {
 	case sdp.Infeasible:
 		return math.Inf(1), nil, scip.Cutoff
@@ -169,7 +181,10 @@ func (r *Relaxator) Relax(ctx *scip.Ctx) (float64, []float64, scip.Result) {
 // Heuristic is SCIP-SDP's randomized rounding: round the relaxation's
 // integer values (nearest and randomized), fix them, re-solve the
 // continuous SDP over the remaining variables, and submit the result.
-type Heuristic struct{}
+// NewPlugins builds it.
+type Heuristic struct {
+	node *nodeSDP
+}
 
 // Name implements scip.Heuristic.
 func (*Heuristic) Name() string { return "fixround" }
@@ -189,7 +204,7 @@ func (h *Heuristic) Search(ctx *scip.Ctx) scip.Result {
 	p := ctx.Data.(*Instance).P
 	found := scip.DidNothing
 	for attempt := 0; attempt < 2; attempt++ {
-		prob := localProblem(ctx, p)
+		prob := h.node.localProblem(ctx, p)
 		anyCont := false
 		for i := 0; i < p.M; i++ {
 			if !p.IsInt[i] {
@@ -214,7 +229,7 @@ func (h *Heuristic) Search(ctx *scip.Ctx) scip.Result {
 		}
 		var y []float64
 		if anyCont {
-			res := sdp.Solve(prob, sdp.Options{})
+			res := h.node.solver.Solve(prob, sdp.Options{})
 			if res.Status != sdp.Solved {
 				continue
 			}
@@ -241,15 +256,17 @@ func (h *Heuristic) Search(ctx *scip.Ctx) scip.Result {
 }
 
 // NewPlugins assembles the SCIP-SDP plugin set (shared by the LP and
-// SDP modes; mode selection happens via Settings.UseLP).
+// SDP modes; mode selection happens via Settings.UseLP). Its Relaxator
+// and Heuristic solve on one sdp.Solver.
 func NewPlugins() *scip.Plugins {
+	node := new(nodeSDP)
 	return &scip.Plugins{
 		Def:         &Def{},
 		Propagators: []scip.Propagator{&Propagator{}},
 		Separators:  []scip.Separator{&Separator{}},
-		Heuristics:  []scip.Heuristic{&Heuristic{}},
+		Heuristics:  []scip.Heuristic{&Heuristic{node: node}},
 		Conshdlrs:   []scip.Conshdlr{&Conshdlr{}},
-		Relaxators:  []scip.Relaxator{&Relaxator{}},
+		Relaxators:  []scip.Relaxator{&Relaxator{node: node}},
 	}
 }
 

@@ -168,28 +168,34 @@ func (b *Block) compiled() *blockForm {
 	return f
 }
 
-// reduced returns b with every variable outside keep fixed at its
-// fixVal: C − Σ_fixed fixVal_i·A_i, folded in through the compiled
-// entries in variable order, over b's compiled form restricted to keep,
-// so the reduced block is never compiled.
-func (b *Block) reduced(keep []int, fixed []bool, fixVal []float64) *Block {
+// reducedInto writes into dst the block b with every variable outside
+// keep fixed at its fixVal: C − Σ_fixed fixVal_i·A_i, folded in through
+// the compiled entries in variable order, over b's compiled form
+// restricted to keep, which it writes into form and publishes on dst —
+// so the reduced block is never compiled. dst and form keep their
+// storage from one call to the next; only the owner's solves read them.
+func (b *Block) reducedInto(dst *Block, form *blockForm, keep []int, fixed []bool, fixVal []float64) {
 	f := b.compiled()
-	c := b.C.Clone()
+	if dst.C == nil {
+		dst.C = new(linalg.Sym)
+	}
+	c := dst.C
+	c.N, c.A = b.N, resize(c.A, b.N*b.N)
+	copy(c.A, b.C.A)
 	for i, fx := range fixed {
 		if fx && num.Nonzero(fixVal[i]) {
 			subScaled(c, fixVal[i], f.coefs[i].ents)
 		}
 	}
-	red := &Block{N: b.N, C: c, A: make([]*linalg.Sym, len(keep))}
-	rf := &blockForm{coefs: make([]coef, len(keep))}
+	dst.N, dst.A = b.N, resize(dst.A, len(keep))
+	form.coefs, form.live = resize(form.coefs, len(keep)), form.live[:0]
 	for k, i := range keep {
-		red.A[k], rf.coefs[k] = b.A[i], f.coefs[i]
-		if len(rf.coefs[k].ents) > 0 {
-			rf.live = append(rf.live, k)
+		dst.A[k], form.coefs[k] = b.A[i], f.coefs[i]
+		if len(form.coefs[k].ents) > 0 {
+			form.live = append(form.live, k)
 		}
 	}
-	red.form.Store(rf)
-	return red
+	dst.form.Store(form)
 }
 
 // blockWork is one block's compiled coefficients and the scratch its
@@ -202,8 +208,9 @@ type blockWork struct {
 	// w[k] is variable live[k]'s scratch, filled per Newton step: u =
 	// Z⁻¹v (n floats) for a rank-one coefficient, otherwise the
 	// len(cols) nonzero columns of W = Z⁻¹A, n floats each, in cols
-	// order.
-	w [][]float64
+	// order. The slices are cut from wbuf.
+	w    [][]float64
+	wbuf []float64
 
 	z, zinv *linalg.Sym
 	chol    *linalg.Chol
@@ -220,9 +227,9 @@ type rowWork struct {
 
 // workspace is everything a solve evaluates the barrier in: the
 // blocks' compiled coefficient forms, the rows compiled to their
-// nonzero support, and every matrix and vector a Newton step writes. It
-// is built once per Solve and shared by the phase-1 rescue runs, which
-// see the same blocks and rows.
+// nonzero support, and every matrix and vector a Newton step writes. A
+// Solver keeps one and resets it for every problem it solves; the
+// phase-1 rescue runs, which see the same blocks and rows, share it.
 type workspace struct {
 	blocks []blockWork
 	rows   []rowWork
@@ -231,6 +238,7 @@ type workspace struct {
 	hessBuf, cholBuf         []float64
 	hess                     linalg.Sym  // order ext, backed by hessBuf
 	hchol                    linalg.Chol // order ext, backed by cholBuf
+	eig                      []float64   // minEigenvalue's scratch
 
 	// logs is the barrier's log sum at the point barrierValue last
 	// evaluated. factored marks that this point is the iterate
@@ -242,49 +250,45 @@ type workspace struct {
 	logs     float64
 }
 
-// newWorkspace takes p's compiled blocks, compiling those no solve has
-// seen yet, compiles the rows and allocates the scratch.
+// reset reshapes ws for p: it takes p's compiled blocks, compiling
+// those no solve has seen yet, compiles the rows and sizes the scratch,
+// reusing every buffer whose capacity suffices.
 //
-//ugo:coldpath the per-solve setup: every allocation of the solve, so that the Newton steps under it make none
-func newWorkspace(p *Problem) *workspace {
+//ugo:coldpath the per-solve setup: it allocates only where a buffer must grow, so that the Newton steps under it make no allocation
+func (ws *workspace) reset(p *Problem) {
 	m := p.M
-	ws := &workspace{
-		blocks:  make([]blockWork, len(p.Blocks)),
-		rows:    make([]rowWork, len(p.Rows)),
-		grad:    make([]float64, m+1),
-		delta:   make([]float64, m+1),
-		cand:    make([]float64, m+1),
-		resid:   make([]float64, m),
-		hessBuf: make([]float64, (m+1)*(m+1)),
-		cholBuf: make([]float64, (m+1)*(m+1)),
-	}
+	ws.factored = false
+	ws.grad, ws.delta = resize(ws.grad, m+1), resize(ws.delta, m+1)
+	ws.cand, ws.resid = resize(ws.cand, m+1), resize(ws.resid, m)
+	ws.hessBuf = resize(ws.hessBuf, (m+1)*(m+1))
+	ws.cholBuf = resize(ws.cholBuf, (m+1)*(m+1))
+	ws.blocks = resize(ws.blocks, len(p.Blocks))
 	for k, blk := range p.Blocks {
 		n := blk.N
 		f := blk.compiled()
-		live := f.live[:sort.SearchInts(f.live, m)]
 		bw := &ws.blocks[k]
-		*bw = blockWork{
-			n: n, c: blk.C,
-			coefs: f.coefs,
-			live:  live,
-			w:     make([][]float64, len(live)),
-			z:     linalg.NewSym(n),
-			zinv:  linalg.NewSym(n),
-			chol:  linalg.NewChol(n),
+		bw.n, bw.c, bw.coefs = n, blk.C, f.coefs
+		bw.live = f.live[:sort.SearchInts(f.live, m)]
+		bw.z, bw.zinv = reshapeSym(bw.z, n), reshapeSym(bw.zinv, n)
+		if bw.chol == nil || bw.chol.N != n {
+			bw.chol = linalg.NewChol(n)
 		}
 		wlen := 0
-		for _, i := range live {
+		for _, i := range bw.live {
 			wlen += f.coefs[i].scratchLen(n)
 		}
-		w := make([]float64, wlen)
-		for k, i := range live {
+		bw.wbuf, bw.w = resize(bw.wbuf, wlen), resize(bw.w, len(bw.live))
+		w := bw.wbuf
+		for k, i := range bw.live {
 			l := f.coefs[i].scratchLen(n)
 			bw.w[k], w = w[:l:l], w[l:]
 		}
 	}
+	ws.rows = resize(ws.rows, len(p.Rows))
 	for k, r := range p.Rows {
 		rw := &ws.rows[k]
 		rw.rhs = r.RHS
+		rw.idx, rw.val = rw.idx[:0], rw.val[:0]
 		for i, a := range r.Coef {
 			if num.Nonzero(a) {
 				rw.idx = append(rw.idx, i)
@@ -294,7 +298,23 @@ func newWorkspace(p *Problem) *workspace {
 		rw.idx = append(rw.idx, m)
 		rw.val = append(rw.val, -1)
 	}
-	return ws
+}
+
+// reshapeSym returns s at order n, allocating only when s is nil. Its
+// entries are left as they were: every user overwrites them.
+func reshapeSym(s *linalg.Sym, n int) *linalg.Sym {
+	if s == nil {
+		return linalg.NewSym(n)
+	}
+	s.N, s.A = n, resize(s.A, n*n)
+	return s
+}
+
+// minEigenvalue returns the smallest eigenvalue of s, computed in ws's
+// scratch.
+func (ws *workspace) minEigenvalue(s *linalg.Sym) float64 {
+	ws.eig = resize(ws.eig, s.N*s.N)
+	return linalg.MinEigenvalue(s, ws.eig)
 }
 
 // Z evaluates C − Σ A_i y_i over the compiled entries.

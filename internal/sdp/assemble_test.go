@@ -448,6 +448,13 @@ func TestRankOneDetection(t *testing.T) {
 	}
 }
 
+// newWorkspace returns a workspace reset for p, as a new Solver's.
+func newWorkspace(p *Problem) *workspace {
+	ws := new(workspace)
+	ws.reset(p)
+	return ws
+}
+
 // rootIterate returns the workspace of p and the point its barrier
 // solve starts from.
 func rootIterate(tb testing.TB, p *Problem) (*workspace, []float64) {

@@ -1,10 +1,6 @@
 package sdp
 
-import (
-	"math"
-
-	"repro/internal/linalg"
-)
+import "math"
 
 // rigorousUpperBound certifies an upper bound on sup{ bᵀy : y feasible
 // for the ORIGINAL problem } from the final barrier iterate (y, s) via
@@ -118,7 +114,7 @@ func minBoxObjective(p *Problem) float64 {
 
 // evalFixed handles the fully-fixed case (no free variables after
 // elimination): feasibility is decided exactly by eigenvalue checks.
-func evalFixed(p *Problem) *Result {
+func (ws *workspace) evalFixed(p *Problem) *Result {
 	y := make([]float64, p.M)
 	res := &Result{Status: Solved, Y: y}
 	for _, r := range p.Rows {
@@ -128,8 +124,8 @@ func evalFixed(p *Problem) *Result {
 		}
 	}
 	for _, blk := range p.Blocks {
-		lam, _ := linalg.MinEigen(blk.C) // Z(0) = C in the reduced problem
-		if lam < -1e-8*(1+blk.C.MaxAbs()) {
+		// Z(0) = C in the reduced problem.
+		if ws.minEigenvalue(blk.C) < -1e-8*(1+blk.C.MaxAbs()) {
 			res.Status = Infeasible
 			return res
 		}

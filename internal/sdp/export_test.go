@@ -1,6 +1,7 @@
 package sdp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -49,3 +50,29 @@ func (s *NewtonStepper) DenseDirection() bool {
 
 // directionSink keeps DenseDirection's solve from being optimized away.
 var directionSink []float64
+
+// BitsDiffer names the first field in which a and b differ, bit for
+// bit, or returns "".
+func BitsDiffer(a, b *Result) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch {
+	case a.Status != b.Status:
+		return "Status"
+	case a.Iters != b.Iters:
+		return "Iters"
+	case !same(a.Obj, b.Obj):
+		return "Obj"
+	case !same(a.UpperBound, b.UpperBound):
+		return "UpperBound"
+	case !same(a.Penalty, b.Penalty):
+		return "Penalty"
+	case len(a.Y) != len(b.Y):
+		return "len(Y)"
+	}
+	for i := range a.Y {
+		if !same(a.Y[i], b.Y[i]) {
+			return "Y"
+		}
+	}
+	return ""
+}

@@ -55,11 +55,17 @@ func fuzzProblem(data []byte) *Problem {
 // named after their order, variable count, Solve's status, whether the
 // grid holds a feasible point and whether the penalty slack was dropped;
 // in lowerboxbinds the optimum sits on the box, where only the residual
-// term of the certificate keeps it valid.
+// term of the certificate keeps it valid. Every input is also solved on
+// one Solver kept across the inputs, which must return the fresh
+// Solver's Result bit for bit.
 func FuzzSolveCertifiedBound(f *testing.F) {
+	kept := new(Solver) // a fuzz worker runs its inputs one at a time
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
 		r := Solve(p, Options{})
+		if field := BitsDiffer(kept.Solve(p, Options{}), r); field != "" {
+			t.Fatalf("kept Solver's %s differs from a fresh Solver's", field)
+		}
 		if r.Status != Solved {
 			return
 		}

@@ -150,29 +150,7 @@ func reduceByHand(p *sdp.Problem) (red *sdp.Problem, keep []int, fixVal []float6
 
 // bitsDiffer names the first field in which a and b differ, bit for
 // bit, or returns "".
-func bitsDiffer(a, b *sdp.Result) string {
-	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	switch {
-	case a.Status != b.Status:
-		return "Status"
-	case a.Iters != b.Iters:
-		return "Iters"
-	case !same(a.Obj, b.Obj):
-		return "Obj"
-	case !same(a.UpperBound, b.UpperBound):
-		return "UpperBound"
-	case !same(a.Penalty, b.Penalty):
-		return "Penalty"
-	case len(a.Y) != len(b.Y):
-		return "len(Y)"
-	}
-	for i := range a.Y {
-		if !same(a.Y[i], b.Y[i]) {
-			return "Y"
-		}
-	}
-	return ""
-}
+var bitsDiffer = sdp.BitsDiffer
 
 // Solve eliminates fixed variables through each Block's compiled
 // entries; the result must be the one of the problem reduced by hand
@@ -216,10 +194,63 @@ func TestRepeatedSolveBitForBit(t *testing.T) {
 	}
 }
 
+// One Solver kept across problems of every shape — the 16 catalogue
+// roots and their nodes with the first integer variable fixed at either
+// bound, interleaved so that the number of variables, the number of
+// blocks and the block orders change from one call to the next, first
+// growing and then shrinking — must return, on every call, what a
+// fresh Solver returns.
+func TestKeptSolverMatchesFreshBitForBit(t *testing.T) {
+	type node struct {
+		name string
+		p    *sdp.Problem
+	}
+	var nodes []node
+	in := catalogue()
+	for _, kind := range []string{"root", "lo", "up"} {
+		for _, c := range in {
+			p := rootProblem(c.p)
+			if kind != "root" {
+				p = fixFirstInt(c.p, kind == "up")
+			}
+			nodes = append(nodes, node{c.name + " " + kind, p})
+		}
+	}
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nodes = append(nodes, nodes[i])
+	}
+	kept := new(sdp.Solver)
+	for k, nd := range nodes {
+		got := kept.Solve(nd.p, sdp.Options{})
+		if field := bitsDiffer(got, sdp.Solve(nd.p, sdp.Options{})); field != "" {
+			t.Errorf("call %d, %s: %s differs from a fresh Solver's", k, nd.name, field)
+		}
+	}
+}
+
+// A node re-solve on a warm Solver allocates only the Result, the
+// reduced problem's Y and its expansion over every variable, and the
+// barrier iterate: nothing that scales with the nodes of a tree.
+func TestNodeResolveAllocsBounded(t *testing.T) {
+	const maxAllocs = 4
+	p := nodeFixture()
+	s := new(sdp.Solver)
+	want := s.Solve(p, sdp.Options{})
+	allocs := testing.AllocsPerRun(10, func() {
+		if field := bitsDiffer(s.Solve(p, sdp.Options{}), want); field != "" {
+			t.Fatalf("warm re-solve differs in %s", field)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("node re-solve allocates %v times, want at most %d", allocs, maxAllocs)
+	}
+}
+
 // ParaSolvers and ugserve lanes share an instance's Blocks. Four
 // goroutines solving node problems over one shared, never solved
-// []*Block (run under -race) must each return what a sequential solve
-// of a separately built copy returns.
+// []*Block (run under -race), each on one Solver kept across its nodes
+// as a ParaSolver's plugin set keeps it, must each return what a
+// sequential solve of a separately built copy returns.
 func TestConcurrentSolvesShareBlocks(t *testing.T) {
 	nodes := func(p *misdp.MISDP) []*sdp.Problem {
 		fix := nodeFixture()
@@ -238,10 +269,11 @@ func TestConcurrentSolvesShareBlocks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			got[g] = make([]*sdp.Result, len(shared))
+			s := new(sdp.Solver)
 			// Each goroutine starts at a different node.
 			for k := range shared {
 				j := (g + k) % len(shared)
-				got[g][j] = sdp.Solve(shared[j], sdp.Options{})
+				got[g][j] = s.Solve(shared[j], sdp.Options{})
 			}
 		}(g)
 	}

@@ -38,15 +38,18 @@
 // is no separate dense path. Everything a Newton step writes — Z, its
 // Cholesky factor and inverse, the u and W arrays, gradient, Hessian and
 // its factor, the direction and the line-search candidate — lives in one
-// workspace allocated per Solve, so a step allocates nothing; the factor
-// of Z that the gradient needs also yields the barrier value the line
-// search starts from, and the factors and value of the trial the line
-// search accepts are the next gradient's. The compiled form is kept on
-// the Block, published once and then only read, so the solves of
-// ParaSolvers that share the Blocks share it; a node's fixed variables
-// are folded into C through the parent Block's entries, and the reduced
-// Block takes the parent's form over the free variables, so branch and
-// bound compiles each Block once per tree.
+// workspace, so a step allocates nothing; the factor of Z that the
+// gradient needs also yields the barrier value the line search starts
+// from, and the factors and value of the trial the line search accepts
+// are the next gradient's. A Solver keeps the workspace and resets it
+// for every problem, reusing each buffer whose capacity suffices. The
+// compiled form is kept on the Block, published once and then only
+// read, so the solves of ParaSolvers that share the Blocks share it; a
+// node's fixed variables are folded into C through the parent Block's
+// entries, in Blocks the Solver keeps, and the reduced Block takes the
+// parent's form over the free variables, so branch and bound compiles
+// each Block once per tree and a node re-solve allocates only its
+// Result and the barrier iterate.
 package sdp
 
 import (
@@ -139,35 +142,65 @@ type Options struct {
 	startY []float64
 }
 
+// Solver owns everything a solve writes — the barrier workspace, the
+// fixing buffers and the reduced problem with its Blocks — and reshapes
+// it on every Solve, so the node solves of one branch-and-bound run
+// reuse one set of buffers. The zero Solver is ready; a Solver serves
+// one goroutine at a time.
+type Solver struct {
+	ws workspace
+
+	fixed  []bool
+	fixVal []float64
+	keep   []int
+	// red is the problem over the free variables: its B, Lo, Up, Blocks
+	// and Rows are backed by the Solver, its Blocks by blocks and forms
+	// and its rows' coefficients by rowCoef.
+	red     Problem
+	blocks  []*Block
+	forms   []blockForm
+	rowCoef []float64
+}
+
+// Solve runs the barrier method on p with a fresh Solver.
+func Solve(p *Problem, opt Options) *Result {
+	return new(Solver).Solve(p, opt)
+}
+
 // Solve runs the barrier method on p. Variables whose box has
 // (numerically) collapsed — the way branch and bound fixes integers —
 // are eliminated into the constant terms first, which keeps the barrier
-// well conditioned.
-func Solve(p *Problem, opt Options) *Result {
-	fixed := make([]bool, p.M)
-	fixVal := make([]float64, p.M)
+// well conditioned. The Result, its Y included, is the caller's: none
+// of it aliases the Solver.
+func (s *Solver) Solve(p *Problem, opt Options) *Result {
+	s.fixed, s.fixVal = resize(s.fixed, p.M), resize(s.fixVal, p.M)
+	fixed, fixVal := s.fixed, s.fixVal
 	anyFixed := false
 	for i := 0; i < p.M; i++ {
-		if !math.IsInf(p.Lo[i], -1) && p.Up[i]-p.Lo[i] < 1e-7 {
-			fixed[i] = true
+		fixed[i] = !math.IsInf(p.Lo[i], -1) && p.Up[i]-p.Lo[i] < 1e-7
+		if fixed[i] {
 			fixVal[i] = 0.5 * (p.Lo[i] + p.Up[i])
 			anyFixed = true
 		}
 	}
 	if !anyFixed {
 		if p.M == 0 {
-			return evalFixed(p)
+			return s.ws.evalFixed(p)
 		}
-		return solveFull(p, opt, newWorkspace(p))
+		s.ws.reset(p)
+		return solveFull(p, opt, &s.ws)
 	}
 	// Build the reduced problem over the free variables.
-	var keep []int
+	keep := s.keep[:0]
 	for i := 0; i < p.M; i++ {
 		if !fixed[i] {
 			keep = append(keep, i)
 		}
 	}
-	red := &Problem{M: len(keep)}
+	s.keep = keep
+	red := &s.red
+	red.M = len(keep)
+	red.B, red.Lo, red.Up = red.B[:0], red.Lo[:0], red.Up[:0]
 	var objOffset float64
 	for _, i := range keep {
 		red.B = append(red.B, p.B[i])
@@ -179,12 +212,19 @@ func Solve(p *Problem, opt Options) *Result {
 			objOffset += p.B[i] * fixVal[i]
 		}
 	}
-	for _, blk := range p.Blocks {
-		red.Blocks = append(red.Blocks, blk.reduced(keep, fixed, fixVal))
+	for len(s.blocks) < len(p.Blocks) {
+		s.blocks = append(s.blocks, new(Block))
 	}
-	for _, r := range p.Rows {
+	s.forms = resize(s.forms, len(p.Blocks))
+	for k, blk := range p.Blocks {
+		blk.reducedInto(s.blocks[k], &s.forms[k], keep, fixed, fixVal)
+	}
+	red.Blocks = s.blocks[:len(p.Blocks)]
+	red.Rows = red.Rows[:0]
+	s.rowCoef = resize(s.rowCoef, len(p.Rows)*len(keep))
+	for ri, r := range p.Rows {
 		rhs := r.RHS
-		coef := make([]float64, len(keep))
+		coef := s.rowCoef[ri*len(keep) : (ri+1)*len(keep)]
 		for k, i := range keep {
 			coef[k] = r.Coef[i]
 		}
@@ -211,9 +251,10 @@ func Solve(p *Problem, opt Options) *Result {
 	}
 	var r *Result
 	if red.M == 0 {
-		r = evalFixed(red)
+		r = s.ws.evalFixed(red)
 	} else {
-		r = solveFull(red, opt, newWorkspace(red))
+		s.ws.reset(red)
+		r = solveFull(red, opt, &s.ws)
 	}
 	// Expand back.
 	y := make([]float64, p.M)
@@ -233,6 +274,15 @@ func Solve(p *Problem, opt Options) *Result {
 		r.UpperBound += objOffset
 	}
 	return r
+}
+
+// resize returns buf at length n, keeping its storage — and the
+// elements up to its capacity — when the capacity suffices.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+	}
+	return buf[:n]
 }
 
 // solveFull runs the barrier method without preprocessing, in the
@@ -261,7 +311,7 @@ func solveFull(p *Problem, opt Options, ws *workspace) *Result {
 		y[m] = 0
 		warmStarted = true
 	}
-	res := &Result{Status: NumericTrouble, Y: append([]float64(nil), y[:m]...)}
+	res := &Result{Status: NumericTrouble} // finishAt sets Y on every return
 
 	mu := muInit
 	iters := 0
@@ -390,8 +440,7 @@ func (ws *workspace) startPoint(p *Problem, y []float64) {
 	for k := range ws.blocks {
 		bw := &ws.blocks[k]
 		bw.evalZ(y, 0)
-		lam, _ := linalg.MinEigen(bw.z)
-		if need := -lam + 1; need > s0 {
+		if need := -ws.minEigenvalue(bw.z) + 1; need > s0 {
 			s0 = need
 		}
 	}
