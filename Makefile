@@ -20,7 +20,7 @@ bench-hot:
 	./scripts/bench_hot.sh
 
 race:
-	go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/...
+	go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/... ./internal/core/...
 
 # flake is the nightly flake gate: -race -count=20 -cpu=1,2,4 over the
 # packages with timing-sensitive tests (see scripts/flake.sh for the set;

@@ -139,3 +139,42 @@ func TestSteinerModesAgree(t *testing.T) {
 	}
 	check("loopback TCP", res.Optimal, res.Obj+f.ObjOffset())
 }
+
+// ug with one ParaSolver is the sequential solve: collect mode only
+// feeds an idle rank, so the single rank keeps the root for the whole
+// run and its search repeats the sequential one node for node — the
+// same nodes, LP iterations and cuts, one dispatch and nothing
+// collected.
+func TestUGOneWorkerIsSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inst func() *steiner.SPG
+	}{
+		{"HypercubeT(4,7,true,3)", func() *steiner.SPG { return puc.HypercubeT(4, 7, true, 3) }},
+		{"HypercubeSpread(5,16,100,170,4)", func() *steiner.SPG { return puc.HypercubeSpread(5, 16, 100, 170, 4) }},
+		{"HypercubeSpread(5,16,100,160,2)", func() *steiner.SPG { return puc.HypercubeSpread(5, 16, 100, 160, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app := steiner.NewApp(tc.inst())
+			s, st, _ := core.SolveSequential(app, app.Settings[0])
+			if st != scip.StatusOptimal {
+				t.Fatalf("sequential status %v", st)
+			}
+			res, _, err := core.SolveParallel(steiner.NewApp(tc.inst()), ug.Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := [3]int64{s.Stats.Nodes, s.Stats.LPIterations, s.Stats.CutsAdded}
+			par := [3]int64{res.Stats.TotalNodes, res.Stats.LPIterations, res.Stats.CutsAdded}
+			t.Logf("nodes/LP iterations/cuts: sequential %v, ug 1 worker %v", seq, par)
+			if !res.Optimal || par != seq {
+				t.Errorf("ug 1 worker: optimal %v, nodes/LP iterations/cuts %v; sequential %v",
+					res.Optimal, par, seq)
+			}
+			if res.Stats.Dispatched != 1 || res.Stats.Collected != 0 {
+				t.Errorf("ug 1 worker: %d dispatched, %d collected; want 1 and 0",
+					res.Stats.Dispatched, res.Stats.Collected)
+			}
+		})
+	}
+}

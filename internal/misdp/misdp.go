@@ -72,12 +72,30 @@ func (p *MISDP) Feasible(y []float64, tol float64) bool {
 			return false
 		}
 	}
+	var z zScratch
 	for _, blk := range p.Blocks {
-		if linalg.MinEigenvalue(blk.Z(y), nil) < -tol {
+		if z.minEigenvalue(blk, y) < -tol {
 			return false
 		}
 	}
 	return true
+}
+
+// zScratch holds one matrix that every evaluation of a block's
+// Z = C − Σ A_i y_i reuses, so a PSD test clones nothing.
+type zScratch struct{ z *linalg.Sym }
+
+// at returns blk's Z at y, valid until the next call.
+func (s *zScratch) at(blk *sdp.Block, y []float64) *linalg.Sym {
+	s.z = blk.ZInto(s.z, y)
+	return s.z
+}
+
+// minEigenvalue returns the smallest eigenvalue of blk's Z at y. Z is
+// scratch, so the eigensolve diagonalizes it in place.
+func (s *zScratch) minEigenvalue(blk *sdp.Block, y []float64) float64 {
+	z := s.at(blk, y)
+	return linalg.MinEigenvalue(z, z.A)
 }
 
 // Instance is the model-level problem data shared by all nodes; it is

@@ -50,8 +50,8 @@ func eigCutCoefs(blk *sdp.Block, v []float64) (coefs []lp.Nonzero, rhs float64) 
 	return coefs, blk.C.QuadForm(v)
 }
 
-// Conshdlr enforces the SDP cones.
-type Conshdlr struct{}
+// Conshdlr enforces the SDP cones. NewPlugins builds it.
+type Conshdlr struct{ z zScratch }
 
 // Name implements scip.Conshdlr.
 func (*Conshdlr) Name() string { return "sdpcone" }
@@ -59,10 +59,10 @@ func (*Conshdlr) Name() string { return "sdpcone" }
 // Check implements scip.Conshdlr.
 //
 //ugo:coldpath cone feasibility check runs once per candidate incumbent and is dominated by the eigensolve
-func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
+func (c *Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 	p := ctx.Data.(*Instance).P
 	for _, blk := range p.Blocks {
-		if linalg.MinEigenvalue(blk.Z(x), nil) < -psdTol {
+		if c.z.minEigenvalue(blk, x) < -psdTol {
 			return false
 		}
 	}
@@ -75,14 +75,14 @@ func (*Conshdlr) Check(ctx *scip.Ctx, x []float64) bool {
 // this point defers to branching.
 //
 //ugo:coldpath eigenvector-cut synthesis is dominated by the dense eigensolve; its matrix scratch is block-sized and audited with the linalg kernels
-func (*Conshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
+func (c *Conshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
 	if !ctx.Settings().UseLP {
 		return scip.DidNothing
 	}
 	p := ctx.Data.(*Instance).P
 	added := false
 	for _, blk := range p.Blocks {
-		lam, v := linalg.MinEigen(blk.Z(x))
+		lam, v := linalg.MinEigen(c.z.at(blk, x))
 		if lam >= -psdTol {
 			continue
 		}
@@ -104,6 +104,7 @@ func (*Conshdlr) Enforce(ctx *scip.Ctx, x []float64) scip.Result {
 // Separator adds eigenvector cuts for fractional LP solutions (LP mode).
 type Separator struct {
 	MaxPerBlock int
+	z           zScratch
 }
 
 // Name implements scip.Separator.
@@ -126,7 +127,7 @@ func (s *Separator) Separate(ctx *scip.Ctx) scip.Result {
 	}
 	added := 0
 	for _, blk := range p.Blocks {
-		eig := linalg.Eigen(blk.Z(ctx.LPSol.X))
+		eig := linalg.Eigen(s.z.at(blk, ctx.LPSol.X))
 		for k := 0; k < maxPer && k < blk.N; k++ {
 			if eig.Values[k] >= -psdTol {
 				break

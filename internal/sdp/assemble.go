@@ -317,16 +317,21 @@ func (ws *workspace) minEigenvalue(s *linalg.Sym) float64 {
 	return linalg.MinEigenvalue(s, ws.eig)
 }
 
-// Z evaluates C − Σ A_i y_i over the compiled entries.
-func (b *Block) Z(y []float64) *linalg.Sym {
-	z := b.C.Clone()
+// Z evaluates C − Σ A_i y_i over the compiled entries into a new matrix.
+func (b *Block) Z(y []float64) *linalg.Sym { return b.ZInto(nil, y) }
+
+// ZInto is Z evaluated into dst, reshaped to the block's order
+// (allocated only when nil), and returns it.
+func (b *Block) ZInto(dst *linalg.Sym, y []float64) *linalg.Sym {
+	dst = reshapeSym(dst, b.C.N)
+	copy(dst.A, b.C.A)
 	f := b.compiled()
 	for _, i := range f.live {
 		if num.Nonzero(y[i]) {
-			subScaled(z, y[i], f.coefs[i].ents)
+			subScaled(dst, y[i], f.coefs[i].ents)
 		}
 	}
-	return z
+	return dst
 }
 
 // evalZ sets bw.z = C − Σ A_i y_i + s·I.

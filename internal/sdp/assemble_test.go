@@ -359,6 +359,23 @@ func TestBlockZMatchesDenseEvaluation(t *testing.T) {
 			t.Fatalf("Z cell %d: Block.Z %v, workspace %v, dense %v", i, got.A[i], ws.blocks[0].z.A[i], want.A[i])
 		}
 	}
+	// ZInto overwrites a reused matrix of another order, stale entries
+	// and all, with the same bits.
+	for _, n := range []int{3, 9} {
+		dst := linalg.NewSym(n)
+		for i := range dst.A {
+			dst.A[i] = math.NaN()
+		}
+		z := p.Blocks[0].ZInto(dst, y)
+		if z.N != want.N || len(z.A) != len(want.A) {
+			t.Fatalf("ZInto into order %d: order %d, %d cells", n, z.N, len(z.A))
+		}
+		for i := range want.A {
+			if !num.ExactEq(z.A[i], want.A[i]) {
+				t.Fatalf("ZInto into order %d, cell %d: %v, dense %v", n, i, z.A[i], want.A[i])
+			}
+		}
+	}
 }
 
 func TestRankOneDetection(t *testing.T) {

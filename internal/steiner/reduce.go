@@ -71,7 +71,7 @@ func Reduce(s *SPG, maxRounds int) (*Trace, *ReduceStats) {
 	if maxRounds <= 0 {
 		maxRounds = 16
 	}
-	ps := newPathSearch(s.G)
+	ps := newPathSearch(s.G, minEdgeCost(s.G))
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		if degreeTests(s, tr, st) {
@@ -97,7 +97,7 @@ func Reduce(s *SPG, maxRounds int) (*Trace, *ReduceStats) {
 // stable. Returns the number of edges deleted.
 func ReduceLocal(s *SPG, budget int) int {
 	before := s.G.AliveEdges()
-	ps := newPathSearch(s.G)
+	ps := newPathSearch(s.G, minEdgeCost(s.G))
 	var st ReduceStats
 	for round := 0; round < 4; round++ {
 		changed := false
@@ -210,20 +210,28 @@ func originalOf(tr *Trace, e int) []int {
 // pathSearch is the workspace of the reduction tests' shortest-path
 // searches, allocated once per Reduce or ReduceLocal call: dist is +Inf
 // except at the vertices listed in touched, which the next run resets.
+// cmin is a lower bound on the cost of every alive edge for the whole
+// call: deletions only raise the minimum, and the one edge a call adds,
+// a degree-2 contraction's, costs the sum of two alive edges, which is
+// at least cmin when cmin ≥ 0 (a negative minimum disables it).
 type pathSearch struct {
 	g       *graph.Graph
 	dist    []float64
 	touched []int
 	pq      graph.DistHeap
+	cmin    float64
 }
 
-func newPathSearch(g *graph.Graph) *pathSearch {
+// newPathSearch takes cmin from its caller (minEdgeCost), which keeps it
+// inlinable and the workspace off the heap.
+func newPathSearch(g *graph.Graph, cmin float64) *pathSearch {
 	n := g.NumVertices()
 	ps := &pathSearch{
 		g:       g,
 		dist:    make([]float64, n),
 		touched: make([]int, 0, n),
 		pq:      make(graph.DistHeap, 0, n),
+		cmin:    cmin,
 	}
 	for i := range ps.dist {
 		ps.dist[i] = math.Inf(1)
@@ -231,11 +239,28 @@ func newPathSearch(g *graph.Graph) *pathSearch {
 	return ps
 }
 
+// minEdgeCost returns the least cost of an alive edge of g, −Inf when
+// it is negative (+Inf for no edge).
+func minEdgeCost(g *graph.Graph) float64 {
+	c := math.Inf(1)
+	for e := 0; e < g.NumEdges(); e++ {
+		if g.EdgeAlive(e) {
+			c = math.Min(c, g.Cost(e))
+		}
+	}
+	if c < 0 {
+		return math.Inf(-1)
+	}
+	return c
+}
+
 // run is Dijkstra from src over alive edges that never enters vertex
 // avoid or edge skip (−1 for none) and never labels a vertex beyond
 // limit. It stops as soon as every target is settled and reports whether
 // all were; their distances stay in ps.dist until the next run. A settled
 // label is final, so these are the distances the unbounded search finds.
+// A vertex whose label plus cmin passes limit has no edge that could
+// label another within it, so its adjacency is not scanned.
 func (ps *pathSearch) run(src, avoid, skip int, limit float64, targets []int) bool {
 	for _, w := range ps.touched {
 		ps.dist[w] = math.Inf(1)
@@ -259,6 +284,9 @@ func (ps *pathSearch) run(src, avoid, skip int, limit float64, targets []int) bo
 		}
 		if settled == all {
 			return true
+		}
+		if it.Dist+ps.cmin > limit {
+			continue
 		}
 		g.Adj(it.V, func(e, w int) bool {
 			if e == skip || w == avoid {

@@ -318,6 +318,26 @@ func TestReduceMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// The path searches skip a vertex's edges by the least edge cost taken
+// at the start of a Reduce call, so that cost must stay a lower bound
+// through the call's deletions and degree-2 contractions.
+func TestMinEdgeCostHoldsThroughReduce(t *testing.T) {
+	contracted := 0
+	for seed := int64(0); seed < 200; seed++ {
+		n := 8 + int(seed%24)
+		s := randomSPG(seed, n, n, 2+int(seed%5))
+		cmin := minEdgeCost(s.G)
+		tr, _ := Reduce(s, 0)
+		contracted += len(tr.Parent)
+		if got := minEdgeCost(s.G); got < cmin {
+			t.Fatalf("seed %d: an alive edge costs %v after Reduce, below the bound %v", seed, got, cmin)
+		}
+	}
+	if contracted == 0 {
+		t.Fatal("Reduce contracted no path on 200 random instances: the check is blind")
+	}
+}
+
 // grid returns a w×w grid with costs in [1,10] and every seventh vertex a
 // terminal: all degrees are at most four, so both reduction tests search
 // from every non-terminal.

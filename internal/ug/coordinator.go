@@ -563,20 +563,20 @@ func (co *coordinator) dispatchAll() {
 	}
 }
 
-// adjustCollectMode implements the paper's dynamic load balancing: when
-// the pool holds fewer subproblems than there are workers the
-// coordinator asks active solvers to ship heavy subproblems; once it
-// holds 2·Workers+1 it stops the collection.
+// adjustCollectMode implements the paper's dynamic load balancing on
+// demand: collect mode is on exactly while a live rank is idle and the
+// pool cannot feed it (dead ranks are not in idle). No node is parked
+// while every rank is busy, and a single worker never ships.
 func (co *coordinator) adjustCollectMode() {
 	if co.stopping {
 		return
 	}
-	if !co.collectMode && len(co.pool) < co.cfg.Workers && co.active > 0 {
+	if starved := len(co.idle) > len(co.pool); !co.collectMode && starved && co.active > 0 {
 		co.collectMode = true
 		co.stats.CollectPhases++
 		co.trace.Emit(obs.Event{Kind: obs.KindCollectStart, Open: len(co.pool)})
 		co.sendRunning(comm.TagStartCollect, nil, -1)
-	} else if co.collectMode && len(co.pool) >= 2*co.cfg.Workers+1 {
+	} else if co.collectMode && !starved {
 		co.collectMode = false
 		co.trace.Emit(obs.Event{Kind: obs.KindCollectStop, Open: len(co.pool)})
 		co.sendRunning(comm.TagStopCollect, nil, -1)

@@ -139,11 +139,12 @@ func interrupted(nodes int64, open int) Outcome { return Outcome{Nodes: nodes, O
 
 // TestCoordinatorScript pins the LoadCoordinator's observable behaviour —
 // its trace event sequence, the tags every rank receives and the run's
-// result — on scripted three-rank runs covering dispatch, collect mode,
-// incumbent broadcast, racing (node-limit winner, a racer that solves the
-// instance, the winner lost during wind-up), cancellation (a stopped
-// rank's reported bound goes back with its subproblem) and a closed
-// transport. RacingTime is an hour, so only a status report with at least
+// result — on scripted runs of one to three ranks covering dispatch,
+// collect mode on demand (on while an idle rank has nothing to take,
+// never with one worker), incumbent broadcast, racing (node-limit
+// winner, a racer that solves the instance, the winner lost during
+// wind-up), cancellation (a stopped rank's reported bound goes back with
+// its subproblem) and a closed transport. RacingTime is an hour, so only a status report with at least
 // 50 open nodes ends a race.
 func TestCoordinatorScript(t *testing.T) {
 	racing := Config{Workers: 3, RampUp: RampUpRacing, RacingTime: 3600}
@@ -183,6 +184,7 @@ func TestCoordinatorScript(t *testing.T) {
 				"dispatch r2 s1 d2 p0 o0 \"\"",
 				"solver.busy r2 s0 d0 p0 o0 \"\"",
 				"collect.node r3 s2 d3 p0 o0 \"\"",
+				"collect.stop r0 s0 d0 p0 o1 \"\"",
 				"dispatch r1 s2 d3 p0 o0 \"\"",
 				"solver.busy r1 s0 d0 p0 o0 \"\"",
 				"collect.node r3 s3 d4 p0 o0 \"\"",
@@ -192,9 +194,7 @@ func TestCoordinatorScript(t *testing.T) {
 				"collect.node r3 s7 d9 p0 o0 \"\"",
 				"collect.node r3 s8 d10 p0 o0 \"\"",
 				"collect.node r3 s9 d11 p0 o0 \"\"",
-				"collect.stop r0 s0 d0 p0 o7 \"\"",
 				"incumbent r1 s0 d0 p7 o0 \"\"",
-				"collect.start r0 s0 d0 p0 o2 \"\"",
 				"outcome r2 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r2 s0 d0 p0 o0 \"\"",
 				"dispatch r2 s3 d4 p0 o0 \"\"",
@@ -206,6 +206,7 @@ func TestCoordinatorScript(t *testing.T) {
 				"outcome r3 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r3 s0 d0 p0 o0 \"\"",
 				"dual r0 s0 d4 p7 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
 				"outcome r2 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r2 s0 d0 p0 o0 \"\"",
 				"dual r0 s0 d6 p7 o0 \"\"",
@@ -215,11 +216,127 @@ func TestCoordinatorScript(t *testing.T) {
 				"run.end r0 s0 d7 p7 o0 \"\"",
 			},
 			wantTags: []string{
-				"r1: subproblem startCollect stopCollect startCollect subproblem startCollect termination",
-				"r2: subproblem startCollect stopCollect solution startCollect subproblem startCollect termination",
-				"r3: subproblem startCollect stopCollect solution startCollect termination",
+				"r1: subproblem subproblem startCollect termination",
+				"r2: subproblem startCollect stopCollect solution subproblem startCollect termination",
+				"r3: subproblem startCollect stopCollect solution termination",
 			},
 			wantResult: "optimal=true infeasible=false obj=7 dual=7 open=0 dispatched=5 collected=9 collectPhases=2 maxActive=3 winner=-1 \"\" solvedInRacing=false",
+		},
+		{
+			// Collect mode follows demand: once the shipped node has fed
+			// the only idle rank it stops, and while both ranks are busy
+			// with an empty pool no status report starts it again.
+			name: "busy-ranks-empty-pool-no-collect",
+			cfg:  Config{Workers: 2},
+			script: func(s *coordScript) {
+				s.send(2, comm.TagNode, node(2))
+				s.send(1, comm.TagStatus, StatusReport{Bound: 2, Open: 9, Nodes: 4})
+				s.send(2, comm.TagStatus, StatusReport{Bound: 1, Open: 9, Nodes: 5})
+				close(s.cancel)
+				s.settle()
+				s.send(1, comm.TagTerminated, interrupted(4, 9))
+				s.send(2, comm.TagTerminated, interrupted(5, 9))
+			},
+			wantEvents: []string{
+				"run.start r0 s0 d0 p0 o2 \"\"",
+				"dispatch r2 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r2 s0 d0 p0 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
+				"collect.node r2 s1 d2 p0 o0 \"\"",
+				"collect.stop r0 s0 d0 p0 o1 \"\"",
+				"dispatch r1 s1 d2 p0 o0 \"\"",
+				"solver.busy r1 s0 d0 p0 o0 \"\"",
+				"status r1 s0 d2 p0 o9 \"\"",
+				"status r2 s0 d1 p0 o9 \"\"",
+				"dual r0 s0 d1 p+Inf o0 \"\"",
+				"run.stop r0 s0 d0 p0 o2 \"\"",
+				"outcome r1 s0 d0 p0 o9 \"interrupted\"",
+				"solver.idle r1 s0 d0 p0 o0 \"\"",
+				"outcome r2 s0 d0 p0 o9 \"interrupted\"",
+				"solver.idle r2 s0 d0 p0 o0 \"\"",
+				"run.end r0 s0 d1 p+Inf o0 \"\"",
+			},
+			wantTags: []string{
+				"r1: subproblem stop termination",
+				"r2: subproblem startCollect stopCollect stop termination",
+			},
+			wantResult: "optimal=false infeasible=false obj=0 dual=1 open=20 dispatched=2 collected=1 collectPhases=1 maxActive=2 winner=-1 \"\" solvedInRacing=false",
+		},
+		{
+			// A rank that falls idle while the other still works opens
+			// exactly one startCollect … stopCollect cycle, closed by the
+			// dispatch of the shipped node; a node still in flight then
+			// waits in the pool without reopening collect mode.
+			name: "idle-rank-one-collect-cycle",
+			cfg:  Config{Workers: 2},
+			script: func(s *coordScript) {
+				s.send(2, comm.TagNode, node(2))
+				s.send(1, comm.TagTerminated, done(3))
+				s.send(2, comm.TagNode, node(3))
+				s.send(2, comm.TagNode, node(4))
+				close(s.cancel)
+				s.settle()
+				s.send(1, comm.TagTerminated, interrupted(2, 1))
+				s.send(2, comm.TagTerminated, interrupted(6, 3))
+			},
+			wantEvents: []string{
+				"run.start r0 s0 d0 p0 o2 \"\"",
+				"dispatch r2 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r2 s0 d0 p0 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
+				"collect.node r2 s1 d2 p0 o0 \"\"",
+				"collect.stop r0 s0 d0 p0 o1 \"\"",
+				"dispatch r1 s1 d2 p0 o0 \"\"",
+				"solver.busy r1 s0 d0 p0 o0 \"\"",
+				"outcome r1 s0 d0 p0 o0 \"completed\"",
+				"solver.idle r1 s0 d0 p0 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
+				"collect.node r2 s2 d3 p0 o0 \"\"",
+				"collect.stop r0 s0 d0 p0 o1 \"\"",
+				"dispatch r1 s2 d3 p0 o0 \"\"",
+				"solver.busy r1 s0 d0 p0 o0 \"\"",
+				"collect.node r2 s3 d4 p0 o0 \"\"",
+				"run.stop r0 s0 d0 p0 o2 \"\"",
+				"outcome r1 s0 d0 p0 o1 \"interrupted\"",
+				"solver.idle r1 s0 d0 p0 o0 \"\"",
+				"outcome r2 s0 d0 p0 o3 \"interrupted\"",
+				"solver.idle r2 s0 d0 p0 o0 \"\"",
+				"run.end r0 s0 d-Inf p+Inf o0 \"\"",
+			},
+			wantTags: []string{
+				"r1: subproblem subproblem stop termination",
+				"r2: subproblem startCollect stopCollect startCollect stopCollect stop termination",
+			},
+			wantResult: "optimal=false infeasible=false obj=0 dual=-Inf open=7 dispatched=3 collected=3 collectPhases=2 maxActive=2 winner=-1 \"\" solvedInRacing=false",
+		},
+		{
+			// One worker has nobody to feed: it never sees startCollect.
+			name: "one-worker-never-collects",
+			cfg:  Config{Workers: 1},
+			script: func(s *coordScript) {
+				s.send(1, comm.TagStatus, StatusReport{Bound: 1, Open: 7, Nodes: 2})
+				s.send(1, comm.TagSolution, Solution{Obj: 5})
+				s.send(1, comm.TagStatus, StatusReport{Bound: 3, Open: 4, Nodes: 9})
+				s.send(1, comm.TagTerminated, done(12))
+			},
+			wantEvents: []string{
+				"run.start r0 s0 d0 p0 o1 \"\"",
+				"dispatch r1 s0 d-Inf p0 o0 \"\"",
+				"solver.busy r1 s0 d0 p0 o0 \"\"",
+				"status r1 s0 d1 p0 o7 \"\"",
+				"dual r0 s0 d1 p+Inf o0 \"\"",
+				"incumbent r1 s0 d0 p5 o0 \"\"",
+				"status r1 s0 d3 p0 o4 \"\"",
+				"dual r0 s0 d3 p5 o0 \"\"",
+				"outcome r1 s0 d0 p0 o0 \"completed\"",
+				"solver.idle r1 s0 d0 p0 o0 \"\"",
+				"dual r0 s0 d5 p5 o0 \"\"",
+				"run.end r0 s0 d5 p5 o0 \"\"",
+			},
+			wantTags: []string{
+				"r1: subproblem termination",
+			},
+			wantResult: "optimal=true infeasible=false obj=5 dual=5 open=0 dispatched=1 collected=0 collectPhases=0 maxActive=1 winner=-1 \"\" solvedInRacing=false",
 		},
 		{
 			name: "racing-nodelimit-winner-lost",
@@ -270,7 +387,6 @@ func TestCoordinatorScript(t *testing.T) {
 				"solver.busy r3 s0 d0 p0 o0 \"\"",
 				"dispatch r2 s1 d3 p0 o0 \"\"",
 				"solver.busy r2 s0 d0 p0 o0 \"\"",
-				"collect.start r0 s0 d0 p0 o2 \"\"",
 				"incumbent r3 s0 d0 p10 o0 \"\"",
 				"outcome r3 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r3 s0 d0 p0 o0 \"\"",
@@ -285,6 +401,7 @@ func TestCoordinatorScript(t *testing.T) {
 				"outcome r3 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r3 s0 d0 p0 o0 \"\"",
 				"dual r0 s0 d5 p10 o0 \"\"",
+				"collect.start r0 s0 d0 p0 o0 \"\"",
 				"outcome r2 s0 d0 p0 o0 \"completed\"",
 				"solver.idle r2 s0 d0 p0 o0 \"\"",
 				"dual r0 s0 d10 p10 o0 \"\"",
@@ -292,8 +409,8 @@ func TestCoordinatorScript(t *testing.T) {
 			},
 			wantTags: []string{
 				"r1: racing extractAll termination",
-				"r2: racing stop subproblem startCollect solution subproblem startCollect termination",
-				"r3: racing stop subproblem startCollect subproblem startCollect termination",
+				"r2: racing stop subproblem solution subproblem startCollect termination",
+				"r3: racing stop subproblem subproblem termination",
 			},
 			wantResult: "optimal=true infeasible=false obj=10 dual=10 open=0 dispatched=7 collected=3 collectPhases=1 maxActive=3 winner=0 \"A\" solvedInRacing=false",
 		},
@@ -358,6 +475,7 @@ func TestCoordinatorScript(t *testing.T) {
 				"dispatch r2 s1 d2 p0 o0 \"\"",
 				"solver.busy r2 s0 d0 p0 o0 \"\"",
 				"collect.node r3 s2 d3 p0 o0 \"\"",
+				"collect.stop r0 s0 d0 p0 o1 \"\"",
 				"dispatch r1 s2 d3 p0 o0 \"\"",
 				"solver.busy r1 s0 d0 p0 o0 \"\"",
 				"collect.node r3 s3 d4 p0 o0 \"\"",
@@ -371,9 +489,9 @@ func TestCoordinatorScript(t *testing.T) {
 				"run.end r0 s0 d-Inf p+Inf o0 \"\"",
 			},
 			wantTags: []string{
-				"r1: subproblem startCollect stop termination",
-				"r2: subproblem startCollect stop termination",
-				"r3: subproblem startCollect stop termination",
+				"r1: subproblem stop termination",
+				"r2: subproblem startCollect stopCollect stop termination",
+				"r3: subproblem startCollect stopCollect stop termination",
 			},
 			wantResult: "optimal=false infeasible=false obj=0 dual=-Inf open=11 dispatched=3 collected=3 collectPhases=1 maxActive=3 winner=-1 \"\" solvedInRacing=false",
 		},

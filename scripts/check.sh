@@ -52,8 +52,8 @@ step "ugolint -hot ./..."
 # capture it and replay only on failure.
 hotout=$(go run ./cmd/ugolint -hot ./...) || { echo "$hotout"; fail=1; }
 
-step "go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/..."
-go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/... || fail=1
+step "go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/... ./internal/core/..."
+go test -race ./internal/ug/... ./internal/scip/... ./internal/serve/... ./internal/obs/... ./internal/sdp/... ./internal/misdp/... ./internal/core/... || fail=1
 
 step "go test ./..."
 go test ./... || fail=1
